@@ -11,11 +11,18 @@ decomposition that first solves a box-wide problem whose divergence is
 the negated trace measure (an explicit facet lift plus a cut-edge box
 Laplacian), reads the exterior flux on the reduced boundary off that
 global field, and then solves the reduced crack-free data on the body.
+
+Every graph-Laplacian solve, of any size and dimension, takes one path:
+conjugate gradients preconditioned by a plain-aggregation multigrid
+V-cycle.  An aggregate is the part of a 2^n block of nodes that the
+block's own graph edges connect, so no aggregate reaches across a crack
+facet or joins two components.  Coarsening stops at ``COARSE_SIZE``
+nodes, where the coarsest level is factorized; a system already that
+small is solved exactly and CG stops after one iteration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +34,17 @@ from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
 from .gridcore import MINUS, PLUS, Window, side_orient
 
-DIRECT_DENSE_LIMIT = 100_000
+# Fixed multigrid constants (not tuning knobs): coarsening stops at
+# COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;
+# _SWEEPS damped-Jacobi sweeps of weight _OMEGA smooth before and after a
+# coarse correction scaled by _COARSE_SCALE, the usual over-correction
+# for unsmoothed aggregation (below 2, so the cycle stays SPD).
+COARSE_SIZE = 2_000
+_STALL = 0.8
+_OMEGA = 2.0 / 3.0
+_SWEEPS = 2
+_COARSE_SCALE = 1.8
+_CG_MAXITER = 1_000
 
 
 class TraceData:
@@ -166,12 +183,71 @@ class SolveReport:
     mode: str
     kappa: float
     intermediate: tuple | None = None
+    # one entry per graph-Laplacian solve, in the order they ran
+    cg_iterations: tuple[int, ...] = ()
+    levels: tuple[int, ...] = ()
+
+
+def _aggregate(A: sp.coo_matrix, coords: np.ndarray):
+    """Aggregates of one level: each 2^n block of ``coords`` split into
+    the components of its block-internal edges.  Returns the aggregate of
+    every node and the block coordinates of every aggregate."""
+    block = coords // 2
+    bid = np.ravel_multi_index(tuple(block.T), tuple(block.max(axis=0) + 1))
+    inner = (A.row != A.col) & (bid[A.row] == bid[A.col])
+    graph = sp.coo_matrix((A.data[inner], (A.row[inner], A.col[inner])), shape=A.shape)
+    n_agg, agg = sp.csgraph.connected_components(graph, directed=False)
+    coarse = np.empty((n_agg, coords.shape[1]), dtype=coords.dtype)
+    coarse[agg] = block
+    return agg, coarse
+
+
+class _AggregationVCycle:
+    """Symmetric V-cycle over a plain-aggregation hierarchy of the SPD
+    matrix ``A`` whose nodes sit at integer ``coords``.  Prolongation is
+    stored as the aggregate index array alone: restriction is a
+    ``bincount`` and prolongation a gather."""
+
+    def __init__(self, A: sp.csr_matrix, coords: np.ndarray):
+        self.levels = []
+        while A.shape[0] > COARSE_SIZE:
+            coo = A.tocoo()
+            agg, coarse_coords = _aggregate(coo, coords)
+            n_agg = coarse_coords.shape[0]
+            if n_agg > _STALL * A.shape[0]:
+                break
+            self.levels.append((A, _OMEGA / A.diagonal(), agg, n_agg))
+            # Galerkin product P^T A P: rows and columns remapped, then summed
+            A = sp.csr_matrix((coo.data, (agg[coo.row], agg[coo.col])),
+                              shape=(n_agg, n_agg))
+            coords = coarse_coords
+        self.coarse = spla.splu(A.tocsc())
+        self.depth = len(self.levels) + 1
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarse.solve(r)
+        A, wdinv, agg, n_agg = self.levels[level]
+        x = wdinv * r
+        for _ in range(_SWEEPS - 1):
+            x += wdinv * (r - A @ x)
+        rc = np.bincount(agg, weights=r - A @ x, minlength=n_agg)
+        x += _COARSE_SCALE * self._cycle(level + 1, rc)[agg]
+        for _ in range(_SWEEPS):
+            x += wdinv * (r - A @ x)
+        return x
 
 
 def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray,
                      tol: float, require_single_component: bool = False):
     """Solve the unit-weight graph Laplacian L u = b on the cells whose
-    edges are the given facet masks; b must be balanced per component."""
+    edges are the given facet masks; b must be balanced per component.
+
+    Returns the potential on the cells, the CG iteration count and the
+    depth of the multigrid hierarchy."""
     n_dims = cells.ndim
     node_id = -np.ones(cells.shape, dtype=np.int64)
     idx = np.argwhere(cells)
@@ -194,46 +270,47 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray,
         cols.append(up_ids[em])
     rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    data = np.ones(rows.shape[0])
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-    adj = adj + adj.T
-    n_comp, comp = sp.csgraph.connected_components(adj, directed=False)
+    ones = np.ones(rows.shape[0])
+    n_comp, comp = sp.csgraph.connected_components(
+        sp.coo_matrix((ones, (rows, cols)), shape=(n_nodes, n_nodes)), directed=False)
     if require_single_component and n_comp != 1:
         raise InvariantViolation("expected a connected solve graph")
     bn = b[cells]
     scale = float(np.abs(bn).sum()) + 1.0
-    for c in range(n_comp):
-        members = comp == c
-        net = float(bn[members].sum())
-        if abs(net) > 1e-10 * scale:
-            raise CompatibilityError(
-                f"prescribed trace is incompatible on component {c}: net flux {net}"
-            )
-        # remove the roundoff-level mean so the singular system is consistent
-        bn = bn.copy()
-        bn[members] -= net / members.sum()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    lap = sp.diags(deg) - adj
+    net = np.bincount(comp, weights=bn, minlength=n_comp)
+    bad = np.flatnonzero(np.abs(net) > 1e-10 * scale)
+    if bad.size:
+        c = int(bad[0])
+        raise CompatibilityError(
+            f"prescribed trace is incompatible on component {c}: net flux {float(net[c])}"
+        )
+    # remove the roundoff-level mean so the singular system is consistent
+    bn = bn - (net / np.bincount(comp, minlength=n_comp))[comp]
+    deg = np.bincount(rows, minlength=n_nodes) + np.bincount(cols, minlength=n_nodes)
     # ground one node per component: shifts each component by a constant,
     # which the flux (a pure gradient) never sees
-    ground = np.zeros(n_nodes)
-    first = np.full(n_comp, -1, dtype=np.int64)
-    for i, c in enumerate(comp):
-        if first[c] < 0:
-            first[c] = i
-    ground[first[first >= 0]] = 1.0
-    lap = (lap + sp.diags(ground)).tocsr()
-    if n_nodes <= DIRECT_DENSE_LIMIT:
-        u = spla.spsolve(lap, bn)
-    else:
-        M = sp.diags(1.0 / lap.diagonal())
-        u, info = spla.cg(lap, bn, rtol=min(tol, 1e-12), atol=0.0, M=M,
-                          maxiter=20 * int(math.isqrt(n_nodes) + 1) * 100)
-        if info != 0:
-            raise InvariantViolation(f"conjugate gradient did not converge ({info})")
+    _, first = np.unique(comp, return_index=True)
+    deg[first] += 1
+    diag = np.arange(n_nodes)
+    lap = sp.csr_matrix(
+        (np.concatenate([-ones, -ones, deg]),
+         (np.concatenate([rows, cols, diag]), np.concatenate([cols, rows, diag]))),
+        shape=(n_nodes, n_nodes))
+    vcycle = _AggregationVCycle(lap, idx)
+    iterations = 0
+
+    def count(_xk):
+        nonlocal iterations
+        iterations += 1
+
+    u, info = spla.cg(lap, bn, rtol=min(tol, 1e-12), atol=0.0,
+                      M=spla.LinearOperator(lap.shape, matvec=vcycle, dtype=float),
+                      maxiter=_CG_MAXITER, callback=count)
+    if info != 0:
+        raise InvariantViolation(f"conjugate gradient did not converge ({info})")
     u_cells = np.zeros(cells.shape)
     u_cells[cells] = u
-    return u_cells, node_id, comp
+    return u_cells, iterations, vcycle.depth
 
 
 def _gradient_fluxes(grid, cells, edge_masks, u_cells, dx):
@@ -260,7 +337,14 @@ def _gradient_fluxes(grid, cells, edge_masks, u_cells, dx):
     return out
 
 
-def _audit(F: FluxField, td: TraceData, mode: str, tol: float,
+def _require_finite(td: TraceData) -> None:
+    for a in range(td.set.grid.n):
+        for mask, arr in ((td.mask_minus[a], td.gminus[a]), (td.mask_plus[a], td.gplus[a])):
+            if not np.isfinite(arr[mask]).all():
+                raise InputError(f"non-finite prescribed trace density on axis {a}")
+
+
+def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats,
            intermediate=None) -> SolveReport:
     div = divergence_measure(F)
     scale = max(1.0, td.sup())
@@ -287,7 +371,9 @@ def _audit(F: FluxField, td: TraceData, mode: str, tol: float,
         )
     return SolveReport(F=F, interior_div_residual=residual, trace_linf_gap=linf,
                        trace_l1_gap=l1, mode=mode, kappa=kappa,
-                       intermediate=intermediate)
+                       intermediate=intermediate,
+                       cg_iterations=tuple(it for it, _ in stats),
+                       levels=tuple(depth for _, depth in stats))
 
 
 def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveReport:
@@ -295,15 +381,17 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
     Neumann problem on the crack-split cell graph.
 
     The prescribed side values are imposed exactly; the graph solve
-    distributes them so every cell balance vanishes.  Raises
-    CompatibilityError when some component has net prescribed flux.
+    distributes them so every cell balance vanishes.  Raises InputError
+    on a non-finite density and CompatibilityError when some component
+    has net prescribed flux.
     """
+    _require_finite(td)
     grid = set_.grid
     dx = grid.spacing
     topo = facet_topology(set_)
     b = -dx * td.inflow_per_cell()
     b[~set_.cells] = 0.0
-    u_cells, _, _ = _laplacian_solve(set_.cells, topo.interior, b, tol)
+    u_cells, iterations, depth = _laplacian_solve(set_.cells, topo.interior, b, tol)
     fluxes = _gradient_fluxes(grid, set_.cells, topo.interior, u_cells, dx)
     F = FluxField(set_, 1.0)
     for a in range(grid.n):
@@ -319,7 +407,7 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
         float(max(np.abs(v).max() for v in F.vplus)),
         1e-300,
     )
-    return _audit(F, td, "DIRECT", tol)
+    return _audit(F, td, "DIRECT", tol, [(iterations, depth)])
 
 
 def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
@@ -335,6 +423,7 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     grid = set_.grid
     dx = grid.spacing
     window = window or Window.full(grid)
+    _require_finite(td)
     if not window.strictly_contains_cells(set_.cells):
         raise InputError("decomposition window must strictly contain the set")
     if abs(td.integral) > 1e-10 * (td.abs_integral() + 1.0):
@@ -347,8 +436,8 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     edge_masks = [box_topo.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
     b = -dx * td.inflow_per_cell()
     b[~box_cells] = 0.0
-    u_cells, _, _ = _laplacian_solve(box_cells, edge_masks, b, tol,
-                                     require_single_component=True)
+    u_cells, iterations, depth = _laplacian_solve(box_cells, edge_masks, b, tol,
+                                                  require_single_component=True)
     fluxes = _gradient_fluxes(grid, box_cells, edge_masks, u_cells, dx)
 
     G = FluxField(box_set, 1.0)
@@ -404,7 +493,8 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
         float(max(np.abs(v).max() for v in F.vplus)),
         1e-300,
     )
-    return _audit(F, td, "DECOMPOSED", tol,
+    stats = [(iterations, depth), *zip(hat_report.cg_iterations, hat_report.levels)]
+    return _audit(F, td, "DECOMPOSED", tol, stats,
                   intermediate=(G, h_arrays, Fhat))
 
 
@@ -419,6 +509,7 @@ def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
     div_ok = tv_inside / F.grid.facet_area <= tol * scale * 100.0
     tm = trace_measure(F)
     offenders = []
+    bar = 1e-8 * max(1.0, td.sup())
     grid = F.grid
     for a in range(grid.n):
         for side, mask, arr in (
@@ -428,7 +519,7 @@ def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
             for i in np.argwhere(mask):
                 idx = tuple(int(v) for v in i)
                 gap = abs(tm.density(a, idx, side) - float(arr[idx]))
-                if gap > 1e-8 * max(1.0, td.sup()):
+                if gap > bar:
                     offenders.append(((a, idx, side), gap))
     offenders.sort(key=lambda kv: -kv[1])
     ok = div_ok and not offenders

@@ -122,6 +122,19 @@ def test_solve_div_incompatible_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_solve_div_non_finite_exit_2(tmp_path):
+    tr = tmp_path / "tr.csv"
+    proc = run("trace", "--preset", "square", "--grid", "16", "--csv", str(tr))
+    assert proc.returncode == 0
+    lines = tr.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run("solve-div", "--preset", "square", "--grid", "16",
+               "--trace", str(bad))
+    assert proc.returncode == 2, proc.stderr
+
+
 def test_bad_input_exit_2(tmp_path):
     proc = run("classify", "--domain", '{"shape":{"op":"disk","r":-2}}',
                "--grid", "16")

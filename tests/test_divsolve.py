@@ -10,6 +10,7 @@ from roughgg.divsolve import (
     verify_solution,
 )
 from roughgg.dmfield import divergence_measure, sample_field, trace_measure
+from roughgg.domain import preset_set
 from roughgg.errors import CompatibilityError, InputError
 from roughgg.fields import slit_jump_field
 from roughgg.gridcore import MINUS, PLUS
@@ -191,16 +192,148 @@ def test_kappa_reported(square_32):
 
 
 def test_iterative_solver_branch(square_32, monkeypatch):
-    # force the conjugate-gradient path and keep the conservation bar
+    # force a multilevel hierarchy and keep the conservation bar
     import roughgg.divsolve as ds
 
-    monkeypatch.setattr(ds, "DIRECT_DENSE_LIMIT", 10)
+    monkeypatch.setattr(ds, "COARSE_SIZE", 16)
     td = left_right_data(square_32)
     rep = solve_direct(square_32, td)
+    assert rep.levels[0] > 2 and rep.cg_iterations[0] > 1
     assert rep.interior_div_residual <= 1e-10
     assert rep.trace_linf_gap == 0.0
     interior = rep.F.topology.interior[0]
     assert np.allclose(rep.F.vminus[0][interior], -1.0, atol=1e-8)
+
+
+def test_solver_stats_reported(square_32):
+    # below COARSE_SIZE the coarsest level is the whole system: one
+    # factorized level, and CG stops after one iteration
+    import roughgg.divsolve as ds
+
+    square_16 = preset_set("square", 1.0 / 16.0, margin_cells=4)
+    assert square_16.cell_count <= ds.COARSE_SIZE
+    td = left_right_data(square_16)
+    rep = solve_direct(square_16, td)
+    assert rep.levels == (1,) and rep.cg_iterations == (1,)
+    rep = solve_decomposed(square_32, left_right_data(square_32))
+    assert len(rep.levels) == 2 and len(rep.cg_iterations) == 2
+    assert all(lv >= 2 for lv in rep.levels)
+
+
+def test_aggregates_never_span_a_crack_facet(slit_square_32, monkeypatch):
+    import roughgg.divsolve as ds
+
+    built = []
+
+    class Recording(ds._AggregationVCycle):
+        def __init__(self, A, coords):
+            super().__init__(A, coords)
+            built.append(self)
+
+    monkeypatch.setattr(ds, "_AggregationVCycle", Recording)
+    monkeypatch.setattr(ds, "COARSE_SIZE", 16)
+    rep = solve_direct(slit_square_32, left_right_data(slit_square_32))
+    assert rep.interior_div_residual <= 1e-10
+    (vcycle,) = built
+    cells = slit_square_32.cells
+    node_id = -np.ones(cells.shape, dtype=np.int64)
+    idx = np.argwhere(cells)
+    node_id[tuple(idx.T)] = np.arange(idx.shape[0])
+    # node pairs across the crack facets: facet i lies between cells
+    # i - e_a and i along axis a
+    lower, upper = [], []
+    for a in range(2):
+        f = np.argwhere(slit_square_32.cracks.masks[a])
+        lo = f.copy()
+        lo[:, a] -= 1
+        lower.append(node_id[tuple(lo.T)])
+        upper.append(node_id[tuple(f.T)])
+    lower = np.concatenate(lower)
+    upper = np.concatenate(upper)
+    assert lower.size and (lower >= 0).all() and (upper >= 0).all()
+    assert len(vcycle.levels) >= 3
+    to_agg = np.arange(idx.shape[0])
+    shared_block = False
+    for level, (_, _, agg, _) in enumerate(vcycle.levels):
+        to_agg = agg[to_agg]
+        assert not np.any(to_agg[lower] == to_agg[upper]), level
+        block = idx // 2 ** (level + 1)
+        shared_block |= bool(np.any((block[lower] == block[upper]).all(axis=1)))
+    # plain 2^n blocks would have merged some pair: the split is what holds
+    assert shared_block
+
+
+def two_box_set(spacing):
+    import json
+
+    from roughgg.domain import make_grid, parse_domain, rasterize
+
+    doc = json.dumps({"shape": {"op": "union", "args": [
+        {"op": "box", "min": [-1, -1], "max": [-0.25, 1]},
+        {"op": "box", "min": [0.25, -1], "max": [1, 1]},
+    ]}})
+    spec = parse_domain(doc)
+    return rasterize(spec, make_grid(spec, spacing, margin_cells=4))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset_set("slit-square", 1.0 / 128.0, margin_cells=4),
+    lambda: two_box_set(1.0 / 128.0),
+], ids=["full-span-crack", "two-boxes"])
+def test_multi_component_solves(build):
+    set_ = build()
+    td = left_right_data(set_)
+    for solver in (solve_direct, solve_decomposed):
+        rep = solver(set_, td)
+        assert rep.levels[-1] >= 2
+        assert rep.interior_div_residual <= 1e-10
+        assert verify_solution(rep, set_, td)["pass"]
+        interior = rep.F.topology.interior[0]
+        assert np.allclose(rep.F.vminus[0][interior], -1.0, atol=1e-8)
+
+
+def test_slit_cube_solve():
+    # unit outward density on both crack sides, balanced by a constant
+    # inflow through the outer boundary: the flux jumps across the crack
+    import json
+
+    from roughgg.domain import make_grid, parse_domain, rasterize
+
+    doc = json.dumps({
+        "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+        "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
+    })
+    spec = parse_domain(doc)
+    cube = rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    td = TraceData(cube)
+    topo = td.topology
+    n_crack = sum(2 * int(m.sum()) for m in topo.crack)
+    n_outer = sum(int(m.sum()) for m in topo.boundary)
+    assert n_crack > 0
+    for a in range(3):
+        for arr, mask in ((td.gminus[a], td.mask_minus[a]), (td.gplus[a], td.mask_plus[a])):
+            arr[mask & topo.boundary[a]] = -n_crack / n_outer
+            arr[topo.crack[a]] = 1.0
+    assert abs(td.integral) <= 1e-12
+    rep = solve_direct(cube, td)
+    assert rep.levels[0] >= 2
+    assert rep.interior_div_residual <= 1e-10
+    assert rep.trace_linf_gap <= 1e-8
+    assert verify_solution(rep, cube, td)["pass"]
+    # outward on both sides: the flux runs into the crack from either side
+    crack = topo.crack[2]
+    assert np.allclose(rep.F.vminus[2][crack], 1.0)
+    assert np.allclose(rep.F.vplus[2][crack], -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trace_rejected(square_32, bad):
+    td = left_right_data(square_32)
+    a, idx = 0, tuple(np.argwhere(td.mask_minus[0])[0])
+    td.gminus[a][idx] = bad
+    for solver in (solve_direct, solve_decomposed):
+        with pytest.raises(InputError):
+            solver(square_32, td)
 
 
 def test_round_trip_on_diagonal_crack_domain():
