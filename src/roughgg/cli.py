@@ -71,12 +71,18 @@ def _load_spec(args):
         return preset_spec(args.preset, k=getattr(args, "k", None))
     if args.domain:
         return parse_domain(args.domain)
-    with open(args.domain_file, "r", encoding="utf-8") as handle:
-        return parse_domain(handle.read())
+    try:
+        with open(args.domain_file, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read domain file: {exc}") from exc
+    return parse_domain(text)
 
 
 def _build_set(args):
     spec = _load_spec(args)
+    if args.grid < 1:
+        raise InputError(f"--grid must be a positive integer, got {args.grid}")
     spacing = 1.0 / args.grid
     grid = make_grid(spec, spacing, margin_cells=args.margin)
     if spec.preset == "cantor-cross":

@@ -143,9 +143,17 @@ def write_trace_csv(path: str, side_weights: dict, grid: Grid) -> None:
 
 
 def read_trace_csv(path: str, grid: Grid) -> dict:
-    """Parse (axis, facet index, side) -> g rows back into a dict."""
+    """Parse (axis, facet index, side) -> g rows back into a dict.
+
+    Every row must name an existing facet of ``grid``: the axis lies in
+    [0, n) and each index in [0, facet_shape(axis)), so no index wraps.
+    """
     out = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read trace CSV: {exc}") from exc
+    with handle:
         header = handle.readline()
         if not header.startswith("axis,"):
             raise InputError("trace CSV must start with the axis header")
@@ -165,5 +173,13 @@ def read_trace_csv(path: str, grid: Grid) -> dict:
                 raise InputError(f"trace CSV line {line_no}: {exc}") from exc
             if side not in (MINUS, PLUS):
                 raise InputError(f"trace CSV line {line_no}: side must be 0 or 1")
+            if not 0 <= axis < grid.n:
+                raise InputError(
+                    f"trace CSV line {line_no}: axis {axis} outside [0, {grid.n})")
+            shape = grid.facet_shape(axis)
+            if not all(0 <= i < k for i, k in zip(idx, shape)):
+                raise InputError(
+                    f"trace CSV line {line_no}: facet index {idx} outside "
+                    f"the axis-{axis} facet grid {shape}")
             out[(axis, idx, side)] = g
     return out

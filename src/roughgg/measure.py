@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.signal import fftconvolve
 
-from ._util import fft_context
 from .domain import RoughSet
 from .errors import InputError
 from .gridcore import FacetArrays, Grid, unit_ball_volume
-from .mollify import MollifierKernel
+from .mollify import MollifierKernel, convolve_same
 
 EXTERIOR = 0
 ESSBOUNDARY = 1
@@ -153,8 +151,7 @@ def _density_field(set_: RoughSet, r: float) -> np.ndarray:
     axes = [np.arange(-ticks, ticks + 1) for _ in range(grid.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     kernel = (sum(m**2 for m in mesh) <= radius_cells**2 * (1 + 1e-12)).astype(float)
-    with fft_context():
-        counts = fftconvolve(set_.cells.astype(float), kernel, mode="same")
+    counts = convolve_same(set_.cells.astype(float), kernel)
     ratio = counts * grid.cell_volume / (unit_ball_volume(grid.n) * r**grid.n)
     return np.clip(ratio, 0.0, 1.0)
 

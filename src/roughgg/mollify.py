@@ -1,11 +1,41 @@
-"""Discrete mollification kernels on the cell lattice."""
+"""Discrete mollification kernels on the cell lattice, and the package's
+one same-mode convolution routine (``convolve_same``)."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
+from ._util import fft_context
 from .errors import InputError
 from .gridcore import Grid
+
+
+def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Linear convolution with zero padding, cropped to ``values.shape``
+    (centered, as ``scipy.signal.fftconvolve(..., mode="same")``).
+
+    Real FFTs run over the axes where both sizes exceed 1 (the others
+    broadcast), padded to the next fast length of the full size; the
+    arithmetic is the same as ``fftconvolve``'s, so results agree bit for
+    bit.
+    """
+    values = np.asarray(values, dtype=float)
+    s1, s2 = values.shape, weights.shape
+    axes = [a for a in range(values.ndim) if s1[a] != 1 and s2[a] != 1]
+    full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a])
+            for a in range(values.ndim)]
+    if axes:
+        fshape = [scipy.fft.next_fast_len(full[a], True) for a in axes]
+        with fft_context():
+            spectrum = (scipy.fft.rfftn(values, fshape, axes=axes)
+                        * scipy.fft.rfftn(weights, fshape, axes=axes))
+            out = scipy.fft.irfftn(spectrum, fshape, axes=axes)
+        out = out[tuple(slice(k) for k in full)]
+    else:
+        out = values * weights
+    start = [(f - k) // 2 for f, k in zip(full, s1)]
+    return out[tuple(slice(b, b + k) for b, k in zip(start, s1))].copy()
 
 
 class MollifierKernel:
@@ -35,13 +65,7 @@ class MollifierKernel:
 
     def smooth_cells(self, values: np.ndarray) -> np.ndarray:
         """Convolve a cell array with the kernel (zero padding outside)."""
-        from scipy.signal import fftconvolve
-
-        from ._util import fft_context
-
-        with fft_context():
-            out = fftconvolve(values.astype(float), self.weights, mode="same")
-        return out
+        return convolve_same(values, self.weights)
 
 
 def smooth_cells_masked(kernel: MollifierKernel, values: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .gridcore import Grid
-from .mollify import MollifierKernel
+from .mollify import MollifierKernel, convolve_same
 
 
 def _crack_planes(grid: Grid, crack_masks) -> list[tuple[int, float, np.ndarray]]:
@@ -109,19 +109,13 @@ def smooth_facet_values(grid: Grid, eps: float, values: np.ndarray,
     the facet center and only when both members are visible from the
     probe point, keeping the effective kernel symmetric.
     """
-    from scipy.signal import fftconvolve
-
-    from ._util import fft_context
-
     kernel = MollifierKernel(eps, grid)
     R = kernel.radius_cells
     shape = values.shape
     if fallback is None:
         fallback = values
-    with fft_context():
-        num = fftconvolve(np.where(sample_mask, values, 0.0), kernel.weights,
-                          mode="same")
-        den = fftconvolve(sample_mask.astype(float), kernel.weights, mode="same")
+    num = convolve_same(np.where(sample_mask, values, 0.0), kernel.weights)
+    den = convolve_same(sample_mask.astype(float), kernel.weights)
     plain = np.where(den > 1e-12, num / np.maximum(den, 1e-300), fallback)
     out = np.where(targets, plain, fallback)
 

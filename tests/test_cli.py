@@ -143,3 +143,38 @@ def test_bad_input_exit_2(tmp_path):
     assert proc.returncode == 2
     proc = run("classify", "--grid", "16")  # no domain source at all
     assert proc.returncode == 2
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, roughgg.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("row", ["1,4,-5,0,1", "7,4,5,0,1", "0,25,3,0,1"])
+def test_solve_div_trace_row_out_of_range_exit_2(tmp_path, row):
+    # square at 1/8 with the default margin: 24 x 24 cells
+    bad = tmp_path / "bad.csv"
+    bad.write_text("axis,i0,i1,side,g\n" + row + "\n")
+    proc = run("solve-div", "--preset", "square", "--grid", "8",
+               "--trace", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_missing_input_files_exit_2(tmp_path):
+    proc = run("solve-div", "--preset", "square", "--grid", "8",
+               "--trace", str(tmp_path / "missing.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run("classify", "--domain-file", str(tmp_path / "missing.json"),
+               "--grid", "8")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_grid_zero_exit_2():
+    proc = run("classify", "--preset", "square", "--grid", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

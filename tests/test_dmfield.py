@@ -60,6 +60,21 @@ def test_phi_gradient_audit(square_32):
         assert phi.audit(pts_f, fine.grid.spacing / 8.0) <= 1e-6
 
 
+def test_grad_component_matches_grad_exactly():
+    grid = preset_set("square", 1.0 / 16.0, margin_cells=4).grid
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        # points inside the flat region and across the cutoff ramp
+        X = rng.uniform(-8.0, 8.0, size=(40, 7, n))
+        X[0, 0] = 0.0  # r = 0 takes the other branch of the unit vector
+        basis = default_phi_basis(grid, degree=3) if n == 2 else [
+            polynomial_test_function(e, 6.0) for e in ((0, 0, 0), (1, 2, 0), (0, 1, 3))]
+        for phi in basis:
+            g = phi.grad(X)
+            for a in range(n):
+                assert np.array_equal(phi.grad_component(X, a), g[..., a])
+
+
 # --- sampling -------------------------------------------------------------
 
 
@@ -384,6 +399,31 @@ def test_weak_convergence_preconditions(square_32):
         trace_weak_convergence(F, eps_list=[0.25, 0.125])
     with pytest.raises(InputError):
         trace_weak_convergence(F, phi_basis=default_phi_basis(square_32.grid)[:3])
+
+
+def _slit_cube_8():
+    import json
+
+    from roughgg.domain import make_grid, parse_domain, rasterize
+
+    spec = parse_domain(json.dumps({
+        "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+        "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
+    }))
+    return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+
+
+@pytest.mark.parametrize("domain", ["slit-square-32", "slit-cube-8"])
+def test_weak_convergence_rows_are_public_pairing_gaps(domain, slit_square_32):
+    set_ = slit_square_32 if domain == "slit-square-32" else _slit_cube_8()
+    F = sample_field(seeded_trig_field(3), set_, 1.0)
+    table = trace_weak_convergence(F)
+    basis = default_phi_basis(set_.grid, degree=3)
+    base = [normal_trace_pairing(F, phi) for phi in basis]
+    for row in table["rows"]:
+        Fe = mollify_field(F, row["eps"])
+        gaps = [abs(normal_trace_pairing(Fe, phi) - b) for phi, b in zip(basis, base)]
+        assert row["gap"] == max(gaps)
 
 
 # --- product rule -------------------------------------------------------------
