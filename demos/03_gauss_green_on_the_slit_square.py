@@ -3,10 +3,11 @@
 The canonical cracked-domain example: the slit square carries the unit
 field flipping sign across the slit.  Its divergence vanishes inside the
 body (the jump sits on the boundary, not in it), yet the boundary
-pairing is nonzero: extending by zero and reading the negated facet
-jumps gives the normal-trace measure with density -2 on the slit (both
-one-sided fluxes point away from the material), +1 on the top and bottom
-edges, and 0 on the lateral edges.  The Gauss-Green identity against
+pairing is nonzero: the normal trace is the one-sided outward flux on
+every boundary facet side (equivalently, the negated facet jumps of the
+zero extension), with per-facet density -2 on the slit (both one-sided
+fluxes point away from the material), +1 on the top and bottom edges,
+and 0 on the lateral edges.  The Gauss-Green identity against
 polynomial test functions is then exact to machine precision.
 """
 
@@ -35,12 +36,13 @@ print(f"variation of the extended divergence: {ext.total_variation:.6f} "
       "(= 2x2 slit + 1x2 top + 1x2 bottom = 8)")
 
 tm = trace_measure(F)
-densities = sorted({round(tm.pair_density(a, idx), 9)
-                    for (a, idx, _s) in tm.side_weights})
+support = [tm.mask_minus[a] | tm.mask_plus[a] for a in range(2)]
+densities = sorted({round(float(g), 9)
+                    for a in range(2) for g in tm.net(a)[support[a]]})
 print("distinct per-facet trace densities:", densities)
 print(f"sup of the trace density: {tm.g_infinity} "
       f"({trace_linfinity_check(tm, F)['ratio']:.1f}x the field bound)")
-print(f"total trace mass: {tm.total():.2e}  (-2*2 + 1*2 + 1*2 = 0)")
+print(f"total trace mass: {tm.integral:.2e}  (-2*2 + 1*2 + 1*2 = 0)")
 
 print("\npairing vs. measure integral, per test function:")
 for phi in default_phi_basis(slit.grid):

@@ -19,8 +19,6 @@ from .approx import (
 )
 from .divsolve import (
     SolveReport,
-    TraceData,
-    compatibility_check,
     is_compatible,
     solve_decomposed,
     solve_direct,
@@ -30,6 +28,7 @@ from .dmfield import (
     FluxField,
     SignedMeasure,
     TestFunction,
+    TraceData,
     TraceMeasure,
     VectorTestFunction,
     bv_trace_check,

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
+
+from .errors import InvariantViolation
 
 
 def thread_cap() -> int | None:
@@ -74,6 +77,8 @@ def _render(obj, indent: int, out: list) -> None:
     elif isinstance(obj, bool) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InvariantViolation(f"non-finite value {obj} in a JSON artifact")
         out.append(format_float(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
@@ -82,7 +87,8 @@ def _render(obj, indent: int, out: list) -> None:
 
 
 def dumps_json(obj) -> str:
-    """JSON with every float printed at 17 significant digits."""
+    """JSON with every float printed at 17 significant digits; a NaN or
+    infinity raises InvariantViolation (JSON has no spelling for them)."""
     normalized = json.loads(json.dumps(obj, default=_json_default))
     out: list = []
     _render(normalized, 0, out)

@@ -13,8 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from .approx import approximation_sweep, cantor_generation_sweep
-from .divsolve import TraceData, solve_decomposed, solve_direct
+from .divsolve import solve_decomposed, solve_direct
 from .dmfield import (
+    TraceData,
     default_phi_basis,
     extension_bound_check,
     gauss_green_residual,
@@ -35,7 +36,6 @@ from .fields import (
     separated_smooth_field,
     slit_jump_field,
 )
-from .gridcore import MINUS, PLUS
 from .measure import (
     ahlfors_constant,
     boundary_decomposition,
@@ -57,33 +57,16 @@ def _slit_field(set_):
 
 
 def _facet_groups_slit(set_, tm):
-    """Split trace support into slit pairs, top/bottom, lateral."""
+    """Per-facet trace densities on the support, split into slit pairs,
+    top/bottom and lateral facets."""
     grid = set_.grid
-    per_facet = {}
-    for (a, idx, _s), w in tm.side_weights.items():
-        key = (a, idx)
-        per_facet[key] = per_facet.get(key, 0.0) + w / grid.facet_area
-    groups = {"slit": [], "horizontal": [], "lateral": []}
-    seen = set(per_facet)
-    for arr, a in ((set_.cracks.masks[1], 1),):
-        for i in np.argwhere(arr):
-            seen.add((a, tuple(int(v) for v in i)))
-    from .measure import reduced_facets
-
-    red, _ = reduced_facets(set_)
-    for a in range(grid.n):
-        for i in np.argwhere(red.masks[a]):
-            seen.add((a, tuple(int(v) for v in i)))
-    for (a, idx) in seen:
-        g = per_facet.get((a, idx), 0.0)
-        x = grid.facet_center(a, idx)
-        if a == 1 and abs(x[1]) < 1e-9:
-            groups["slit"].append(g)
-        elif a == 1:
-            groups["horizontal"].append(g)
-        else:
-            groups["lateral"].append(g)
-    return groups
+    support = [tm.topology.boundary[a] | tm.topology.crack[a] for a in range(grid.n)]
+    on_slit = np.abs(np.broadcast_to(grid.facet_center_mesh(1)[1],
+                                     grid.facet_shape(1))) < 1e-9
+    net = tm.net(1)
+    return {"slit": net[support[1] & on_slit],
+            "horizontal": net[support[1] & ~on_slit],
+            "lateral": tm.net(0)[support[0]]}
 
 
 def criterion_1():
@@ -93,13 +76,13 @@ def criterion_1():
         set_ = _set("slit-square", denom)
         tm = trace_measure(_slit_field(set_))
         groups = _facet_groups_slit(set_, tm)
-        if not groups["slit"] or not groups["horizontal"]:
+        if not groups["slit"].size or not groups["horizontal"].size:
             return False, f"missing facet groups at 1/{denom}"
         worst = max(
             worst,
-            max(abs(g + 2.0) for g in groups["slit"]),
-            max(abs(g - 1.0) for g in groups["horizontal"]),
-            max((abs(g) for g in groups["lateral"]), default=0.0),
+            float(np.abs(groups["slit"] + 2.0).max()),
+            float(np.abs(groups["horizontal"] - 1.0).max()),
+            float(np.abs(groups["lateral"]).max(initial=0.0)),
         )
     return worst <= 1e-9, f"max density error {worst:.3e} (tol 1e-9)"
 
@@ -238,20 +221,12 @@ def criterion_7():
     rep = interior_normal_trace(F, E)
     if not rep.gate_passed:
         return False, "Richardson gate failed"
-    lefts, rights, horiz = [], [], []
-    for (a, idx), w in rep.atoms.items():
-        x = grid.facet_center(a, idx)
-        g = w / grid.facet_area
-        if a == 0 and x[0] < 0.0:
-            lefts.append(g)
-        elif a == 0:
-            rights.append(g)
-        else:
-            horiz.append(g)
-    left = float(np.mean(lefts))
-    right = float(np.mean(rights))
+    w, horiz = (wa / grid.facet_area for wa in rep.weights)
+    x = np.broadcast_to(grid.facet_center_mesh(0)[0], w.shape)
+    left = float(np.mean(w[(w != 0.0) & (x < 0.0)]))
+    right = float(np.mean(w[(w != 0.0) & (x >= 0.0)]))
     err = max(abs(left - 0.5), abs(right + 0.5))
-    hmax = max((abs(h) for h in horiz), default=0.0)
+    hmax = float(np.abs(horiz).max())
     ok = err <= 0.05 * 0.5 and hmax <= 0.05 * 0.5
     return ok, (f"edge densities {left:.4f}/{right:.4f} vs +-1/2 "
                 f"(-2x gives -+1), gate ok, off-edge {hmax:.2e}")
@@ -307,11 +282,7 @@ def criterion_10():
     """Divergence solver round trips, mode agreement, conservation, and
     compatibility rejection (exit code 3)."""
     set_ = _set("slit-square", 32)
-    F = _slit_field(set_)
-    tm = trace_measure(F)
-    td = TraceData(set_)
-    for (a, idx, side), w in tm.side_weights.items():
-        td.set_side(a, idx, side, w / set_.grid.facet_area)
+    td = trace_measure(_slit_field(set_))  # prescribe the trace of a field
     gaps = []
     residuals = []
     for solver in (solve_direct, solve_decomposed):
@@ -324,13 +295,8 @@ def criterion_10():
     td2 = TraceData(sq).fill(lambda X, nu: X[..., 1] * nu[0])
     r1 = solve_direct(sq, td2)
     r2 = solve_decomposed(sq, td2)
-    t1 = trace_measure(r1.F)
-    t2 = trace_measure(r2.F)
-    mode_gap = 0.0
-    for key in set(t1.side_weights) | set(t2.side_weights):
-        mode_gap = max(mode_gap, abs(t1.side_weights.get(key, 0.0)
-                                     - t2.side_weights.get(key, 0.0)))
-    mode_gap /= sq.grid.facet_area
+    mode_gap = max(float(np.abs(g1 - g2).max()) for (*_, g1), (*_, g2)
+                   in zip(trace_measure(r1.F).slots(), trace_measure(r2.F).slots()))
     residuals += [r1.interior_div_residual, r2.interior_div_residual]
     if mode_gap > 1e-8:
         return False, f"mode trace disagreement {mode_gap:.2e} > 1e-8"
@@ -348,14 +314,7 @@ def criterion_10():
         td_bad = TraceData(sq).fill(lambda X, nu: np.ones(X.shape[:-1]))
         from .io import write_trace_csv
 
-        sides = {}
-        for a in range(grid.n):
-            for side, mask, arr in ((MINUS, td_bad.mask_minus[a], td_bad.gminus[a]),
-                                    (PLUS, td_bad.mask_plus[a], td_bad.gplus[a])):
-                for i in np.argwhere(mask):
-                    idx = tuple(int(v) for v in i)
-                    sides[(a, idx, side)] = arr[idx] * grid.facet_area
-        write_trace_csv(bad, sides, grid)
+        write_trace_csv(bad, td_bad.side_weights, grid)
         proc = subprocess.run(
             [sys.executable, "-m", "roughgg.cli", "solve-div", "--preset",
              "square", "--grid", "32", "--margin", "4", "--trace", bad],

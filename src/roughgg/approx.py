@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .domain import RoughSet, cantor_cross, cantor_cross_spec, make_grid
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid
+from .gridcore import FacetArrays, Grid, faces
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -50,9 +50,6 @@ class BallCover:
     balls: list  # (center tuple, radius, kind)
     totals: dict
 
-    def total_sphere_area(self, kind: str) -> float:
-        return self.totals.get(kind, 0.0)
-
 
 @dataclass
 class ApproxReport:
@@ -65,7 +62,6 @@ class ApproxReport:
     ratio: float
     cover: BallCover
     kappa: float  # cover sphere area over the boundary measure
-    eroded: int = 0
 
 
 def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
@@ -76,13 +72,8 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
     dx = grid.spacing
     touching = np.zeros(grid.extents, dtype=bool)
     for a in range(grid.n):
-        mask = bd.reduced.masks[a]
-        sl_lo = [slice(None)] * grid.n
-        sl_hi = [slice(None)] * grid.n
-        sl_lo[a] = slice(1, None)
-        sl_hi[a] = slice(0, -1)
-        touching |= mask[tuple(sl_lo)]
-        touching |= mask[tuple(sl_hi)]
+        lower_face, upper_face = faces(bd.reduced.masks[a], a)
+        touching |= lower_face | upper_face
     candidates = np.argwhere(touching & (cls.labels == EXTERIOR))
     found = []
     glo, ghi = grid.bounds()
@@ -228,21 +219,14 @@ def interior_approximation(set_: RoughSet, delta: float,
     grown = ndimage.binary_dilation(
         e_cells, structure=np.ones((3,) * grid.n, dtype=bool)
     )
-    eroded = 0
     if bool(np.any(grown & ~set_.cells)):
         raise InvariantViolation("result touches the exterior")
     for a in range(grid.n):
         crack = set_.cracks.masks[a]
         if not crack.any():
             continue
-        sl_lo = [slice(None)] * grid.n
-        sl_hi = [slice(None)] * grid.n
-        sl_lo[a] = slice(1, None)
-        sl_hi[a] = slice(0, -1)
-        adj = np.zeros(grid.extents, dtype=bool)
-        adj |= crack[tuple(sl_lo)]
-        adj |= crack[tuple(sl_hi)]
-        if bool(np.any(adj & e_cells)):
+        lower_face, upper_face = faces(crack, a)
+        if bool(np.any((lower_face | upper_face) & e_cells)):
             raise InvariantViolation("result touches a crack facet")
     if audit:
         audit_cover(set_, cover, targets)
@@ -262,7 +246,6 @@ def interior_approximation(set_: RoughSet, delta: float,
         ratio=per_est / star if star > 0.0 else math.inf,
         cover=cover,
         kappa=kappa,
-        eroded=eroded,
     )
 
 

@@ -18,8 +18,9 @@ import numpy as np
 from . import io as rio
 from ._util import atomic_write_text, dumps_json
 from .approx import approximation_sweep, interior_approximation
-from .divsolve import TraceData, solve_decomposed, solve_direct, verify_solution
+from .divsolve import solve_decomposed, solve_direct, verify_solution
 from .dmfield import (
+    TraceData,
     default_phi_basis,
     gauss_green_residual,
     normal_trace_pairing,
@@ -92,13 +93,30 @@ def _build_set(args):
     return spec, rasterize(spec, grid)
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type of widths, scales and tolerances: a finite number
+    above zero; anything else is a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _scale_list(text: str) -> list[float]:
+    return [_finite_positive(v) for v in text.split(",")]
+
+
 def _build_field(args, set_):
     name = args.field
-    if name == "seed":
-        return sample_field(seeded_trig_field(args.seed), set_, 1.0)
-    if name.startswith("seed:"):
-        fn = seeded_trig_field(int(name.split(":", 1)[1]))
-        return sample_field(fn, set_, 1.0)
+    if name == "seed" or name.startswith("seed:"):
+        text = str(args.seed) if name == "seed" else name[len("seed:"):]
+        if not (text.isascii() and text.isdigit()):
+            raise InputError(f"field seed must be a non-negative integer, got {text!r}")
+        return sample_field(seeded_trig_field(int(text)), set_, 1.0)
     if name not in FIELDS:
         raise InputError(
             f"unknown field {name!r} (use slit-jump, smooth, linear, seed, seed:N)"
@@ -172,8 +190,7 @@ def cmd_perimeter(args) -> int:
 def cmd_approx(args) -> int:
     _, set_ = _build_set(args)
     if args.sweep:
-        deltas = [float(v) for v in args.sweep.split(",")]
-        table = approximation_sweep(set_, deltas)
+        table = approximation_sweep(set_, args.sweep)
         lines = ["delta,spacing,perimeter,removed,ratio,verdict"]
         for row in table["rows"]:
             lines.append(
@@ -223,7 +240,7 @@ def cmd_trace(args) -> int:
         "field": args.field,
         "spacing": set_.grid.spacing,
         "g_infinity": tm.g_infinity,
-        "total": tm.total(),
+        "total": tm.integral,
         "halving_identity_gap": tm.eq_mixed_gap,
         "facets": [
             {"axis": a, "index": list(idx), "g": g}
@@ -334,14 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perimeter", help="mollified perimeter estimate")
     _domain_args(p)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_positive, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_perimeter)
 
     p = sub.add_parser("approx", help="interior approximation at one scale")
     _domain_args(p)
-    p.add_argument("--delta", type=float, default=0.125)
-    p.add_argument("--sweep", help="comma-separated scales: emit CSV instead")
+    p.add_argument("--delta", type=_finite_positive, default=0.125)
+    p.add_argument("--sweep", type=_scale_list,
+                   help="comma-separated scales: emit CSV instead")
     p.add_argument("--out")
     p.add_argument("--png")
     p.set_defaults(fn=cmd_approx)
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _domain_args(p)
     p.add_argument("--trace", required=True, help="trace CSV (axis,i...,side,g)")
     p.add_argument("--mode", choices=("direct", "decomposed"), default="direct")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_positive, default=1e-10)
     p.add_argument("--out")
     p.add_argument("--flux", help="write the solution field binary")
     p.set_defaults(fn=cmd_solve_div)

@@ -2,9 +2,14 @@
 
 The discrete problem: find a flux field with zero cell balance whose
 boundary/crack facet-side values reproduce prescribed trace densities.
-Crack facets cut the cell graph, so the two sides of a crack take
-independent prescriptions; compatibility (zero net prescribed flux) is
-enforced per connected component of the crack-split graph.
+A prescription is a ``TraceData`` (defined in ``dmfield``, the same type
+as the trace of a field): per-axis minus/plus density arrays on the
+legal facet sides, so the audits compare the trace of the solution with
+the prescription array against array; dicts keyed by facet side are only
+read and written at the CSV edge.  Crack facets cut the cell graph, so
+the two sides of a crack take independent prescriptions; compatibility
+(zero net prescribed flux) is enforced per connected component of the
+crack-split graph.
 
 Two routes are provided: a direct graph-Laplacian solve, and a two-step
 decomposition that first solves a box-wide problem whose divergence is
@@ -29,10 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dmfield import FluxField, divergence_measure, facet_topology, trace_measure
+from .dmfield import FluxField, TraceData, divergence_measure, facet_topology, trace_measure
 from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
-from .gridcore import MINUS, PLUS, Window, side_orient
+from .gridcore import MINUS, PLUS, Window, lift, side_orient
 
 # Fixed multigrid constants (not tuning knobs): coarsening stops at
 # COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;
@@ -45,129 +50,6 @@ _OMEGA = 2.0 / 3.0
 _SWEEPS = 2
 _COARSE_SCALE = 1.8
 _CG_MAXITER = 1_000
-
-
-class TraceData:
-    """Prescribed trace densities on boundary/crack facet sides.
-
-    Stored per axis as density arrays on the minus/plus side with masks
-    marking which sides are prescribed; every prescribed side must be a
-    legal support side (reduced inside side or crack side).
-    """
-
-    def __init__(self, set_: RoughSet):
-        self.set = set_
-        grid = set_.grid
-        topo = facet_topology(set_)
-        self.topology = topo
-        self.gminus = [np.zeros(grid.facet_shape(a)) for a in range(grid.n)]
-        self.gplus = [np.zeros(grid.facet_shape(a)) for a in range(grid.n)]
-        self.mask_minus = []
-        self.mask_plus = []
-        for a in range(grid.n):
-            crack = topo.crack[a]
-            bdry = topo.boundary[a]
-            inside_lower = topo.inside_lower[a]
-            self.mask_minus.append(crack | (bdry & inside_lower))
-            self.mask_plus.append(crack | (bdry & ~inside_lower))
-
-    def set_side(self, axis: int, fidx, side: int, g: float) -> None:
-        mask = self.mask_minus if side == MINUS else self.mask_plus
-        if not mask[axis][tuple(fidx)]:
-            raise InputError(
-                f"(axis {axis}, {tuple(fidx)}, side {side}) is not a trace side"
-            )
-        arr = self.gminus if side == MINUS else self.gplus
-        arr[axis][tuple(fidx)] = g
-
-    def fill(self, fn) -> "TraceData":
-        """Prescribe g = fn(x, nu) from facet centers and exterior normals."""
-        grid = self.set.grid
-        for a in range(grid.n):
-            X = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
-            for side, mask, arr in (
-                (MINUS, self.mask_minus[a], self.gminus),
-                (PLUS, self.mask_plus[a], self.gplus),
-            ):
-                if not mask.any():
-                    continue
-                nu = np.zeros(grid.n)
-                nu[a] = side_orient(side)
-                vals = fn(X, nu)
-                arr[a][mask] = vals[mask]
-        return self
-
-    @staticmethod
-    def from_trace_measure(tm) -> "TraceData":
-        raise NotImplementedError("use from_sides with an explicit rough set")
-
-    @staticmethod
-    def from_sides(set_: RoughSet, sides: dict) -> "TraceData":
-        td = TraceData(set_)
-        for (axis, fidx, side), g in sides.items():
-            td.set_side(axis, fidx, side, float(g))
-        return td
-
-    def sides(self) -> dict:
-        out = {}
-        grid = self.set.grid
-        for a in range(grid.n):
-            for side, mask, arr in (
-                (MINUS, self.mask_minus[a], self.gminus[a]),
-                (PLUS, self.mask_plus[a], self.gplus[a]),
-            ):
-                for i in np.argwhere(mask & (arr != 0.0)):
-                    out[(a, tuple(int(v) for v in i), side)] = float(arr[tuple(i)])
-        return out
-
-    @property
-    def integral(self) -> float:
-        grid = self.set.grid
-        total = 0.0
-        for a in range(grid.n):
-            total += float(self.gminus[a][self.mask_minus[a]].sum())
-            total += float(self.gplus[a][self.mask_plus[a]].sum())
-        return total * grid.facet_area
-
-    def abs_integral(self) -> float:
-        grid = self.set.grid
-        total = 0.0
-        for a in range(grid.n):
-            total += float(np.abs(self.gminus[a][self.mask_minus[a]]).sum())
-            total += float(np.abs(self.gplus[a][self.mask_plus[a]]).sum())
-        return total * grid.facet_area
-
-    def sup(self) -> float:
-        worst = 0.0
-        for a in range(self.set.grid.n):
-            if self.mask_minus[a].any():
-                worst = max(worst, float(np.abs(self.gminus[a][self.mask_minus[a]]).max()))
-            if self.mask_plus[a].any():
-                worst = max(worst, float(np.abs(self.gplus[a][self.mask_plus[a]]).max()))
-        return worst
-
-    def inflow_per_cell(self) -> np.ndarray:
-        """Net prescribed outward flux attached to each body cell (the
-        trace side belongs to its inside cell)."""
-        grid = self.set.grid
-        out = np.zeros(grid.extents)
-        for a in range(grid.n):
-            sl_lower = [slice(None)] * grid.n
-            sl_upper = [slice(None)] * grid.n
-            sl_lower[a] = slice(1, None)
-            sl_upper[a] = slice(0, -1)
-            gm = np.where(self.mask_minus[a], self.gminus[a], 0.0)
-            gp = np.where(self.mask_plus[a], self.gplus[a], 0.0)
-            # minus side belongs to the lower cell, plus side to the upper
-            out += gm[tuple(sl_lower)]
-            out += gp[tuple(sl_upper)]
-        return out
-
-
-def compatibility_check(td: TraceData) -> float:
-    """Net prescribed flux; callers treat |value| <= 1e-10 (absolute scale
-    of the data + 1) as compatible."""
-    return td.integral
 
 
 def is_compatible(td: TraceData) -> bool:
@@ -257,14 +139,7 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray,
         raise InputError("empty body: nothing to solve on")
     rows, cols = [], []
     for a in range(n_dims):
-        sl_lower = [slice(None)] * n_dims
-        sl_upper = [slice(None)] * n_dims
-        sl_lower[a] = slice(1, None)
-        sl_upper[a] = slice(0, -1)
-        lo_ids = np.full(edge_masks[a].shape, -1, dtype=np.int64)
-        up_ids = np.full(edge_masks[a].shape, -1, dtype=np.int64)
-        lo_ids[tuple(sl_lower)] = node_id
-        up_ids[tuple(sl_upper)] = node_id
+        lo_ids, up_ids = lift(node_id, a, -1)
         em = edge_masks[a] & (lo_ids >= 0) & (up_ids >= 0)
         rows.append(lo_ids[em])
         cols.append(up_ids[em])
@@ -317,31 +192,27 @@ def _gradient_fluxes(grid, cells, edge_masks, u_cells, dx):
     """Edge flux (u_lower - u_upper)/dx on the allowed edges."""
     out = []
     for a in range(grid.n):
-        shape = grid.facet_shape(a)
-        sl_lower = [slice(None)] * grid.n
-        sl_upper = [slice(None)] * grid.n
-        sl_lower[a] = slice(1, None)
-        sl_upper[a] = slice(0, -1)
-        u_lo = np.zeros(shape)
-        u_up = np.zeros(shape)
-        m_lo = np.zeros(shape, dtype=bool)
-        m_up = np.zeros(shape, dtype=bool)
-        u_lo[tuple(sl_lower)] = u_cells
-        u_up[tuple(sl_upper)] = u_cells
-        m_lo[tuple(sl_lower)] = cells
-        m_up[tuple(sl_upper)] = cells
+        u_lo, u_up = lift(u_cells, a)
+        m_lo, m_up = lift(cells, a)
         em = edge_masks[a] & m_lo & m_up
-        v = np.zeros(shape)
+        v = np.zeros(grid.facet_shape(a))
         v[em] = (u_lo[em] - u_up[em]) / dx
         out.append(v)
     return out
 
 
 def _require_finite(td: TraceData) -> None:
-    for a in range(td.set.grid.n):
-        for mask, arr in ((td.mask_minus[a], td.gminus[a]), (td.mask_plus[a], td.gplus[a])):
-            if not np.isfinite(arr[mask]).all():
-                raise InputError(f"non-finite prescribed trace density on axis {a}")
+    for a, _side, mask, arr in td.slots():
+        if not np.isfinite(arr[mask]).all():
+            raise InputError(f"non-finite prescribed trace density on axis {a}")
+
+
+def _trace_gaps(F: FluxField, td: TraceData):
+    """|trace of F - prescription| per prescribed slot:
+    (axis, side, legal-side mask, gap array)."""
+    tm = trace_measure(F)
+    for (a, side, mask, want), (*_, got) in zip(td.slots(), tm.slots()):
+        yield a, side, mask, np.abs(got - want)
 
 
 def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats,
@@ -349,21 +220,12 @@ def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats,
     div = divergence_measure(F)
     scale = max(1.0, td.sup())
     residual = float(np.abs(div.cell_weights).max()) / F.grid.facet_area
-    tm = trace_measure(F)
     linf = 0.0
     l1 = 0.0
-    grid = F.grid
-    for a in range(grid.n):
-        for side, mask, arr in (
-            (MINUS, td.mask_minus[a], td.gminus[a]),
-            (PLUS, td.mask_plus[a], td.gplus[a]),
-        ):
-            for i in np.argwhere(mask):
-                idx = tuple(int(v) for v in i)
-                got = tm.density(a, idx, side)
-                gap = abs(got - float(arr[idx]))
-                linf = max(linf, gap)
-                l1 += gap * grid.facet_area
+    for _a, _side, mask, gap in _trace_gaps(F, td):
+        if mask.any():
+            linf = max(linf, float(gap[mask].max()))
+            l1 += float(gap[mask].sum()) * F.grid.facet_area
     kappa = F.sup_bound / td.sup() if td.sup() > 0.0 else 0.0
     if residual > tol * scale * 10.0 + 1e-300:
         raise InvariantViolation(
@@ -507,20 +369,14 @@ def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
     tv_inside = float(np.abs(div.cell_weights[set_.cells]).sum())
     scale = max(1.0, td.sup()) * max(1, set_.cell_count)
     div_ok = tv_inside / F.grid.facet_area <= tol * scale * 100.0
-    tm = trace_measure(F)
     offenders = []
     bar = 1e-8 * max(1.0, td.sup())
-    grid = F.grid
-    for a in range(grid.n):
-        for side, mask, arr in (
-            (MINUS, td.mask_minus[a], td.gminus[a]),
-            (PLUS, td.mask_plus[a], td.gplus[a]),
-        ):
-            for i in np.argwhere(mask):
-                idx = tuple(int(v) for v in i)
-                gap = abs(tm.density(a, idx, side) - float(arr[idx]))
-                if gap > bar:
-                    offenders.append(((a, idx, side), gap))
+    for a, side, mask, gap in _trace_gaps(F, td):
+        bad = np.flatnonzero(mask & (gap > bar))
+        # the three worst of this slot, ties in facet order
+        for f in bad[np.argsort(-gap.flat[bad], kind="stable")[:3]]:
+            idx = tuple(int(v) for v in np.unravel_index(f, gap.shape))
+            offenders.append(((a, idx, side), float(gap.flat[f])))
     offenders.sort(key=lambda kv: -kv[1])
     ok = div_ok and not offenders
     return {

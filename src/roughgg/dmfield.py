@@ -6,9 +6,15 @@ of a field on its domain is the per-cell flux balance (one-sided values
 included, so constant-per-side fields across a crack are divergence
 free); extending by zero turns crack and boundary facets into genuine
 interior jumps, which concentrate divergence on the facets themselves.
-The negated facet part of the extended divergence, restricted to the
-boundary-minus-exterior facet sides, is the normal-trace measure; its
-per-side density is exactly the one-sided outward flux.
+
+The normal trace is a bounded density on the boundary-minus-exterior
+facet sides (both sides of a crack facet, the body side of a reduced
+facet), stored as per-axis minus/plus arrays in ``TraceData``: the
+density of a side is the one-sided outward flux, whether or not the two
+sides differ.  Where they differ it equals the negated facet part of the
+extended divergence.  Dicts keyed by (axis, facet index, side) exist
+only as export views (``sides()``, ``side_weights``,
+``InteriorTraceReport.atoms``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .domain import RoughSet
 from .errors import InputError, InvariantViolation
-from .gridcore import MINUS, PLUS, FacetArrays, Grid, Window, side_orient
+from .gridcore import MINUS, PLUS, FacetArrays, Grid, Window, faces, lift, side_orient
 from .measure import reduced_facets
 from .mollify import MollifierKernel
 
@@ -182,15 +188,7 @@ def facet_topology(set_: RoughSet) -> FacetTopology:
     reduced, inside_lower = reduced_facets(set_)
     interior, crack, boundary = [], [], []
     for a in range(grid.n):
-        shape = grid.facet_shape(a)
-        lo_mat = np.zeros(shape, dtype=bool)
-        up_mat = np.zeros(shape, dtype=bool)
-        sl_lo = [slice(None)] * grid.n
-        sl_up = [slice(None)] * grid.n
-        sl_lo[a] = slice(1, None)
-        sl_up[a] = slice(0, -1)
-        lo_mat[tuple(sl_lo)] = set_.cells
-        up_mat[tuple(sl_up)] = set_.cells
+        lo_mat, up_mat = lift(set_.cells, a)
         crack_mask = set_.cracks.masks[a]
         interior.append(lo_mat & up_mat & ~crack_mask)
         crack.append(crack_mask.copy())
@@ -239,20 +237,12 @@ class FluxField:
                 f"field magnitude {worst} exceeds declared bound {self.sup_bound}"
             )
 
-    def side_value(self, axis: int, fidx, side: int) -> float:
-        arr = self.vminus if side == MINUS else self.vplus
-        return float(arr[axis][fidx])
-
     def plus_face_values(self, axis: int) -> np.ndarray:
         """Cell-aligned values on each cell's +axis face (seen from it)."""
-        sl = [slice(None)] * self.grid.n
-        sl[axis] = slice(1, None)
-        return self.vminus[axis][tuple(sl)]
+        return faces(self.vminus[axis], axis)[1]
 
     def minus_face_values(self, axis: int) -> np.ndarray:
-        sl = [slice(None)] * self.grid.n
-        sl[axis] = slice(0, self.grid.extents[axis])
-        return self.vplus[axis][tuple(sl)]
+        return faces(self.vplus[axis], axis)[0]
 
     def cell_vector(self) -> np.ndarray:
         """Cell-centered vector (face averages), shape extents + (n,)."""
@@ -345,30 +335,6 @@ class SignedMeasure:
         )
 
     @property
-    def cell_atoms(self) -> dict:
-        idx = np.argwhere(self.cell_weights != 0.0)
-        return {
-            tuple(int(v) for v in i): float(self.cell_weights[tuple(i)]) for i in idx
-        }
-
-    @property
-    def facet_atoms(self) -> dict:
-        out = {}
-        for a in range(self.grid.n):
-            for side, arr in ((MINUS, self.facet_minus[a]), (PLUS, self.facet_plus[a])):
-                for i in np.argwhere(arr != 0.0):
-                    out[(a, tuple(int(v) for v in i), side)] = float(arr[tuple(i)])
-        return out
-
-    def facet_net(self) -> dict:
-        out = {}
-        for a in range(self.grid.n):
-            net = self.facet_minus[a] + self.facet_plus[a]
-            for i in np.argwhere(net != 0.0):
-                out[(a, tuple(int(v) for v in i))] = float(net[tuple(i)])
-        return out
-
-    @property
     def total_variation(self) -> float:
         tv = float(np.abs(self.cell_weights).sum())
         for a in range(self.grid.n):
@@ -433,66 +399,140 @@ def _side_masks(top: FacetTopology, a: int) -> tuple[np.ndarray, np.ndarray]:
     return crack | (bdry & inside_lower), crack | (bdry & ~inside_lower)
 
 
-def _boundary_sides(F: FluxField):
-    """Crack sides (both) and boundary inside sides: (axis, side, mask)."""
-    out = []
-    for a in range(F.grid.n):
-        minus_mask, plus_mask = _side_masks(F.topology, a)
-        out.append((a, MINUS, minus_mask))
-        out.append((a, PLUS, plus_mask))
-    return out
+def _facet_pairing(grid: Grid, weights: list[np.ndarray], phi: TestFunction) -> float:
+    """Sum over facets of the per-axis ``weights`` times phi at the facet
+    center (phi is evaluated on the nonzero weights only)."""
+    live = [w != 0.0 for w in weights]
+    x = FacetArrays(grid, live).centers()
+    return float(np.dot(np.concatenate([w[m] for w, m in zip(weights, live)]),
+                        phi.value(x)))
 
 
-@dataclass
-class TraceMeasure:
-    """Normal-trace measure on the boundary-minus-exterior facet sides.
+class TraceData:
+    """Normal trace on the boundary-minus-exterior facet sides of a rough
+    set: one bounded outward density per legal side.
 
-    ``side_weights`` maps (axis, facet index, side) to the measure weight;
-    the per-facet density aggregates both sides of a crack facet.
+    Per axis, ``gminus`` / ``gplus`` hold the density on the MINUS / PLUS
+    side of each facet slot; only the sides in ``mask_minus`` /
+    ``mask_plus`` (``_side_masks``: both sides of a crack facet, the body
+    side of a reduced facet) carry data.  The same arrays hold the trace
+    of a field (``trace_measure``) and a prescription for the solver.
+    ``sides()`` and ``side_weights`` are dict views for export only.
     """
 
-    grid: Grid
-    side_weights: dict
-    support_reduced: FacetArrays
-    support_crack: FacetArrays
-    eq_mixed_gap: float  # exactness gap of the reduced-part halving identity
+    eq_mixed_gap = 0.0  # halving-identity gap, audited by trace_measure
 
-    def density(self, axis: int, fidx, side: int) -> float:
-        return self.side_weights.get((axis, tuple(fidx), side), 0.0) / self.grid.facet_area
+    def __init__(self, set_: RoughSet):
+        self.set = set_
+        self.grid = set_.grid
+        self.topology = facet_topology(set_)
+        self.gminus = [np.zeros(self.grid.facet_shape(a)) for a in range(self.grid.n)]
+        self.gplus = [np.zeros(self.grid.facet_shape(a)) for a in range(self.grid.n)]
+        masks = [_side_masks(self.topology, a) for a in range(self.grid.n)]
+        self.mask_minus = [m for m, _ in masks]
+        self.mask_plus = [p for _, p in masks]
 
-    def pair_density(self, axis: int, fidx) -> float:
-        key = (axis, tuple(fidx))
-        w = self.side_weights.get(key + (MINUS,), 0.0) + self.side_weights.get(
-            key + (PLUS,), 0.0
-        )
-        return w / self.grid.facet_area
+    def slots(self):
+        """(axis, side, legal-side mask, density array) per axis and side."""
+        for a in range(self.grid.n):
+            yield a, MINUS, self.mask_minus[a], self.gminus[a]
+            yield a, PLUS, self.mask_plus[a], self.gplus[a]
+
+    def set_side(self, axis: int, fidx, side: int, g: float) -> None:
+        mask = self.mask_minus if side == MINUS else self.mask_plus
+        if not mask[axis][tuple(fidx)]:
+            raise InputError(
+                f"(axis {axis}, {tuple(fidx)}, side {side}) is not a trace side"
+            )
+        arr = self.gminus if side == MINUS else self.gplus
+        arr[axis][tuple(fidx)] = g
+
+    def fill(self, fn) -> "TraceData":
+        """Prescribe g = fn(x, nu) from facet centers and exterior normals."""
+        for a, side, mask, arr in self.slots():
+            if not mask.any():
+                continue
+            X = np.stack(np.broadcast_arrays(*self.grid.facet_center_mesh(a)), axis=-1)
+            nu = np.zeros(self.grid.n)
+            nu[a] = side_orient(side)
+            arr[mask] = fn(X, nu)[mask]
+        return self
+
+    def sides(self) -> dict:
+        """{(axis, facet index, side): density} on the nonzero legal sides."""
+        out = {}
+        for a, side, mask, arr in self.slots():
+            for i in np.argwhere(mask & (arr != 0.0)):
+                out[(a, tuple(int(v) for v in i), side)] = float(arr[tuple(i)])
+        return out
+
+    @property
+    def side_weights(self) -> dict:
+        """{(axis, facet index, side): density x facet area} on the nonzero
+        sides, in ``sides()`` order."""
+        area = self.grid.facet_area
+        return {key: g * area for key, g in self.sides().items()}
+
+    @property
+    def support_reduced(self) -> FacetArrays:
+        return FacetArrays(self.grid, [m.copy() for m in self.topology.boundary])
+
+    @property
+    def support_crack(self) -> FacetArrays:
+        return FacetArrays(self.grid, [m.copy() for m in self.topology.crack])
+
+    def net(self, axis: int) -> np.ndarray:
+        """Per-facet density: the two legal sides of each facet summed."""
+        return (np.where(self.mask_minus[axis], self.gminus[axis], 0.0)
+                + np.where(self.mask_plus[axis], self.gplus[axis], 0.0))
 
     @property
     def g_infinity(self) -> float:
-        per_facet: dict = {}
-        for (a, idx, _side), w in self.side_weights.items():
-            per_facet[(a, idx)] = per_facet.get((a, idx), 0.0) + w
-        if not per_facet:
-            return 0.0
-        return max(abs(w) for w in per_facet.values()) / self.grid.facet_area
+        return max(float(np.abs(self.net(a)).max()) for a in range(self.grid.n))
 
-    def total(self) -> float:
-        return sum(self.side_weights.values())
+    @property
+    def integral(self) -> float:
+        return sum(float(arr[mask].sum())
+                   for *_, mask, arr in self.slots()) * self.grid.facet_area
+
+    def abs_integral(self) -> float:
+        return sum(float(np.abs(arr[mask]).sum())
+                   for *_, mask, arr in self.slots()) * self.grid.facet_area
+
+    def sup(self) -> float:
+        worst = 0.0
+        for *_, mask, arr in self.slots():
+            if mask.any():
+                worst = max(worst, float(np.abs(arr[mask]).max()))
+        return worst
 
     def integrate(self, phi: TestFunction) -> float:
-        """Facet-midpoint integral of phi against the trace measure."""
-        total = 0.0
-        grid = self.grid
-        for (a, idx, _side), w in self.side_weights.items():
-            x = grid.facet_center(a, idx)
-            total += w * float(phi.value(np.asarray(x)))
-        return total
+        """Facet-midpoint integral of phi against the trace."""
+        nets = [self.net(a) for a in range(self.grid.n)]
+        return _facet_pairing(self.grid, nets, phi) * self.grid.facet_area
+
+    def inflow_per_cell(self) -> np.ndarray:
+        """Net prescribed outward flux attached to each body cell (the
+        trace side belongs to its inside cell)."""
+        out = np.zeros(self.grid.extents)
+        for a in range(self.grid.n):
+            gm = np.where(self.mask_minus[a], self.gminus[a], 0.0)
+            gp = np.where(self.mask_plus[a], self.gplus[a], 0.0)
+            # the minus side is its lower cell's upper face, and vice versa
+            out += faces(gm, a)[1]
+            out += faces(gp, a)[0]
+        return out
+
+
+TraceMeasure = TraceData
 
 
 def trace_measure(F: FluxField, window: Window | None = None,
-                  star_diagnostic=None) -> TraceMeasure:
-    """Normal-trace measure: the negated facet part of the zero-extended
-    divergence, restricted to the reduced and crack facet sides.
+                  star_diagnostic=None) -> TraceData:
+    """Normal trace of F: the one-sided outward flux on every legal side,
+    ``gminus = vminus`` and ``gplus = -vplus``, whether or not the two
+    sides of a crack facet differ.  Where a facet's sides differ this is
+    the negated facet part of the zero-extended divergence.
 
     Also audits, exactly, that the reduced-boundary part equals twice the
     mean-flux pairing against the indicator gradient (the discrete form
@@ -511,51 +551,37 @@ def trace_measure(F: FluxField, window: Window | None = None,
         )
     Ft = extend_by_zero(F, window)
     div_ext = divergence_measure(Ft)
-    grid = F.grid
-    area = grid.facet_area
-    weights: dict = {}
-    reduced_arr = FacetArrays(grid, [m.copy() for m in F.topology.boundary])
-    crack_arr = FacetArrays(grid, [m.copy() for m in F.topology.crack])
+    tm = TraceData(F.set)
+    area = F.grid.facet_area
     eq_gap = 0.0
-    for a in range(grid.n):
-        crack = F.topology.crack[a]
-        bdry = F.topology.boundary[a]
-        inside_lower = F.topology.inside_lower[a]
-        for side, atoms in ((MINUS, div_ext.facet_minus[a]), (PLUS, div_ext.facet_plus[a])):
-            if side == MINUS:
-                keep = crack | (bdry & inside_lower)
-            else:
-                keep = crack | (bdry & ~inside_lower)
-            for i in np.argwhere(keep & (atoms != 0.0)):
-                weights[(a, tuple(int(v) for v in i), side)] = -float(atoms[tuple(i)])
+    for a in range(F.grid.n):
+        minus, plus = tm.mask_minus[a], tm.mask_plus[a]
+        tm.gminus[a][minus] = Ft.vminus[a][minus]
+        tm.gplus[a][plus] = -Ft.vplus[a][plus]
         # halving identity on the reduced part: net atom = -2 * mean * s_chi
+        bdry = F.topology.boundary[a]
         net = div_ext.facet_minus[a] + div_ext.facet_plus[a]
         mean = 0.5 * (Ft.vminus[a] + Ft.vplus[a])
-        s_chi = np.where(inside_lower, -1.0, 1.0)
+        s_chi = np.where(F.topology.inside_lower[a], -1.0, 1.0)
         gap = np.abs(net[bdry] - 2.0 * (mean * s_chi * area)[bdry])
         if gap.size:
             eq_gap = max(eq_gap, float(gap.max()))
-    return TraceMeasure(
-        grid=grid,
-        side_weights=weights,
-        support_reduced=reduced_arr,
-        support_crack=crack_arr,
-        eq_mixed_gap=eq_gap,
-    )
+    tm.eq_mixed_gap = eq_gap
+    return tm
 
 
-def trace_linfinity_check(tm: TraceMeasure, F: FluxField,
+def trace_linfinity_check(tm: TraceData, F: FluxField,
                           c_check: float = 4.0) -> dict:
     """Sup bound on the trace density against the field bound."""
     ginf = tm.g_infinity
     sup = F.sup_bound
     ratio = ginf / sup if sup > 0.0 else 0.0
     worst = None
-    if tm.side_weights:
-        per_facet: dict = {}
-        for (a, idx, _s), w in tm.side_weights.items():
-            per_facet[(a, idx)] = per_facet.get((a, idx), 0.0) + w
-        worst = max(per_facet, key=lambda k: abs(per_facet[k]))
+    if ginf > 0.0:
+        nets = [np.abs(tm.net(a)) for a in range(tm.grid.n)]
+        a = max(range(tm.grid.n), key=lambda b: nets[b].max())
+        worst = (a, tuple(int(v) for v in np.unravel_index(np.argmax(nets[a]),
+                                                             nets[a].shape)))
     ok = ginf <= c_check * sup * (1.0 + 1e-12) + 1e-300
     if not ok:
         raise InvariantViolation(
@@ -641,50 +667,22 @@ def normal_trace_pairing(F: FluxField, phi: TestFunction,
     for a in range(grid.n):
         interior = F.topology.interior[a]
         Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
+        phi_f = phi.value(Xf)
         # centered difference across the facet: phi(upper) - phi(lower)
-        sl_from_lower = [slice(None)] * grid.n
-        sl_from_upper = [slice(None)] * grid.n
-        sl_from_lower[a] = slice(1, None)   # slot f holds cell f - e_a
-        sl_from_upper[a] = slice(0, -1)     # slot f holds cell f
-        lower = np.zeros(grid.facet_shape(a))
-        upper = np.zeros(grid.facet_shape(a))
-        lower[tuple(sl_from_lower)] = phi_cells
-        upper[tuple(sl_from_upper)] = phi_cells
+        lower, upper = lift(phi_cells, a)
         diff = upper - lower
         total += float((F.vminus[a][interior] * diff[interior]).sum()) * area
-        minus_mask, plus_mask = _side_masks(F.topology, a)
-        for side, mask in ((MINUS, minus_mask), (PLUS, plus_mask)):
-            if not mask.any():
-                continue
-            vals = F.vminus[a] if side == MINUS else F.vplus[a]
-            phi_f = phi.value(Xf)
-            cell_phi = np.zeros(grid.facet_shape(a))
-            sl = [slice(None)] * grid.n
-            sl[a] = slice(1, None) if side == MINUS else slice(0, -1)
-            cell_phi[tuple(sl)] = phi_cells
-            total += side_orient(side) * float(
-                (vals[mask] * (phi_f - cell_phi)[mask]).sum()
-            ) * area
-    return total
-
-
-def boundary_side_sum(F: FluxField, phi: TestFunction) -> float:
-    """Sum of one-sided outward fluxes times phi at facet centers: the
-    exact value of the sbp pairing."""
-    grid = F.grid
-    total = 0.0
-    for a, side, mask in _boundary_sides(F):
-        if not mask.any():
-            continue
-        Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
-        phi_f = phi.value(Xf)
-        vals = F.vminus[a] if side == MINUS else F.vplus[a]
-        total += side_orient(side) * float((vals[mask] * phi_f[mask]).sum()) * grid.facet_area
+        for side, mask, vals, cell_phi in zip((MINUS, PLUS), _side_masks(F.topology, a),
+                                              (F.vminus[a], F.vplus[a]), (lower, upper)):
+            if mask.any():
+                total += side_orient(side) * float(
+                    (vals[mask] * (phi_f - cell_phi)[mask]).sum()
+                ) * area
     return total
 
 
 def gauss_green_residual(F: FluxField, phi: TestFunction,
-                         tm: TraceMeasure | None = None,
+                         tm: TraceData | None = None,
                          scheme: str = "midpoint") -> float:
     """Gap between the trace pairing and the facet-midpoint integral of
     phi against the trace measure; exact for grid-aligned
@@ -783,8 +781,9 @@ def trace_weak_convergence(F: FluxField, eps_list=None,
         for row_gaps, Fe in zip(gaps, mollified):
             row_gaps.append(abs(_midpoint_pairing(Fe, pp) - base))
     boundary_area = 0.0
-    for a, _side, mask in _boundary_sides(F):
-        boundary_area += float(mask.sum()) * grid.facet_area
+    for a in range(grid.n):
+        for mask in _side_masks(F.topology, a):
+            boundary_area += float(mask.sum()) * grid.facet_area
     scale = max(F.sup_bound, 1e-300) * (1.0 + boundary_area)
     rows = [{"eps": eps, "gap": max(row_gaps)}
             for eps, row_gaps in zip(eps_list, gaps)]
@@ -805,43 +804,33 @@ def trace_weak_convergence(F: FluxField, eps_list=None,
 # ---------------------------------------------------------------------------
 
 
-def _project_to_targets(grid: Grid, axis: int, atoms: np.ndarray,
-                        targets: np.ndarray) -> dict:
+def _project_to_targets(atoms: np.ndarray, targets: np.ndarray, axis: int) -> np.ndarray:
     """Collapse a facet-atom layer onto the nearest target facet along
-    each axis line; returns {(axis, facet index): weight}."""
-    moved_atoms = np.moveaxis(atoms, axis, 0)
-    moved_targets = np.moveaxis(targets, axis, 0)
-    slots = moved_atoms.shape[0]
-    flat_atoms = moved_atoms.reshape(slots, -1)
-    flat_targets = moved_targets.reshape(slots, -1)
-    out: dict = {}
-    n_lines = flat_atoms.shape[1]
-    for line in range(n_lines):
-        col = flat_atoms[:, line]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        tpos = np.nonzero(flat_targets[:, line])[0]
-        if tpos.size == 0:
-            continue
-        pick = np.searchsorted(tpos, nz)
-        pick = np.clip(pick, 0, tpos.size - 1)
-        left = np.clip(pick - 1, 0, tpos.size - 1)
-        use_left = np.abs(tpos[left] - nz) <= np.abs(tpos[pick] - nz)
-        chosen = np.where(use_left, tpos[left], tpos[pick])
-        multi = np.unravel_index(line, moved_atoms.shape[1:])
-        for src, dst in zip(nz, chosen):
-            arr = np.asarray([int(dst), *multi])
-            arr = np.concatenate([arr[1 : axis + 1], [arr[0]], arr[axis + 1 :]])
-            key = (axis, tuple(int(v) for v in arr))
-            out[key] = out.get(key, 0.0) + float(col[src])
+    each axis line (a tie goes to the lower target); atoms on a line with
+    no target are dropped."""
+    m = atoms.shape[axis]
+    shape = [1] * atoms.ndim
+    shape[axis] = m
+    pos = np.arange(m).reshape(shape)
+    # nearest target at or below / at or above; -2m and 3m mark "none",
+    # which always loses the distance comparison to a real target
+    below = np.maximum.accumulate(np.where(targets, pos, -2 * m), axis=axis)
+    above = np.flip(np.minimum.accumulate(
+        np.flip(np.where(targets, pos, 3 * m), axis), axis=axis), axis)
+    chosen = np.where(pos - below <= above - pos, below, above)
+    keep = (atoms != 0.0) & (chosen >= 0) & (chosen < m)
+    dst = list(np.nonzero(keep))
+    dst[axis] = chosen[keep]
+    out = np.zeros(atoms.shape)
+    # np.add.at adds in source order: each target sums its atoms bottom up
+    np.add.at(out, tuple(dst), atoms[keep])
     return out
 
 
 def _mollified_chi_pairing(F: FluxField, e_cells: np.ndarray, eps: float,
-                           weight: str) -> dict:
-    """Facet atoms of the mollified indicator pairing, projected onto the
-    reduced facets of E.
+                           weight: str) -> list[np.ndarray]:
+    """Per-axis facet atoms of the mollified indicator pairing, projected
+    onto the reduced facets of E.
 
     ``weight``: 'inside' for chi_E, 'one' for no weight, 'split' for
     chi_E - chi_complement.
@@ -850,38 +839,22 @@ def _mollified_chi_pairing(F: FluxField, e_cells: np.ndarray, eps: float,
     kernel = MollifierKernel(eps, grid)
     w = kernel.smooth_cells(e_cells.astype(float))
     e_float = e_cells.astype(float)
-    atoms_all: dict = {}
+    out = []
     for a in range(grid.n):
-        shape = grid.facet_shape(a)
-        sl_lower = [slice(None)] * grid.n
-        sl_upper = [slice(None)] * grid.n
-        sl_lower[a] = slice(1, None)
-        sl_upper[a] = slice(0, -1)
-        w_lo = np.zeros(shape)
-        w_up = np.zeros(shape)
-        w_lo[tuple(sl_lower)] = w
-        w_up[tuple(sl_upper)] = w
-        e_lo = np.zeros(shape)
-        e_up = np.zeros(shape)
-        e_lo[tuple(sl_lower)] = e_float
-        e_up[tuple(sl_upper)] = e_float
+        w_lo, w_up = lift(w, a)
+        e_lo, e_up = lift(e_float, a)
         if weight == "inside":
             chi = 0.5 * (e_lo + e_up)
         elif weight == "one":
-            chi = np.ones(shape)
+            chi = np.ones(grid.facet_shape(a))
         else:
             chi = e_lo + e_up - 1.0
         atoms = F.vminus[a] * chi * (w_up - w_lo) * grid.facet_area
         # only the mollification layer carries mass
         atoms[np.abs(w_up - w_lo) == 0.0] = 0.0
-        targets = np.zeros(shape, dtype=bool)
-        t_lo = np.zeros(shape, dtype=bool)
-        t_up = np.zeros(shape, dtype=bool)
-        t_lo[tuple(sl_lower)] = e_cells
-        t_up[tuple(sl_upper)] = e_cells
-        targets = t_lo != t_up
-        atoms_all.update(_project_to_targets(grid, a, atoms, targets))
-    return atoms_all
+        t_lo, t_up = lift(e_cells, a)
+        out.append(_project_to_targets(atoms, t_lo != t_up, a))
+    return out
 
 
 @dataclass
@@ -889,8 +862,8 @@ class InteriorTraceReport:
     """Mollified interior-trace construction on the reduced boundary of a
     compactly contained set, with its consistency audits."""
 
-    atoms: dict                 # finest-width measure on reduced facets of E
-    atoms_per_eps: dict
+    weights: list[np.ndarray]   # per axis: finest-width measure on reduced facets of E
+    weights_per_eps: dict       # width -> per-axis weights
     eps_list: list[float]
     gate_passed: bool
     gate_details: list[dict]
@@ -898,14 +871,12 @@ class InteriorTraceReport:
     halving_residual: float     # mean-flux identity at the finest width
     split_residual: float       # inside-minus-outside pairing vs concentrated part
 
-    def density(self, axis: int, fidx) -> float:
-        return self.atoms.get((axis, tuple(fidx)), 0.0)
-
-    def signed_measure(self, grid: Grid) -> SignedMeasure:
-        m = SignedMeasure.zeros(grid)
-        for (a, idx), wgt in self.atoms.items():
-            m.facet_minus[a][idx] += wgt
-        return m
+    @property
+    def atoms(self) -> dict:
+        """{(axis, facet index): weight} on the nonzero facets; the export
+        view of ``weights``."""
+        return {(a, tuple(int(v) for v in i)): float(w[tuple(i)])
+                for a, w in enumerate(self.weights) for i in np.argwhere(w != 0.0)}
 
 
 def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
@@ -928,17 +899,9 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
     if not bool(np.all(F.set.cells[grown])):
         raise InputError("E must be compactly contained in the body (1-cell margin)")
     for a in range(grid.n):
-        crack = F.topology.crack[a]
-        if crack.any():
-            sl_lo = [slice(None)] * grid.n
-            sl_hi = [slice(None)] * grid.n
-            sl_lo[a] = slice(1, None)
-            sl_hi[a] = slice(0, -1)
-            touch = np.zeros(grid.extents, dtype=bool)
-            touch |= crack[tuple(sl_lo)]
-            touch |= crack[tuple(sl_hi)]
-            if bool(np.any(touch & grown)):
-                raise InputError("E must keep clear of crack facets")
+        lower_face, upper_face = faces(F.topology.crack[a], a)
+        if bool(np.any((lower_face | upper_face) & grown)):
+            raise InputError("E must keep clear of crack facets")
     if eps_list is None:
         eps_list = [8.0 * grid.spacing, 4.0 * grid.spacing, 2.0 * grid.spacing]
     eps_list = sorted(float(e) for e in eps_list)[::-1]
@@ -947,23 +910,17 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
     if phi_basis is None:
         phi_basis = default_phi_basis(grid)
 
-    atoms_per_eps = {}
-    for eps in eps_list:
-        atoms_per_eps[eps] = _mollified_chi_pairing(F, e_cells, eps, "inside")
+    weights_per_eps = {
+        eps: _mollified_chi_pairing(F, e_cells, eps, "inside") for eps in eps_list
+    }
     finest = eps_list[-1]
-
-    def pair(atoms: dict, phi: TestFunction) -> float:
-        total = 0.0
-        for (a, idx), wgt in atoms.items():
-            total += wgt * float(phi.value(np.asarray(grid.facet_center(a, idx))))
-        return total
 
     gate_details = []
     gate_passed = True
     for phi in phi_basis:
-        m8 = pair(atoms_per_eps[eps_list[0]], phi)
-        m4 = pair(atoms_per_eps[eps_list[1]], phi)
-        m2 = pair(atoms_per_eps[eps_list[2]], phi)
+        m8 = _facet_pairing(grid, weights_per_eps[eps_list[0]], phi)
+        m4 = _facet_pairing(grid, weights_per_eps[eps_list[1]], phi)
+        m2 = _facet_pairing(grid, weights_per_eps[eps_list[2]], phi)
         extrap = 2.0 * m4 - m8
         tol = 3.0 * abs(m4 - m2) + 1e-10 * (1.0 + abs(m2))
         ok = abs(extrap - m2) <= tol
@@ -991,15 +948,15 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
     atoms_split = _mollified_chi_pairing(F, e_cells, finest, "split")
     for phi in phi_basis:
         lhs = normal_trace_pairing(F_E, phi, scheme="midpoint")
-        rhs = -2.0 * pair(atoms_per_eps[finest], phi)
+        rhs = -2.0 * _facet_pairing(grid, weights_per_eps[finest], phi)
         gg_residual = max(gg_residual, abs(lhs - rhs))
         halving_residual = max(
-            halving_residual, abs(lhs - (-pair(atoms_one, phi)))
+            halving_residual, abs(lhs - (-_facet_pairing(grid, atoms_one, phi)))
         )
-        split_residual = max(split_residual, abs(pair(atoms_split, phi)))
+        split_residual = max(split_residual, abs(_facet_pairing(grid, atoms_split, phi)))
     return InteriorTraceReport(
-        atoms=atoms_per_eps[finest],
-        atoms_per_eps=atoms_per_eps,
+        weights=weights_per_eps[finest],
+        weights_per_eps=weights_per_eps,
         eps_list=eps_list,
         gate_passed=gate_passed,
         gate_details=gate_details,
@@ -1042,24 +999,12 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
     # product field gF: two-cell mean on interior facets, one-sided at sides
     gF = FluxField(F.set, float(F.sup_bound * np.max(np.abs(g_cells)) or 1.0))
     for a in range(grid.n):
-        shape = grid.facet_shape(a)
-        sl_lower = [slice(None)] * grid.n
-        sl_upper = [slice(None)] * grid.n
-        sl_lower[a] = slice(1, None)
-        sl_upper[a] = slice(0, -1)
-        g_lo = np.zeros(shape)
-        g_up = np.zeros(shape)
-        g_lo[tuple(sl_lower)] = np.where(body, g_cells, 0.0)
-        g_up[tuple(sl_upper)] = np.where(body, g_cells, 0.0)
+        g_lo, g_up = lift(np.where(body, g_cells, 0.0), a)
         interior = F.topology.interior[a]
         gmean = 0.5 * (g_lo + g_up)
         gF.vminus[a] = np.where(interior, gmean * F.vminus[a], 0.0)
         gF.vplus[a] = np.where(interior, gmean * F.vplus[a], 0.0)
-        crack = F.topology.crack[a]
-        bdry = F.topology.boundary[a]
-        inside_lower = F.topology.inside_lower[a]
-        minus_side = crack | (bdry & inside_lower)
-        plus_side = crack | (bdry & ~inside_lower)
+        minus_side, plus_side = _side_masks(F.topology, a)
         gF.vminus[a][minus_side] = (g_lo * F.vminus[a])[minus_side]
         gF.vplus[a][plus_side] = (g_up * F.vplus[a])[plus_side]
 
@@ -1143,21 +1088,10 @@ def bv_trace_check(u_fn, set_: RoughSet, vec_basis: list[VectorTestFunction]) ->
         jump_term = 0.0
         boundary_term = 0.0
         for a in range(grid.n):
-            shape = grid.facet_shape(a)
             Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
             phi_a = phi.component(Xf, a)
-            sl_lower = [slice(None)] * grid.n
-            sl_upper = [slice(None)] * grid.n
-            sl_lower[a] = slice(1, None)
-            sl_upper[a] = slice(0, -1)
-            u_lo = np.zeros(shape)
-            u_up = np.zeros(shape)
-            m_lo = np.zeros(shape, dtype=bool)
-            m_up = np.zeros(shape, dtype=bool)
-            u_lo[tuple(sl_lower)] = u
-            u_up[tuple(sl_upper)] = u
-            m_lo[tuple(sl_lower)] = set_.cells
-            m_up[tuple(sl_upper)] = set_.cells
+            u_lo, u_up = lift(u, a)
+            m_lo, m_up = lift(set_.cells, a)
             interior = m_lo & m_up
             jump_term += float(
                 ((u_up - u_lo) * phi_a)[interior].sum()

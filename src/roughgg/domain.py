@@ -22,7 +22,7 @@ from .errors import (
     GridTooCoarseError,
     InputError,
 )
-from .gridcore import FacetArrays, Grid
+from .gridcore import FacetArrays, Grid, lift
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,21 @@ class DomainSpec:
 _SHAPE_OPS = {"disk", "ball", "box", "polygon", "union", "inter", "diff"}
 
 
+def _numbers(value, path: str, shape: tuple = ()):
+    """Read finite JSON numbers nested as ``shape`` (one entry per list
+    level: its required length, or None for any); anything else is a
+    DomainSemanticError naming the node path."""
+    if not shape:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise DomainSemanticError(f"{path}: expected a finite number, got {value!r}")
+        return float(value)
+    if not isinstance(value, list) or shape[0] not in (None, len(value)):
+        size = "a list" if shape[0] is None else f"a list of {shape[0]}"
+        raise DomainSemanticError(f"{path}: expected {size}, got {value!r}")
+    return tuple(_numbers(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(value))
+
+
 def _parse_shape(node, path: str) -> Shape:
     if not isinstance(node, dict) or "op" not in node:
         raise DomainSemanticError(f"{path}: shape node must be an object with 'op'")
@@ -174,19 +189,19 @@ def _parse_shape(node, path: str) -> Shape:
     if op not in _SHAPE_OPS:
         raise DomainSemanticError(f"{path}: unknown shape op {op!r}")
     if op in ("disk", "ball"):
-        center = tuple(float(c) for c in node.get("center", (0.0, 0.0)))
-        r = float(node.get("r", 0.0))
+        center = _numbers(node.get("center", [0.0, 0.0]), f"{path}.center", (None,))
+        r = _numbers(node.get("r", 0.0), f"{path}.r")
         if r <= 0.0:
             raise DomainSemanticError(f"{path}: radius must be positive, got {r}")
         return Disk(center, r)
     if op == "box":
-        lo = tuple(float(c) for c in node["min"])
-        hi = tuple(float(c) for c in node["max"])
+        lo = _numbers(node.get("min"), f"{path}.min", (None,))
+        hi = _numbers(node.get("max"), f"{path}.max", (None,))
         if len(lo) != len(hi) or any(l >= h for l, h in zip(lo, hi)):
             raise DomainSemanticError(f"{path}: box needs min < max per axis")
         return Box(lo, hi)
     if op == "polygon":
-        pts = tuple(tuple(float(c) for c in p) for p in node.get("pts", ()))
+        pts = _numbers(node.get("pts", []), f"{path}.pts", (None, 2))
         if len(pts) < 3:
             raise DomainSemanticError(f"{path}: polygon needs >= 3 vertices")
         return Polygon(pts)
@@ -200,14 +215,12 @@ def _parse_crack(node, path: str):
     if not isinstance(node, dict):
         raise DomainSemanticError(f"{path}: crack must be an object")
     if "seg" in node:
-        (a, b) = node["seg"]
-        seg = Segment(tuple(float(c) for c in a), tuple(float(c) for c in b))
+        seg = Segment(*_numbers(node["seg"], f"{path}.seg", (2, 2)))
         if seg.length() <= 0.0:
             raise DomainSemanticError(f"{path}: crack segment has zero length")
         return seg
     if "rect" in node:
-        (lo, hi) = node["rect"]
-        rect = RectCrack(tuple(float(c) for c in lo), tuple(float(c) for c in hi))
+        rect = RectCrack(*_numbers(node["rect"], f"{path}.rect", (2, 3)))
         rect.flat_axis()
         return rect
     raise DomainSemanticError(f"{path}: crack needs 'seg' or 'rect'")
@@ -228,7 +241,10 @@ def parse_domain(text: str) -> DomainSpec:
     if "preset" in doc:
         if "shape" in doc:
             raise DomainSemanticError("'preset' and 'shape' are mutually exclusive")
-        return preset_spec(doc["preset"], k=doc.get("k"))
+        k = doc.get("k")
+        if k is not None and _numbers(k, "k") != int(k):
+            raise DomainSemanticError(f"k: generation must be an integer, got {k!r}")
+        return preset_spec(doc["preset"], k=k)
     if "shape" not in doc:
         raise DomainSemanticError("document needs 'shape' or 'preset'")
     shape = _parse_shape(doc["shape"], "shape")
@@ -267,14 +283,7 @@ class RoughSet:
             mask = self.cracks.masks[a]
             if not mask.any():
                 continue
-            lo_ok = np.zeros_like(mask)
-            hi_ok = np.zeros_like(mask)
-            sl_lo = [slice(None)] * self.grid.n
-            sl_hi = [slice(None)] * self.grid.n
-            sl_lo[a] = slice(1, None)
-            sl_hi[a] = slice(0, -1)
-            lo_ok[tuple(sl_lo)] = self.cells  # lower cell exists and true
-            hi_ok[tuple(sl_hi)] = self.cells  # upper cell exists and true
+            lo_ok, hi_ok = lift(self.cells, a)  # both cells exist and are true
             bad = mask & ~(lo_ok & hi_ok)
             if bad.any():
                 where = tuple(int(v) for v in np.argwhere(bad)[0])

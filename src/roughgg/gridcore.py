@@ -40,6 +40,31 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def lift(cells: np.ndarray, axis: int, fill=0) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-cell and upper-cell value of every axis-``axis`` facet slot.
+
+    Slot ``f`` gets cell ``f - e_axis`` in the first array and cell ``f``
+    in the second; a slot whose cell falls off the grid holds ``fill``.
+    """
+    shape = list(cells.shape)
+    shape[axis] += 1
+    lower = np.full(shape, fill, dtype=cells.dtype)
+    upper = np.full(shape, fill, dtype=cells.dtype)
+    faces(lower, axis)[1][...] = cells
+    faces(upper, axis)[0][...] = cells
+    return lower, upper
+
+
+def faces(facets: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``lift``: views giving each cell its lower and its upper
+    axis-``axis`` face of a facet array."""
+    lower = [slice(None)] * facets.ndim
+    upper = [slice(None)] * facets.ndim
+    lower[axis] = slice(0, -1)
+    upper[axis] = slice(1, None)
+    return facets[tuple(lower)], facets[tuple(upper)]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``extents`` cells with edge length ``spacing``.
@@ -112,9 +137,6 @@ class Grid:
         x = np.asarray(self.origin) + (np.asarray(fidx) + 0.5) * self.spacing
         x[axis] -= 0.5 * self.spacing
         return x
-
-    def in_bounds(self, idx) -> bool:
-        return all(0 <= idx[a] < self.extents[a] for a in range(self.n))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.origin)
@@ -189,13 +211,6 @@ class FacetArrays:
 
     def add(self, facet: Facet) -> None:
         self.masks[facet.axis][facet.base] = True
-
-    def facets(self) -> list[Facet]:
-        out = []
-        for a in range(self.grid.n):
-            for idx in np.argwhere(self.masks[a]):
-                out.append(Facet(a, tuple(int(v) for v in idx)))
-        return out
 
     def centers(self) -> np.ndarray:
         """(N, n) facet-center coordinates in lexicographic order."""

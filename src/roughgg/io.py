@@ -78,23 +78,28 @@ def write_flux_field(path: str, F: FluxField) -> None:
 
 def read_flux_field(path: str, set_: RoughSet) -> FluxField:
     """Rebuild a flux field over an existing rough set (the binary does
-    not carry the domain; grids must agree)."""
+    not carry the domain; grids must agree).  A truncated file or a
+    record naming no facet side of the grid is an InputError."""
     with open(path, "rb") as handle:
         data = handle.read()
-    off = 0
     if data[:4] != MAGIC:
         raise InputError("not a flux-field file (bad magic)")
     off = 4
-    (n,) = struct.unpack_from("<B", data, off)
-    off += 1
-    extents = struct.unpack_from(f"<{n}Q", data, off)
-    off += 8 * n
-    (spacing,) = struct.unpack_from("<d", data, off)
-    off += 8
-    origin = struct.unpack_from(f"<{n}d", data, off)
-    off += 8 * n
-    (sup_bound,) = struct.unpack_from("<d", data, off)
-    off += 8
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        try:
+            values = struct.unpack_from("<" + fmt, data, off)
+        except struct.error as exc:
+            raise InputError(f"truncated flux-field file at byte {off}") from exc
+        off += struct.calcsize("<" + fmt)
+        return values
+
+    (n,) = take("B")
+    extents = take(f"{n}Q")
+    (spacing,) = take("d")
+    origin = take(f"{n}d")
+    (sup_bound,) = take("d")
     grid = set_.grid
     if (n, extents, spacing, origin) != (
         grid.n,
@@ -107,23 +112,22 @@ def read_flux_field(path: str, set_: RoughSet) -> FluxField:
     for a in range(n):
         shape = grid.facet_shape(a)
         count = int(np.prod(shape))
+        if off + 8 * count > len(data):
+            raise InputError(f"truncated flux-field file in the axis-{a} array")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
         off += 8 * count
         F.vminus[a][...] = arr
         F.vplus[a][...] = arr
-    (records,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    (records,) = take("Q")
     for _ in range(records):
-        (a,) = struct.unpack_from("<B", data, off)
-        off += 1
-        idx = struct.unpack_from(f"<{n}Q", data, off)
-        off += 8 * n
-        side, value = struct.unpack_from("<Bd", data, off)
-        off += 9
-        if side == MINUS:
-            F.vminus[a][tuple(idx)] = value
-        else:
-            F.vplus[a][tuple(idx)] = value
+        (a,) = take("B")
+        idx = take(f"{n}Q")
+        side, value = take("Bd")
+        if not (a < n and side in (MINUS, PLUS)
+                and all(i < k for i, k in zip(idx, grid.facet_shape(a)))):
+            raise InputError(
+                f"flux-field record (axis {a}, {idx}, side {side}) names no facet side")
+        (F.vminus if side == MINUS else F.vplus)[a][idx] = value
     return F
 
 

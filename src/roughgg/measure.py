@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .domain import RoughSet
 from .errors import InputError
-from .gridcore import FacetArrays, Grid, unit_ball_volume
+from .gridcore import FacetArrays, Grid, faces, lift, unit_ball_volume
 from .mollify import MollifierKernel, convolve_same
 
 EXTERIOR = 0
@@ -186,14 +186,8 @@ def classify(set_: RoughSet, r_star: float | None = None,
         mask = set_.cracks.masks[a]
         if not mask.any():
             continue
-        sl_lo = [slice(None)] * grid.n
-        sl_hi = [slice(None)] * grid.n
-        sl_lo[a] = slice(1, None)
-        sl_hi[a] = slice(0, -1)
-        adj = np.zeros(grid.extents, dtype=bool)
-        adj |= mask[tuple(sl_lo)]  # lower cells
-        adj |= mask[tuple(sl_hi)]  # upper cells
-        labels[adj] = INTERIOR
+        lower_face, upper_face = faces(mask, a)
+        labels[lower_face | upper_face] = INTERIOR
     return Classification(labels=labels, density_at_finest=dens, r_star=r_star, tau=tau)
 
 
@@ -207,15 +201,7 @@ def reduced_facets(set_: RoughSet) -> tuple[FacetArrays, list[np.ndarray]]:
     reduced = FacetArrays(grid)
     inside_lower = []
     for a in range(grid.n):
-        shape = grid.facet_shape(a)
-        lo_val = np.zeros(shape, dtype=bool)
-        up_val = np.zeros(shape, dtype=bool)
-        sl_lo = [slice(None)] * grid.n
-        sl_up = [slice(None)] * grid.n
-        sl_lo[a] = slice(1, None)
-        sl_up[a] = slice(0, -1)
-        lo_val[tuple(sl_lo)] = set_.cells
-        up_val[tuple(sl_up)] = set_.cells
+        lo_val, up_val = lift(set_.cells, a)
         mask = lo_val != up_val
         reduced.masks[a] = mask
         inside_lower.append(mask & lo_val)
@@ -232,13 +218,8 @@ def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecom
         raise InputError("crack facets may not coincide with reduced facets")
     touching = np.zeros(grid.extents, dtype=bool)
     for a in range(grid.n):
-        mask = reduced.masks[a]
-        sl_lo = [slice(None)] * grid.n
-        sl_hi = [slice(None)] * grid.n
-        sl_lo[a] = slice(1, None)
-        sl_hi[a] = slice(0, -1)
-        touching |= mask[tuple(sl_lo)]
-        touching |= mask[tuple(sl_hi)]
+        lower_face, upper_face = faces(reduced.masks[a], a)
+        touching |= lower_face | upper_face
     exterior_part = touching & ~set_.cells & (cls.labels == EXTERIOR)
     return BoundaryDecomposition(
         reduced=reduced,

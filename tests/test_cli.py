@@ -145,6 +145,40 @@ def test_bad_input_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["approx", "--delta", "nan"],
+    ["approx", "--delta", "inf"],
+    ["perimeter", "--eps", "nan"],
+    ["approx", "--sweep", "0.5,x"],
+    ["trace", "--field", "seed:x"],
+    ["trace", "--field", "seed:1e3"],
+    ["solve-div", "--trace", "empty.csv", "--tol", "nan"],
+], ids=["delta-nan", "delta-inf", "eps-nan", "sweep-x", "seed-x", "seed-1e3",
+        "tol-nan"])
+def test_bad_flag_values_exit_2(tmp_path, args):
+    empty = tmp_path / "empty.csv"  # a valid, zero prescription
+    empty.write_text("axis,i0,i1,side,g\n")
+    args = [str(empty) if a == "empty.csv" else a for a in args]
+    proc = run(args[0], "--preset", "square", "--grid", "16", *args[1:])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    '{"shape": {"op": "disk", "r": NaN}}',
+    '{"shape": {"op": "disk", "r": "x"}}',
+    '{"shape": {"op": "box", "min": [-1, -1]}}',
+    '{"shape": {"op": "box", "min": [-1, -1], "max": [1, 1]},'
+    ' "cracks": [{"seg": [[0, 0]]}]}',
+    '{"preset": "cantor-cross", "k": "x"}',
+], ids=["r-nan", "r-string", "box-no-max", "seg-one-point", "k-string"])
+def test_bad_domain_json_exit_2(doc):
+    proc = run("classify", "--domain", doc, "--grid", "16")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert any(node in proc.stderr for node in ("shape", "cracks[0]", "k:"))  # names the node
+
+
 def test_import_leaves_scipy_signal_unloaded():
     code = "import sys, roughgg.cli; print('scipy.signal' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

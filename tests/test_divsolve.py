@@ -3,7 +3,6 @@ import pytest
 
 from roughgg.divsolve import (
     TraceData,
-    compatibility_check,
     is_compatible,
     solve_decomposed,
     solve_direct,
@@ -39,12 +38,12 @@ def slit_example_data(set_):
 
 def test_compatibility_examples(square_32):
     td0 = TraceData(square_32)
-    assert compatibility_check(td0) == 0.0
+    assert td0.integral == 0.0
     td = left_right_data(square_32)
-    assert compatibility_check(td) == pytest.approx(0.0, abs=1e-12)
+    assert td.integral == pytest.approx(0.0, abs=1e-12)
     assert is_compatible(td)
     td1 = TraceData(square_32).fill(lambda X, nu: np.ones(X.shape[:-1]))
-    assert compatibility_check(td1) == pytest.approx(8.0, rel=0.01)
+    assert td1.integral == pytest.approx(8.0, rel=0.01)
     assert not is_compatible(td1)
 
 
@@ -110,14 +109,11 @@ def test_decomposed_internals(slit_square_32):
     # div G = -(prescribed trace measure), facet atoms and all
     div_G = divergence_measure(G)
     assert float(np.abs(div_G.cell_weights).max()) <= 1e-12
-    net = div_G.facet_net()
     area = slit_square_32.grid.facet_area
     tm = trace_measure(sample_field(slit_jump_field(), slit_square_32, 1.0))
-    per_facet = {}
-    for (a, idx, _s), w in tm.side_weights.items():
-        per_facet[(a, idx)] = per_facet.get((a, idx), 0.0) + w
-    for key, w in per_facet.items():
-        assert net.get(key, 0.0) == pytest.approx(-w, abs=1e-9)
+    for a in range(2):
+        net = div_G.facet_minus[a] + div_G.facet_plus[a]
+        assert np.allclose(net, -tm.net(a) * area, rtol=0.0, atol=1e-9)
     # derived reduced-boundary data integrates to zero
     h_total = sum(float(h.sum()) for h in h_arrays) * area
     assert abs(h_total) <= 1e-9
@@ -292,9 +288,7 @@ def test_multi_component_solves(build):
         assert np.allclose(rep.F.vminus[0][interior], -1.0, atol=1e-8)
 
 
-def test_slit_cube_solve():
-    # unit outward density on both crack sides, balanced by a constant
-    # inflow through the outer boundary: the flux jumps across the crack
+def slit_cube_8():
     import json
 
     from roughgg.domain import make_grid, parse_domain, rasterize
@@ -304,7 +298,13 @@ def test_slit_cube_solve():
         "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
     })
     spec = parse_domain(doc)
-    cube = rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+
+
+def test_slit_cube_solve():
+    # unit outward density on both crack sides, balanced by a constant
+    # inflow through the outer boundary: the flux jumps across the crack
+    cube = slit_cube_8()
     td = TraceData(cube)
     topo = td.topology
     n_crack = sum(2 * int(m.sum()) for m in topo.crack)
@@ -387,3 +387,67 @@ def test_null_space_constant_shift_invariance(square_32):
                           shifted, square_32.grid.spacing)
     for a in range(2):
         assert np.allclose(f1[a], f2[a], atol=1e-9)
+
+
+# A trace-free affine field x -> A x + b is continuous across every crack.
+# Its trace on both crack sides is the one-sided outward flux +-F.nu; the
+# zero diagonal keeps each component constant along its own axis, so the
+# quarter-cell one-sided samples equal the facet-center value.
+AFFINE = {
+    2: (np.array([[0.0, 0.7], [-0.4, 0.0]]), np.array([0.3, -0.6])),
+    3: (np.array([[0.0, 0.7, -0.2], [-0.4, 0.0, 0.5], [0.3, 0.6, 0.0]]),
+        np.array([0.3, -0.6, 0.2])),
+}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset_set("slit-disk", 1.0 / 64.0, margin_cells=4),
+    slit_cube_8,
+], ids=["slit-disk-64", "slit-cube-8"])
+def test_continuous_field_keeps_both_crack_sides(build):
+    set_ = build()
+    A, b = AFFINE[set_.grid.n]
+
+    def affine(X):
+        return X @ A.T + b
+
+    tm = trace_measure(sample_field(affine, set_, 10.0))  # |F| < 3 on these grids
+    td = TraceData(set_).fill(lambda X, nu: affine(X) @ nu)
+    nonzero = 0
+    for a in range(set_.grid.n):
+        crack = set_.cracks.masks[a]
+        # +F.nu on the MINUS side (nu = +e_a), -F.nu on the PLUS side
+        assert np.allclose(tm.gminus[a][crack], td.gminus[a][crack], rtol=0, atol=1e-12)
+        assert np.allclose(tm.gplus[a][crack], td.gplus[a][crack], rtol=0, atol=1e-12)
+        nonzero += int((tm.gminus[a][crack] != 0.0).sum())
+    assert nonzero > 0
+    rep = solve_direct(set_, td)
+    assert verify_solution(rep, set_, td)["pass"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset_set("slit-square", 1.0 / 32.0, margin_cells=4),
+    slit_cube_8,
+], ids=["slit-square-32", "slit-cube-8"])
+def test_side_weights_are_extended_divergence_where_sides_differ(build):
+    # the jump construction of the trace: where a facet's two values
+    # differ, the weight of each legal side is its negated facet atom in
+    # the divergence of the zero extension
+    from roughgg.dmfield import extend_by_zero
+    from roughgg.fields import random_facet_noise
+
+    set_ = build()
+    F = random_facet_noise(set_, seed=17)
+    tm = trace_measure(F)
+    weights = tm.side_weights
+    div = divergence_measure(extend_by_zero(F))
+    checked = 0
+    for a in range(set_.grid.n):
+        differ = F.vminus[a] != F.vplus[a]
+        for side, mask, atoms in ((MINUS, tm.mask_minus[a], div.facet_minus[a]),
+                                  (PLUS, tm.mask_plus[a], div.facet_plus[a])):
+            for i in np.argwhere(mask & differ):
+                idx = tuple(int(v) for v in i)
+                assert weights.get((a, idx, side), 0.0) == -atoms[idx]
+                checked += 1
+    assert checked > 0

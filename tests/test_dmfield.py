@@ -6,7 +6,6 @@ import pytest
 from roughgg.dmfield import (
     FluxField,
     VectorTestFunction,
-    boundary_side_sum,
     bv_trace_check,
     default_phi_basis,
     divergence_measure,
@@ -123,10 +122,10 @@ def test_signed_measure_invariants(square_32):
     F = random_facet_noise(square_32, seed=3)
     m = divergence_measure(F)
     assert m.total_variation == pytest.approx(
-        sum(abs(v) for v in m.cell_atoms.values()), rel=1e-12
+        float(np.abs(m.cell_weights).sum()), rel=1e-12
     )
-    assert all(v != 0.0 for v in m.cell_atoms.values())
-    assert all(v != 0.0 for v in m.facet_atoms.values())
+    # single-valued interior facets: no facet atoms on the field's own domain
+    assert not any(f.any() for f in m.facet_minus + m.facet_plus)
     m2 = m.scaled(-2.0).plus(m.scaled(2.0))
     assert m2.total_variation == pytest.approx(0.0, abs=1e-12)
 
@@ -137,16 +136,16 @@ def test_signed_measure_invariants(square_32):
 def test_extension_slit_atoms_exact(slit_square_32, slit_field):
     dx = slit_square_32.grid.spacing
     m = divergence_measure(extend_by_zero(slit_field))
-    net = m.facet_net()
+    grid = slit_square_32.grid
     crack_vals = []
     edge_vals = []
-    for (a, idx), v in net.items():
-        x = slit_square_32.grid.facet_center(a, idx)
-        if a == 1 and abs(x[1]) < 1e-12:
-            crack_vals.append(v)
-        else:
-            edge_vals.append(v)
-    assert np.allclose(crack_vals, 2.0 * dx)
+    for a in range(2):
+        net = m.facet_minus[a] + m.facet_plus[a]
+        y = np.broadcast_to(grid.facet_center_mesh(a)[1], net.shape)
+        on_slit = np.abs(y) < 1e-12 if a == 1 else np.zeros(net.shape, dtype=bool)
+        crack_vals += list(net[(net != 0.0) & on_slit])
+        edge_vals += list(net[(net != 0.0) & ~on_slit])
+    assert crack_vals and np.allclose(crack_vals, 2.0 * dx)
     assert np.allclose(np.abs(edge_vals), dx)
     assert m.total_variation == pytest.approx(8.0)
     assert m.total() == pytest.approx(0.0, abs=1e-12)
@@ -189,7 +188,7 @@ def test_summation_by_parts_exact(slit_square_32):
         F = random_facet_noise(slit_square_32, seed=seed)
         for phi in default_phi_basis(slit_square_32.grid, degree=3):
             lhs = normal_trace_pairing(F, phi, scheme="sbp")
-            rhs = boundary_side_sum(F, phi)
+            rhs = trace_measure(F).integrate(phi)
             assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(rhs))
 
 
@@ -199,18 +198,19 @@ def test_summation_by_parts_exact(slit_square_32):
 def test_trace_slit_exact(slit_square_32, slit_field):
     tm = trace_measure(slit_field)
     grid = slit_square_32.grid
-    for (a, idx, _side), w in tm.side_weights.items():
-        x = grid.facet_center(a, idx)
-        g_pair = tm.pair_density(a, idx)
-        if a == 1 and abs(x[1]) < 1e-12:
-            assert g_pair == pytest.approx(-2.0, abs=1e-12)
-        elif a == 1:
-            assert g_pair == pytest.approx(1.0, abs=1e-12)
+    for a in range(2):
+        support = tm.mask_minus[a] | tm.mask_plus[a]
+        g_pair = tm.net(a)[support]
+        y = np.broadcast_to(grid.facet_center_mesh(a)[1], support.shape)[support]
+        if a == 1:
+            slit = np.abs(y) < 1e-12
+            assert slit.any() and np.allclose(g_pair[slit], -2.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(g_pair[~slit], 1.0, rtol=0.0, atol=1e-12)
         else:
-            assert g_pair == pytest.approx(0.0, abs=1e-12)
+            assert np.allclose(g_pair, 0.0, rtol=0.0, atol=1e-12)
     assert tm.g_infinity == 2.0
     assert tm.eq_mixed_gap == 0.0
-    assert tm.total() == pytest.approx(0.0, abs=1e-12)
+    assert tm.integral == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trace_unit_field_square(square_32):
@@ -533,12 +533,8 @@ def test_three_dimensional_trace_and_divergence():
         2.0 * (1.0 - 0.25), abs=1e-12
     )  # the jump is real divergence except across the crack rectangle
     tm = trace_measure(F)
-    crack_pairs = [
-        tm.pair_density(a, tuple(i))
-        for a in range(3)
-        for i in np.argwhere(rs.cracks.masks[a])
-    ]
-    assert np.allclose(crack_pairs, -2.0)
+    crack_pairs = np.concatenate([tm.net(a)[rs.cracks.masks[a]] for a in range(3)])
+    assert crack_pairs.size and np.allclose(crack_pairs, -2.0)
 
 
 def test_trace_measure_warns_on_growing_boundary():
@@ -578,3 +574,55 @@ def test_interior_trace_gate_needs_three_widths(square_32):
     dx = square_32.grid.spacing
     with pytest.raises(InputError):
         interior_normal_trace(F, E, eps_list=[8 * dx, 4 * dx])
+
+
+def test_bench_layer_functions_resolve():
+    # the benchmark tracer rebinds these names; a method must live in its
+    # class's own __dict__ to be rebound there
+    import importlib
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _span in tracing.LAYER_FUNCTIONS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), attr
+        else:
+            assert callable(getattr(owner, attr)), attr
+
+
+def _project_to_targets_by_lines(atoms, targets, axis):
+    """Line-by-line reference for the projection of facet atoms onto the
+    nearest target facet (ties to the lower one)."""
+    moved_atoms = np.moveaxis(atoms, axis, 0)
+    moved_targets = np.moveaxis(targets, axis, 0)
+    out = np.zeros(moved_atoms.shape)
+    for line in np.ndindex(moved_atoms.shape[1:]):
+        col = moved_atoms[(slice(None),) + line]
+        tpos = np.nonzero(moved_targets[(slice(None),) + line])[0]
+        if tpos.size == 0:
+            continue
+        for src in np.nonzero(col)[0]:
+            pick = min(int(np.searchsorted(tpos, src)), tpos.size - 1)
+            left = max(pick - 1, 0)
+            use_left = abs(tpos[left] - src) <= abs(tpos[pick] - src)
+            dst = tpos[left] if use_left else tpos[pick]
+            out[(dst,) + line] += col[src]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (5, 6, 4)])
+def test_project_to_targets_matches_line_reference(shape):
+    from roughgg.dmfield import _project_to_targets
+
+    rng = np.random.default_rng(5)
+    atoms = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), 0.0)
+    targets = rng.random(shape) < 0.2
+    for axis in range(len(shape)):
+        assert np.array_equal(_project_to_targets(atoms, targets, axis),
+                              _project_to_targets_by_lines(atoms, targets, axis))

@@ -7,7 +7,7 @@ import pytest
 from roughgg._util import atomic_write_text, dumps_json, format_float
 from roughgg.dmfield import sample_field
 from roughgg.domain import preset_set
-from roughgg.errors import InputError
+from roughgg.errors import InputError, InvariantViolation
 from roughgg.fields import random_facet_noise, slit_jump_field
 from roughgg.io import (
     flux_field_bytes,
@@ -73,6 +73,47 @@ def test_flux_field_bad_magic(tmp_path, slit_square_32):
         handle.write(b"NOPE" + b"\x00" * 64)
     with pytest.raises(InputError):
         read_flux_field(path, slit_square_32)
+
+
+def _record_offset(grid) -> int:
+    """Byte offset of the first two-sided record in a DMF1 file."""
+    header = 4 + 1 + 8 * grid.n + 8 + 8 * grid.n + 8
+    arrays = sum(8 * int(np.prod(grid.facet_shape(a))) for a in range(grid.n))
+    return header + arrays + 8
+
+
+@pytest.mark.parametrize("cut", ["header", "array", "records"])
+def test_flux_field_truncated(tmp_path, slit_square_32, cut):
+    data = flux_field_bytes(random_facet_noise(slit_square_32, seed=9))
+    end = {"header": 20, "array": 200,
+           "records": len(data) - 5}[cut]
+    path = os.path.join(tmp_path, "cut.dmf")
+    with open(path, "wb") as handle:
+        handle.write(data[:end])
+    with pytest.raises(InputError, match="truncated"):
+        read_flux_field(path, slit_square_32)
+
+
+@pytest.mark.parametrize("field,value", [("axis", 2), ("index", 10_000),
+                                          ("side", 2)])
+def test_flux_field_record_out_of_range(tmp_path, slit_square_32, field, value):
+    grid = slit_square_32.grid
+    data = bytearray(flux_field_bytes(random_facet_noise(slit_square_32, seed=9)))
+    off = _record_offset(grid)  # record: u8 axis, n x u64 index, u8 side, f64
+    at = {"axis": off, "index": off + 1, "side": off + 1 + 8 * grid.n}[field]
+    width = 8 if field == "index" else 1
+    data[at:at + width] = value.to_bytes(width, "little")
+    path = os.path.join(tmp_path, "bad.dmf")
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+    with pytest.raises(InputError, match="names no facet side"):
+        read_flux_field(path, slit_square_32)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_json_rejects_non_finite(bad):
+    with pytest.raises(InvariantViolation):
+        dumps_json({"rows": [{"gap": 1.0}, {"gap": bad}]})
 
 
 def test_trace_csv_round_trip(tmp_path, slit_square_32):
