@@ -36,7 +36,7 @@ print(f"variation of the extended divergence: {ext.total_variation:.6f} "
       "(= 2x2 slit + 1x2 top + 1x2 bottom = 8)")
 
 tm = trace_measure(F)
-support = [tm.mask_minus[a] | tm.mask_plus[a] for a in range(2)]
+support = [tm.topology.minus[a] | tm.topology.plus[a] for a in range(2)]
 densities = sorted({round(float(g), 9)
                     for a in range(2) for g in tm.net(a)[support[a]]})
 print("distinct per-facet trace densities:", densities)

@@ -56,8 +56,6 @@ from .domain import (
     preset_set,
     preset_spec,
     rasterize,
-    slit_disk,
-    slit_square,
 )
 from .errors import (
     CompatibilityError,
@@ -69,7 +67,7 @@ from .errors import (
     InvariantViolation,
     RoughGGError,
 )
-from .gridcore import MINUS, PLUS, Facet, FacetArrays, Grid, Window
+from .gridcore import MINUS, PLUS, FacetArrays, Grid, Window
 from .measure import (
     AhlforsReport,
     BoundaryDecomposition,

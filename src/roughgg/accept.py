@@ -37,6 +37,7 @@ from .fields import (
     slit_jump_field,
 )
 from .measure import (
+    _fit_loglog,
     ahlfors_constant,
     boundary_decomposition,
     classify,
@@ -114,8 +115,7 @@ def criterion_2():
         tm = trace_measure(F)
         residuals.append(max(gauss_green_residual(F, phi, tm) for phi in cubics))
         spacings.append(set_.grid.spacing)
-    A = np.stack([np.log(spacings), np.ones(3)], axis=1)
-    slope = float(np.linalg.lstsq(A, np.log(residuals), rcond=None)[0][0])
+    slope = _fit_loglog(spacings, residuals)
     ok = slope >= 0.9
     return ok, (f"slit rel {worst_rel:.2e} <= 1e-8; smooth order {slope:.2f} "
                 f"(need >= 0.9)")
@@ -140,8 +140,7 @@ def criterion_3():
             return False, f"{name}: ratio spread {max(ratios)/min(ratios):.2f} > 4"
         if any(b >= a for a, b in zip(removed, removed[1:])):
             return False, f"{name}: removed volume not decreasing"
-        A = np.stack([np.log(ds), np.ones(len(ds))], axis=1)
-        slope = float(np.linalg.lstsq(A, np.log(removed), rcond=None)[0][0])
+        slope = _fit_loglog(ds, removed)
         if slope < 0.9:
             return False, f"{name}: removed-volume slope {slope:.2f} < 0.9"
         details.append(f"{name}: spread {max(ratios)/min(ratios):.2f}, "

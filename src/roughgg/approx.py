@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .domain import RoughSet, cantor_cross, cantor_cross_spec, make_grid
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, faces
+from .gridcore import FacetArrays, Grid, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -70,11 +70,7 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
     cells: halving radius search, then greedy disjoint selection."""
     grid = set_.grid
     dx = grid.spacing
-    touching = np.zeros(grid.extents, dtype=bool)
-    for a in range(grid.n):
-        lower_face, upper_face = faces(bd.reduced.masks[a], a)
-        touching |= lower_face | upper_face
-    candidates = np.argwhere(touching & (cls.labels == EXTERIOR))
+    candidates = np.argwhere(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
     found = []
     glo, ghi = grid.bounds()
     for idx in candidates:
@@ -128,29 +124,12 @@ def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
 
 def _remove_balls(set_: RoughSet, balls) -> np.ndarray:
     grid = set_.grid
-    dx = grid.spacing
     removed = np.zeros(grid.extents, dtype=bool)
-    origin = np.asarray(grid.origin)
     for center, r, _kind in balls:
-        c = np.asarray(center)
-        lo = np.maximum(np.floor((c - r - origin) / dx - 0.5).astype(int), 0)
-        hi = np.minimum(
-            np.ceil((c + r - origin) / dx + 0.5).astype(int),
-            np.asarray(grid.extents),
-        )
-        if np.any(hi <= lo):
-            continue
-        sl = tuple(slice(int(l), int(h)) for l, h in zip(lo, hi))
-        coords = []
-        for a in range(grid.n):
-            shape = [1] * grid.n
-            shape[a] = sl[a].stop - sl[a].start
-            x = origin[a] + (np.arange(sl[a].start, sl[a].stop) + 0.5) * dx
-            coords.append(((x - c[a]) ** 2).reshape(shape))
-        d2 = sum(np.broadcast_arrays(*coords))
         # hair of slack: facets marked covered at the marking tolerance
         # must see both incident cells removed
-        removed[sl] |= d2 <= (r + 1e-9 * dx) ** 2
+        window, inside = grid.ball(center, (r + 1e-9 * grid.spacing) ** 2)
+        removed[window] |= inside
     return removed
 
 
@@ -185,8 +164,7 @@ def audit_cover(set_: RoughSet, cover: BallCover,
 
 def interior_approximation(set_: RoughSet, delta: float,
                            cls: Classification | None = None,
-                           bd: BoundaryDecomposition | None = None,
-                           audit: bool = True) -> ApproxReport:
+                           bd: BoundaryDecomposition | None = None) -> ApproxReport:
     """Remove a ball cover of the boundary at scale delta from the body.
 
     The result is compactly contained (one-cell clearance from every
@@ -221,15 +199,9 @@ def interior_approximation(set_: RoughSet, delta: float,
     )
     if bool(np.any(grown & ~set_.cells)):
         raise InvariantViolation("result touches the exterior")
-    for a in range(grid.n):
-        crack = set_.cracks.masks[a]
-        if not crack.any():
-            continue
-        lower_face, upper_face = faces(crack, a)
-        if bool(np.any((lower_face | upper_face) & e_cells)):
-            raise InvariantViolation("result touches a crack facet")
-    if audit:
-        audit_cover(set_, cover, targets)
+    if bool(np.any(touching(set_.cracks.masks) & e_cells)):
+        raise InvariantViolation("result touches a crack facet")
+    audit_cover(set_, cover, targets)
     per_est = perimeter(grid, e_cells, 2.0 * dx)
     red_e, _ = reduced_facets(RoughSet(grid, e_cells))
     per_facets = red_e.count() * grid.facet_area

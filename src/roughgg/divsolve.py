@@ -28,13 +28,14 @@ small is solved exactly and CG stops after one iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dmfield import FluxField, TraceData, divergence_measure, facet_topology, trace_measure
+from .dmfield import FluxField, TraceData, divergence_measure, trace_measure
 from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
 from .gridcore import MINUS, PLUS, Window, lift, side_orient
@@ -53,7 +54,9 @@ _CG_MAXITER = 1_000
 
 
 def is_compatible(td: TraceData) -> bool:
-    return abs(td.integral) <= 1e-10 * (td.abs_integral() + 1.0)
+    """Zero net prescribed flux up to roundoff; never for non-finite data."""
+    scale = td.abs_integral()
+    return math.isfinite(scale) and abs(td.integral) <= 1e-10 * (scale + 1.0)
 
 
 @dataclass
@@ -250,26 +253,20 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
     _require_finite(td)
     grid = set_.grid
     dx = grid.spacing
-    topo = facet_topology(set_)
+    interior = set_.topology.interior
     b = -dx * td.inflow_per_cell()
     b[~set_.cells] = 0.0
-    u_cells, iterations, depth = _laplacian_solve(set_.cells, topo.interior, b, tol)
-    fluxes = _gradient_fluxes(grid, set_.cells, topo.interior, u_cells, dx)
+    u_cells, iterations, depth = _laplacian_solve(set_.cells, interior, b, tol)
+    fluxes = _gradient_fluxes(grid, set_.cells, interior, u_cells, dx)
     F = FluxField(set_, 1.0)
     for a in range(grid.n):
         F.vminus[a][...] = fluxes[a]
         F.vplus[a][...] = fluxes[a]
-        gm = np.where(td.mask_minus[a], td.gminus[a], 0.0)
-        gp = np.where(td.mask_plus[a], td.gplus[a], 0.0)
+        minus, plus = td.topology.minus[a], td.topology.plus[a]
         # side value = orientation * density reproduces the trace exactly
-        F.vminus[a][td.mask_minus[a]] = gm[td.mask_minus[a]] * side_orient(MINUS)
-        F.vplus[a][td.mask_plus[a]] = gp[td.mask_plus[a]] * side_orient(PLUS)
-    F.sup_bound = max(
-        float(max(np.abs(v).max() for v in F.vminus)),
-        float(max(np.abs(v).max() for v in F.vplus)),
-        1e-300,
-    )
-    return _audit(F, td, "DIRECT", tol, [(iterations, depth)])
+        F.vminus[a][minus] = td.gminus[a][minus] * side_orient(MINUS)
+        F.vplus[a][plus] = td.gplus[a][plus] * side_orient(PLUS)
+    return _audit(F.tighten(), td, "DIRECT", tol, [(iterations, depth)])
 
 
 def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
@@ -288,14 +285,13 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     _require_finite(td)
     if not window.strictly_contains_cells(set_.cells):
         raise InputError("decomposition window must strictly contain the set")
-    if abs(td.integral) > 1e-10 * (td.abs_integral() + 1.0):
+    if not is_compatible(td):
         raise CompatibilityError(
             f"globally incompatible trace data: integral {td.integral}"
         )
     box_cells = window.mask(grid)
     box_set = RoughSet(grid, box_cells)
-    box_topo = facet_topology(box_set)
-    edge_masks = [box_topo.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
+    edge_masks = [box_set.topology.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
     b = -dx * td.inflow_per_cell()
     b[~box_cells] = 0.0
     u_cells, iterations, depth = _laplacian_solve(box_cells, edge_masks, b, tol,
@@ -303,39 +299,30 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     fluxes = _gradient_fluxes(grid, box_cells, edge_masks, u_cells, dx)
 
     G = FluxField(box_set, 1.0)
-    topo = facet_topology(set_)
+    topo = set_.topology
+    td_hat = TraceData(set_)
     h_arrays = []
     for a in range(grid.n):
-        G.vminus[a][...] = fluxes[a]
-        G.vplus[a][...] = fluxes[a]
         # facet lift: side value sigma * g concentrates -mu on the facet
-        gm = np.where(td.mask_minus[a], td.gminus[a], 0.0) * side_orient(MINUS)
-        gp = np.where(td.mask_plus[a], td.gplus[a], 0.0) * side_orient(PLUS)
-        G.vminus[a] = G.vminus[a] + gm
-        G.vplus[a] = G.vplus[a] + gp
-        # exterior one-sided flux on the reduced facets (lift-free side)
-        bdry = topo.boundary[a]
+        gm = np.where(td.topology.minus[a], td.gminus[a], 0.0) * side_orient(MINUS)
+        gp = np.where(td.topology.plus[a], td.gplus[a], 0.0) * side_orient(PLUS)
+        G.vminus[a] = fluxes[a] + gm
+        G.vplus[a] = fluxes[a] + gp
+        # exterior one-sided flux on the reduced facets (lift-free side),
+        # prescribed on the body side of each reduced facet
         inside_lower = topo.inside_lower[a]
         sigma_inside = np.where(inside_lower, 1.0, -1.0)
-        h = np.where(bdry, -sigma_inside * fluxes[a], 0.0)
+        h = np.where(topo.boundary[a], -sigma_inside * fluxes[a], 0.0)
         h_arrays.append(h)
-    G.sup_bound = max(
-        float(max(np.abs(v).max() for v in G.vminus)),
-        float(max(np.abs(v).max() for v in G.vplus)),
-        1e-300,
-    )
+        td_hat.gminus[a] = np.where(inside_lower, h, 0.0)
+        td_hat.gplus[a] = np.where(inside_lower, 0.0, h)
+    G.tighten()
     h_total = sum(float(h.sum()) for h in h_arrays) * grid.facet_area
     h_scale = sum(float(np.abs(h).sum()) for h in h_arrays) * grid.facet_area + 1.0
     if abs(h_total) > 1e-9 * h_scale:
         raise InvariantViolation(
             f"derived reduced-boundary data is unbalanced: integral {h_total}"
         )
-    td_hat = TraceData(set_)
-    for a in range(grid.n):
-        bdry = topo.boundary[a]
-        inside_lower = topo.inside_lower[a]
-        td_hat.gminus[a][bdry & inside_lower] = h_arrays[a][bdry & inside_lower]
-        td_hat.gplus[a][bdry & ~inside_lower] = h_arrays[a][bdry & ~inside_lower]
     hat_report = solve_direct(set_, td_hat, tol)
     Fhat = hat_report.F
 
@@ -343,18 +330,7 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     for a in range(grid.n):
         F.vminus[a] = G.vminus[a] + Fhat.vminus[a]
         F.vplus[a] = G.vplus[a] + Fhat.vplus[a]
-        live = topo.interior[a] | topo.crack[a] | topo.boundary[a]
-        F.vminus[a][~live] = 0.0
-        F.vplus[a][~live] = 0.0
-        bdry = topo.boundary[a]
-        inside_lower = topo.inside_lower[a]
-        F.vplus[a][bdry & inside_lower] = 0.0
-        F.vminus[a][bdry & ~inside_lower] = 0.0
-    F.sup_bound = max(
-        float(max(np.abs(v).max() for v in F.vminus)),
-        float(max(np.abs(v).max() for v in F.vplus)),
-        1e-300,
-    )
+    F.restrict().tighten()
     stats = [(iterations, depth), *zip(hat_report.cg_iterations, hat_report.levels)]
     return _audit(F, td, "DECOMPOSED", tol, stats,
                   intermediate=(G, h_arrays, Fhat))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -259,26 +260,45 @@ def parse_domain(text: str) -> DomainSpec:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class FacetTopology:
+    """Facet roles induced by a rough set, per axis.
+
+    ``interior``: facets between two body cells, off the cracks (one
+    value); ``crack``: crack facets; ``boundary``: reduced facets, with
+    the body on one side, the lower one where ``inside_lower``.
+    ``minus`` / ``plus`` are the one-sided slots on the MINUS / PLUS side
+    of each facet: both sides of a crack facet and the body side of a
+    reduced facet.  Together they are the boundary minus the exterior,
+    where a normal trace lives.
+    """
+
+    interior: list[np.ndarray]
+    crack: list[np.ndarray]
+    boundary: list[np.ndarray]
+    inside_lower: list[np.ndarray]
+    minus: list[np.ndarray]
+    plus: list[np.ndarray]
+
+
 class RoughSet:
     """Rasterized open set: cell indicator plus explicit crack facets.
 
     The indicator carries the Lebesgue body; crack facets are a
     Lebesgue-null part of the topological boundary lying strictly inside
-    the body (both incident cells are indicator-true).
+    the body (both incident cells are indicator-true).  Neither is
+    written to after construction, so ``topology`` is computed once and
+    shared by every field and trace on the set.
     """
 
     def __init__(self, grid: Grid, cells: np.ndarray, cracks: FacetArrays | None = None,
-                 crack_records: tuple = (), validate: bool = True):
+                 crack_records: tuple = ()):
         self.grid = grid
         self.cells = np.asarray(cells, dtype=bool)
         if self.cells.shape != grid.extents:
             raise InputError("cell indicator shape must equal grid extents")
         self.cracks = cracks if cracks is not None else FacetArrays(grid)
         self.crack_records = tuple(crack_records)
-        if validate:
-            self._validate_cracks()
-
-    def _validate_cracks(self):
         for a in range(self.grid.n):
             mask = self.cracks.masks[a]
             if not mask.any():
@@ -290,6 +310,23 @@ class RoughSet:
                 raise CrackPlacementError(
                     f"crack facet (axis {a}, {where}) is not interior to the body"
                 )
+
+    @cached_property
+    def topology(self) -> FacetTopology:
+        """The facet roles and one-sided slots of this set (read-only)."""
+        top = FacetTopology([], [], [], [], [], [])
+        for a in range(self.grid.n):
+            lower, upper = lift(self.cells, a)
+            crack = self.cracks.masks[a].copy()
+            boundary = lower != upper
+            inside_lower = boundary & lower
+            top.interior.append(lower & upper & ~crack)
+            top.crack.append(crack)
+            top.boundary.append(boundary)
+            top.inside_lower.append(inside_lower)
+            top.minus.append(crack | inside_lower)
+            top.plus.append(crack | (boundary & ~inside_lower))
+        return top
 
     @property
     def cell_count(self) -> int:
@@ -509,14 +546,6 @@ def cantor_cross(k: int, grid: Grid) -> RoughSet:
             f"spacing {grid.spacing} too coarse for generation {k} (need <= 3^-{k})"
         )
     return rasterize(cantor_cross_spec(k), grid)
-
-
-def slit_square(grid: Grid) -> RoughSet:
-    return rasterize(preset_spec("slit-square"), grid)
-
-
-def slit_disk(grid: Grid) -> RoughSet:
-    return rasterize(preset_spec("slit-disk"), grid)
 
 
 def preset_set(name: str, spacing: float, k: int | None = None,

@@ -85,13 +85,8 @@ def random_facet_noise(set_: RoughSet, seed: int, sup_bound: float = 1.0) -> Flu
     for a in range(set_.grid.n):
         shape = set_.grid.facet_shape(a)
         vals = rng.uniform(-sup_bound, sup_bound, size=shape)
-        live = F.topology.interior[a] | F.topology.crack[a] | F.topology.boundary[a]
-        F.vminus[a][live] = vals[live]
-        F.vplus[a][live] = vals[live]
+        F.vminus[a][...] = vals
+        F.vplus[a][...] = vals
         crack = F.topology.crack[a]
         F.vplus[a][crack] = rng.uniform(-sup_bound, sup_bound, size=shape)[crack]
-        bdry = F.topology.boundary[a]
-        inside_lower = F.topology.inside_lower[a]
-        F.vplus[a][bdry & inside_lower] = 0.0
-        F.vminus[a][bdry & ~inside_lower] = 0.0
-    return F
+    return F.restrict()

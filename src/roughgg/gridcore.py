@@ -65,6 +65,16 @@ def faces(facets: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return facets[tuple(lower)], facets[tuple(upper)]
 
 
+def touching(masks) -> np.ndarray:
+    """Cells with at least one face in the facet set given by per-axis
+    ``masks``."""
+    out = np.zeros(faces(masks[0], 0)[0].shape, dtype=bool)
+    for a, mask in enumerate(masks):
+        lower, upper = faces(mask, a)
+        out |= lower | upper
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``extents`` cells with edge length ``spacing``.
@@ -138,6 +148,25 @@ class Grid:
         x[axis] -= 0.5 * self.spacing
         return x
 
+    def ball(self, center, r2: float) -> tuple[tuple[slice, ...], np.ndarray]:
+        """Cell window around the ball ``|x - center|^2 <= r2`` and the mask
+        of the window cells whose centers lie in that ball.  Cells left
+        out of the window lie more than one spacing outside the ball."""
+        c = np.asarray(center, dtype=float)
+        r = math.sqrt(r2)
+        origin = np.asarray(self.origin)
+        lo = np.maximum(np.floor((c - r - origin) / self.spacing - 0.5), 0)
+        hi = np.minimum(np.ceil((c + r - origin) / self.spacing + 0.5),
+                        np.asarray(self.extents))
+        window = tuple(slice(int(l), int(h)) for l, h in zip(lo, hi))
+        coords = []
+        for a, sl in enumerate(window):
+            shape = [1] * self.n
+            shape[a] = -1
+            x = self.origin[a] + (np.arange(sl.start, sl.stop) + 0.5) * self.spacing
+            coords.append(((x - c[a]) ** 2).reshape(shape))
+        return window, sum(np.broadcast_arrays(*coords)) <= r2
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.origin)
         return lo, lo + np.asarray(self.extents) * self.spacing
@@ -163,30 +192,6 @@ class Grid:
             raise InputError(f"malformed grid object: {exc}") from exc
 
 
-@dataclass(frozen=True, order=True)
-class Facet:
-    """One codimension-1 cell interface.
-
-    ``base`` is the index tuple of the facet slot (see module docstring):
-    the facet separates lower cell ``base - e_axis`` from upper cell
-    ``base``.
-    """
-
-    axis: int
-    base: tuple[int, ...]
-
-    def lower_cell(self) -> tuple[int, ...]:
-        c = list(self.base)
-        c[self.axis] -= 1
-        return tuple(c)
-
-    def upper_cell(self) -> tuple[int, ...]:
-        return self.base
-
-    def cell_on(self, side: int) -> tuple[int, ...]:
-        return self.lower_cell() if side == MINUS else self.upper_cell()
-
-
 class FacetArrays:
     """Per-axis boolean masks over facet slots; a set of facets in bulk form.
 
@@ -205,12 +210,6 @@ class FacetArrays:
 
     def count(self) -> int:
         return int(sum(int(m.sum()) for m in self.masks))
-
-    def __contains__(self, facet: Facet) -> bool:
-        return bool(self.masks[facet.axis][facet.base])
-
-    def add(self, facet: Facet) -> None:
-        self.masks[facet.axis][facet.base] = True
 
     def centers(self) -> np.ndarray:
         """(N, n) facet-center coordinates in lexicographic order."""

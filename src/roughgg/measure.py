@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .domain import RoughSet
 from .errors import InputError
-from .gridcore import FacetArrays, Grid, faces, lift, unit_ball_volume
+from .gridcore import FacetArrays, Grid, touching, unit_ball_volume
 from .mollify import MollifierKernel, convolve_same
 
 EXTERIOR = 0
@@ -94,29 +94,6 @@ class AhlforsReport:
     witnesses: list[tuple[tuple[float, ...], float, float]]
 
 
-def _ball_count(set_: RoughSet, center, r: float) -> int:
-    grid = set_.grid
-    dx = grid.spacing
-    center = np.asarray(center, dtype=float)
-    lo_idx = np.maximum(np.floor((center - r - np.asarray(grid.origin)) / dx - 0.5), 0)
-    hi_idx = np.minimum(
-        np.ceil((center + r - np.asarray(grid.origin)) / dx + 0.5),
-        np.asarray(grid.extents),
-    )
-    sl = tuple(slice(int(l), int(h)) for l, h in zip(lo_idx, hi_idx))
-    sub = set_.cells[sl]
-    if sub.size == 0:
-        return 0
-    coords = []
-    for a in range(grid.n):
-        shape = [1] * grid.n
-        shape[a] = sl[a].stop - sl[a].start
-        c = grid.origin[a] + (np.arange(sl[a].start, sl[a].stop) + 0.5) * dx
-        coords.append((c - center[a]).reshape(shape) ** 2)
-    d2 = sum(np.broadcast_arrays(*coords))
-    return int((sub & (d2 <= r * r + 1e-12 * r * r)).sum())
-
-
 def density(set_: RoughSet, center, r: float) -> float:
     """Volume fraction of the body in the closed ball B_r(center).
 
@@ -130,7 +107,8 @@ def density(set_: RoughSet, center, r: float) -> float:
     glo, ghi = grid.bounds()
     if np.any(center - r < glo) or np.any(center + r > ghi):
         raise InputError("density ball exits the grid")
-    count = _ball_count(set_, center, r)
+    window, inside = grid.ball(center, r * r + 1e-12 * r * r)
+    count = int((set_.cells[window] & inside).sum())
     ratio = count * grid.cell_volume / (unit_ball_volume(grid.n) * r**grid.n)
     return float(min(1.0, max(0.0, ratio)))
 
@@ -182,12 +160,7 @@ def classify(set_: RoughSet, r_star: float | None = None,
     deep_out = ndimage.binary_erosion(~set_.cells, structure=structure)
     labels[deep_in] = INTERIOR
     labels[deep_out] = EXTERIOR
-    for a in range(grid.n):
-        mask = set_.cracks.masks[a]
-        if not mask.any():
-            continue
-        lower_face, upper_face = faces(mask, a)
-        labels[lower_face | upper_face] = INTERIOR
+    labels[touching(set_.cracks.masks)] = INTERIOR
     return Classification(labels=labels, density_at_finest=dens, r_star=r_star, tau=tau)
 
 
@@ -195,17 +168,10 @@ def reduced_facets(set_: RoughSet) -> tuple[FacetArrays, list[np.ndarray]]:
     """Facets separating indicator-true from indicator-false cells.
 
     Returns the facet masks and, per axis, the sub-mask where the body is
-    on the lower side of the facet.
+    on the lower side of the facet (both from ``set_.topology``).
     """
-    grid = set_.grid
-    reduced = FacetArrays(grid)
-    inside_lower = []
-    for a in range(grid.n):
-        lo_val, up_val = lift(set_.cells, a)
-        mask = lo_val != up_val
-        reduced.masks[a] = mask
-        inside_lower.append(mask & lo_val)
-    return reduced, inside_lower
+    top = set_.topology
+    return FacetArrays(set_.grid, list(top.boundary)), list(top.inside_lower)
 
 
 def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecomposition:
@@ -216,11 +182,7 @@ def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecom
     overlap = reduced.intersection_count(set_.cracks)
     if overlap:
         raise InputError("crack facets may not coincide with reduced facets")
-    touching = np.zeros(grid.extents, dtype=bool)
-    for a in range(grid.n):
-        lower_face, upper_face = faces(reduced.masks[a], a)
-        touching |= lower_face | upper_face
-    exterior_part = touching & ~set_.cells & (cls.labels == EXTERIOR)
+    exterior_part = touching(reduced.masks) & ~set_.cells & (cls.labels == EXTERIOR)
     return BoundaryDecomposition(
         reduced=reduced,
         inside_lower=inside_lower,
@@ -332,6 +294,7 @@ class StarDiagnostic:
 
 
 def _fit_loglog(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs); ys clamp at 1e-300."""
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
     A = np.stack([xs, np.ones_like(xs)], axis=1)

@@ -59,10 +59,6 @@ class MollifierKernel:
         self.weights = profile / profile.sum()
         self.radius_cells = radius
 
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
     def smooth_cells(self, values: np.ndarray) -> np.ndarray:
         """Convolve a cell array with the kernel (zero padding outside)."""
         return convolve_same(values, self.weights)

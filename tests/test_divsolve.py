@@ -311,7 +311,7 @@ def test_slit_cube_solve():
     n_outer = sum(int(m.sum()) for m in topo.boundary)
     assert n_crack > 0
     for a in range(3):
-        for arr, mask in ((td.gminus[a], td.mask_minus[a]), (td.gplus[a], td.mask_plus[a])):
+        for arr, mask in ((td.gminus[a], topo.minus[a]), (td.gplus[a], topo.plus[a])):
             arr[mask & topo.boundary[a]] = -n_crack / n_outer
             arr[topo.crack[a]] = 1.0
     assert abs(td.integral) <= 1e-12
@@ -329,8 +329,9 @@ def test_slit_cube_solve():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_trace_rejected(square_32, bad):
     td = left_right_data(square_32)
-    a, idx = 0, tuple(np.argwhere(td.mask_minus[0])[0])
+    a, idx = 0, tuple(np.argwhere(td.topology.minus[0])[0])
     td.gminus[a][idx] = bad
+    assert not is_compatible(td)
     for solver in (solve_direct, solve_decomposed):
         with pytest.raises(InputError):
             solver(square_32, td)
@@ -444,8 +445,8 @@ def test_side_weights_are_extended_divergence_where_sides_differ(build):
     checked = 0
     for a in range(set_.grid.n):
         differ = F.vminus[a] != F.vplus[a]
-        for side, mask, atoms in ((MINUS, tm.mask_minus[a], div.facet_minus[a]),
-                                  (PLUS, tm.mask_plus[a], div.facet_plus[a])):
+        for side, mask, atoms in ((MINUS, tm.topology.minus[a], div.facet_minus[a]),
+                                  (PLUS, tm.topology.plus[a], div.facet_plus[a])):
             for i in np.argwhere(mask & differ):
                 idx = tuple(int(v) for v in i)
                 assert weights.get((a, idx, side), 0.0) == -atoms[idx]

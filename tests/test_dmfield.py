@@ -199,7 +199,7 @@ def test_trace_slit_exact(slit_square_32, slit_field):
     tm = trace_measure(slit_field)
     grid = slit_square_32.grid
     for a in range(2):
-        support = tm.mask_minus[a] | tm.mask_plus[a]
+        support = tm.topology.minus[a] | tm.topology.plus[a]
         g_pair = tm.net(a)[support]
         y = np.broadcast_to(grid.facet_center_mesh(a)[1], support.shape)[support]
         if a == 1:
@@ -252,11 +252,11 @@ def test_trace_concentration(slit_square_32):
     # support sides always belong to body cells, never exterior ones
     F = random_facet_noise(slit_square_32, seed=5)
     tm = trace_measure(F)
-    from roughgg.gridcore import Facet
-
     for (a, idx, side) in tm.side_weights:
-        cell = Facet(a, idx).cell_on(side)
-        assert slit_square_32.cells[cell]
+        cell = list(idx)
+        if side == MINUS:  # the MINUS side belongs to the lower cell
+            cell[a] -= 1
+        assert slit_square_32.cells[tuple(cell)]
 
 
 def test_trace_linf_check(slit_field, slit_square_32):
@@ -411,6 +411,42 @@ def _slit_cube_8():
         "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
     }))
     return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+
+
+def test_topology_is_computed_once_per_set(slit_square_32):
+    from roughgg.dmfield import TraceData, facet_topology
+
+    top = slit_square_32.topology
+    F = sample_field(seeded_trig_field(0), slit_square_32, 1.0)
+    assert F.topology is top
+    assert F.copy().topology is top
+    assert TraceData(slit_square_32).topology is top
+    assert facet_topology(slit_square_32) is top
+
+
+@pytest.mark.parametrize("domain", ["slit-square-32", "slit-cube-8", "cantor-36"])
+def test_restrict_is_the_one_sided_slot_rule(domain, slit_square_32):
+    set_ = {"slit-square-32": lambda: slit_square_32,
+            "slit-cube-8": _slit_cube_8,
+            "cantor-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2,
+                                            margin_cells=4)}[domain]()
+    rng = np.random.default_rng(7)
+    F = FluxField(set_, 1.0)
+    for a in range(set_.grid.n):
+        F.vminus[a][...] = rng.uniform(-1.0, 1.0, F.vminus[a].shape)
+        F.vplus[a][...] = rng.uniform(-1.0, 1.0, F.vplus[a].shape)
+    want = F.copy()
+    top = set_.topology
+    for a in range(set_.grid.n):
+        outside = ~(top.interior[a] | top.crack[a] | top.boundary[a])
+        want.vminus[a][outside] = 0.0
+        want.vplus[a][outside] = 0.0
+        want.vplus[a][top.boundary[a] & top.inside_lower[a]] = 0.0
+        want.vminus[a][top.boundary[a] & ~top.inside_lower[a]] = 0.0
+    F.restrict()
+    for a in range(set_.grid.n):
+        assert np.array_equal(F.vminus[a], want.vminus[a])
+        assert np.array_equal(F.vplus[a], want.vplus[a])
 
 
 @pytest.mark.parametrize("domain", ["slit-square-32", "slit-cube-8"])

@@ -22,6 +22,27 @@ from roughgg.measure import (
 )
 
 
+@pytest.mark.parametrize("center, r2", [
+    ((0.125, -0.375), 0.5 ** 2),     # a cell center: cells at exactly r
+    ((0.0, 0.0), 0.75 ** 2),         # a grid node
+    ((-1.9, 1.3), 0.6 ** 2),         # window clipped by the grid edge
+    ((0.3, 0.1, -0.2), 0.5 ** 2),
+    ((0.125, 0.125, 0.125), 0.25 ** 2),
+])
+def test_grid_ball_matches_brute_force(center, r2):
+    from roughgg.gridcore import Grid
+
+    n = len(center)
+    grid = Grid(n=n, spacing=0.25, origin=(-2.0,) * n, extents=(16,) * n)
+    window, inside = grid.ball(center, r2)
+    got = np.zeros(grid.extents, dtype=bool)
+    got[window] = inside
+    d2 = sum((x - c) ** 2 for x, c in zip(grid.cell_center_mesh(), center))
+    assert np.array_equal(got, d2 <= r2)
+    if n == 2 and center == (0.125, -0.375):
+        assert (d2 == r2).sum() == 4  # the exact-distance cells count
+
+
 def test_density_deep_interior(square_32):
     d = density(square_32, (0.1, -0.2), 8 * square_32.grid.spacing)
     assert d == pytest.approx(1.0, abs=0.01)  # lattice-count wobble only
