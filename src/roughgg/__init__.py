@@ -50,7 +50,6 @@ from .dmfield import (
 from .domain import (
     DomainSpec,
     RoughSet,
-    cantor_cross,
     make_grid,
     parse_domain,
     preset_set,

@@ -1,4 +1,4 @@
-"""Small shared helpers: FFT worker caps, atomic output, float formatting."""
+"""Small shared helpers: FFT worker count, atomic output, float formatting."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from .errors import InvariantViolation
 
 
 def thread_cap() -> int | None:
-    """Worker cap from ROUGHGG_THREADS (None = library default: all cores)."""
+    """FFT worker count from ROUGHGG_THREADS (None = scipy's default, one
+    worker unless the caller set another)."""
     raw = os.environ.get("ROUGHGG_THREADS")
     if not raw:
         return None
@@ -24,7 +25,7 @@ def thread_cap() -> int | None:
 
 @contextlib.contextmanager
 def fft_context():
-    """scipy.fft worker context honoring ROUGHGG_THREADS."""
+    """scipy.fft worker context: ROUGHGG_THREADS workers when it is set."""
     cap = thread_cap()
     if cap is None:
         yield

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .domain import RoughSet, cantor_cross, cantor_cross_spec, make_grid
+from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
 from .gridcore import FacetArrays, Grid, touching
 from .measure import (
@@ -296,8 +296,7 @@ def cantor_generation_sweep(ks, delta_multiples=(8, 12, 16)) -> dict:
     for k in ks:
         dx = 3.0 ** (-k) / 4.0
         spec = cantor_cross_spec(k)
-        grid = make_grid(spec, dx)
-        set_ = cantor_cross(k, grid)
+        set_ = rasterize(spec, make_grid(spec, dx))
         cls = classify(set_)
         bd = boundary_decomposition(set_, cls)
         best = math.inf

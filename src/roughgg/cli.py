@@ -85,12 +85,7 @@ def _build_set(args):
     if args.grid < 1:
         raise InputError(f"--grid must be a positive integer, got {args.grid}")
     spacing = 1.0 / args.grid
-    grid = make_grid(spec, spacing, margin_cells=args.margin)
-    if spec.preset == "cantor-cross":
-        from .domain import cantor_cross
-
-        return spec, cantor_cross(spec.k, grid)
-    return spec, rasterize(spec, grid)
+    return spec, rasterize(spec, make_grid(spec, spacing, margin_cells=args.margin))
 
 
 def _finite_positive(text: str) -> float:

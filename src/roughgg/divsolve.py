@@ -126,8 +126,7 @@ class _AggregationVCycle:
         return x
 
 
-def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray,
-                     tol: float, require_single_component: bool = False):
+def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
     """Solve the unit-weight graph Laplacian L u = b on the cells whose
     edges are the given facet masks; b must be balanced per component.
 
@@ -151,8 +150,6 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray,
     ones = np.ones(rows.shape[0])
     n_comp, comp = sp.csgraph.connected_components(
         sp.coo_matrix((ones, (rows, cols)), shape=(n_nodes, n_nodes)), directed=False)
-    if require_single_component and n_comp != 1:
-        raise InvariantViolation("expected a connected solve graph")
     bn = b[cells]
     scale = float(np.abs(bn).sum()) + 1.0
     net = np.bincount(comp, weights=bn, minlength=n_comp)
@@ -274,9 +271,10 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     """Two-step solve through the reduced-boundary problem.
 
     Step 1 builds a box-wide field G whose divergence is the negated
-    trace measure (facet lift + cut-edge box Laplacian; only global
-    compatibility is needed).  Step 2 reads the exterior flux h on the
-    reduced facets off G; its integral vanishes identically (audited).
+    trace measure (facet lift + cut-edge box Laplacian; the data must be
+    compatible on each region the cracks cut out of the box).  Step 2
+    reads the exterior flux h on the reduced facets off G; its integral
+    vanishes identically (audited).
     Step 3 solves the crack-free data h on the body and adds the fields.
     """
     grid = set_.grid
@@ -294,8 +292,7 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     edge_masks = [box_set.topology.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
     b = -dx * td.inflow_per_cell()
     b[~box_cells] = 0.0
-    u_cells, iterations, depth = _laplacian_solve(box_cells, edge_masks, b, tol,
-                                                  require_single_component=True)
+    u_cells, iterations, depth = _laplacian_solve(box_cells, edge_masks, b, tol)
     fluxes = _gradient_fluxes(grid, box_cells, edge_masks, u_cells, dx)
 
     G = FluxField(box_set, 1.0)

@@ -32,6 +32,7 @@ from .errors import InputError, InvariantViolation
 from .gridcore import MINUS, PLUS, FacetArrays, Grid, Window, faces, lift, side_orient, touching
 from .measure import _fit_loglog
 from .mollify import MollifierKernel
+from .onesided import smooth_facet_values
 
 
 # ---------------------------------------------------------------------------
@@ -683,38 +684,18 @@ def gauss_green_residual(F: FluxField, phi: TestFunction,
 
 
 def mollify_field(F: FluxField, eps: float) -> FluxField:
-    """Facet-wise one-sided mollification.
+    """Facet-wise one-sided mollification, one facet axis at a time
+    (``onesided.smooth_facet_values``).
 
-    Interior facets average same-axis neighbors; crack and boundary sides
-    average only samples visible from their own side (segments crossing a
-    crack are dropped, the kernel is renormalized over what remains).
-    The recorded sup bound never increases: outputs are convex averages.
+    Interior facets average interior neighbors of the same axis; crack and
+    boundary sides average only samples visible from their own side
+    (segments crossing a crack are dropped, the kernel is renormalized
+    over what remains).  The recorded sup bound never increases: outputs
+    are convex averages.
     """
-    from .onesided import _crack_planes, smooth_facet_values
-
-    grid = F.grid
-    top = F.topology
-    planes = _crack_planes(grid, top.crack)
     out = F.copy()
-    for a in range(grid.n):
-        values = np.where(top.interior[a], F.vminus[a], 0.0)
-        centers = grid.facet_center_mesh(a)
-        # interior facets take one value; a side is probed a quarter cell
-        # into its own cell
-        for targets, probe, fallback, dests in (
-                (top.interior[a], 0.0, F.vminus[a], (out.vminus, out.vplus)),
-                (top.minus[a], -0.25 * grid.spacing, F.vminus[a], (out.vminus,)),
-                (top.plus[a], 0.25 * grid.spacing, F.vplus[a], (out.vplus,))):
-            if not targets.any():
-                continue
-            starts = list(centers)
-            starts[a] = centers[a] + probe
-            smoothed = smooth_facet_values(
-                grid, eps, values, top.interior[a], starts, targets,
-                planes, axis_probe_offset=probe, axis=a, fallback=fallback,
-            )
-            for dest in dests:
-                dest[a] = np.where(targets, smoothed, dest[a])
+    for a in range(F.grid.n):
+        out.vminus[a], out.vplus[a] = smooth_facet_values(F, eps, a)
     out.check_bound()
     return out
 

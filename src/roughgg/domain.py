@@ -445,8 +445,14 @@ def rasterize(spec: DomainSpec, grid: Grid) -> RoughSet:
 
     A cell is true iff its center lies in the shape; cracks snap to the
     nearest facet chain (each endpoint moves less than half a cell per
-    axis).  Identical inputs give bit-identical results.
+    axis).  The Cantor-cross preset of generation k needs spacing <= 3^-k,
+    so that each Cantor interval is resolved.  Identical inputs give
+    bit-identical results.
     """
+    if spec.preset == "cantor-cross" and grid.spacing > 3.0 ** (-spec.k) + 1e-12:
+        raise GridTooCoarseError(
+            f"spacing {grid.spacing} too coarse for generation {spec.k} (need <= 3^-{spec.k})"
+        )
     lo, hi = spec.bbox()
     glo, ghi = grid.bounds()
     if np.any(lo - grid.spacing < glo) or np.any(hi + grid.spacing > ghi):
@@ -536,23 +542,8 @@ def make_grid(spec: DomainSpec, spacing: float, margin_cells: int = 2) -> Grid:
     return Grid(n=len(origin), spacing=spacing, origin=origin, extents=extents)
 
 
-def cantor_cross(k: int, grid: Grid) -> RoughSet:
-    """Generation-k Cantor-cross domain on an explicit grid.
-
-    Requires the grid to resolve each Cantor interval: spacing <= 3^-k.
-    """
-    if grid.spacing > 3.0 ** (-k) + 1e-12:
-        raise GridTooCoarseError(
-            f"spacing {grid.spacing} too coarse for generation {k} (need <= 3^-{k})"
-        )
-    return rasterize(cantor_cross_spec(k), grid)
-
-
 def preset_set(name: str, spacing: float, k: int | None = None,
                margin_cells: int = 2) -> RoughSet:
     """Convenience: rasterize a named preset at the given spacing."""
     spec = preset_spec(name, k=k)
-    grid = make_grid(spec, spacing, margin_cells=margin_cells)
-    if name == "cantor-cross":
-        return cantor_cross(spec.k, grid)
-    return rasterize(spec, grid)
+    return rasterize(spec, make_grid(spec, spacing, margin_cells=margin_cells))

@@ -310,21 +310,17 @@ def star_condition_diagnostic(spec, spacings) -> StarDiagnostic:
     (4/3)^k and its fitted slope is log(4/3)/log(3).  Flat slopes on every
     component support a finite boundary measure.
     """
-    from .domain import cantor_cross, cantor_cross_spec, make_grid, rasterize
+    from .domain import cantor_cross_spec, make_grid, rasterize
 
     spacings = [float(s) for s in spacings]
     if len(spacings) < 3:
         raise InputError("refinement ladder needs >= 3 levels")
     rows = []
     for dx in spacings:
-        if getattr(spec, "preset", None) == "cantor-cross":
-            k = max(0, int(round(-math.log(dx) / math.log(3.0))))
-            level_spec = cantor_cross_spec(k)
-            grid = make_grid(level_spec, dx)
-            set_ = cantor_cross(k, grid)
-        else:
-            grid = make_grid(spec, dx)
-            set_ = rasterize(spec, grid)
+        level_spec = spec
+        if spec.preset == "cantor-cross":
+            level_spec = cantor_cross_spec(max(0, int(round(-math.log(dx) / math.log(3.0)))))
+        set_ = rasterize(level_spec, make_grid(level_spec, dx))
         cls = classify(set_)
         bd = boundary_decomposition(set_, cls)
         rows.append(

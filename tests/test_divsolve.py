@@ -452,3 +452,20 @@ def test_side_weights_are_extended_divergence_where_sides_differ(build):
                 assert weights.get((a, idx, side), 0.0) == -atoms[idx]
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("field", ["constant", "separated-smooth"])
+def test_decomposed_solve_where_cracks_enclose_regions(field):
+    # the Cantor cracks close off squares, so the cut-edge box graph has
+    # several components; compatible data balances on each of them
+    from roughgg.fields import constant_field, separated_smooth_field
+
+    set_ = preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4)
+    f = constant_field([0.6, -0.8]) if field == "constant" else separated_smooth_field()
+    td = trace_measure(sample_field(f, set_, 1.0))
+    rep = solve_decomposed(set_, td)
+    assert verify_solution(rep, set_, td)["pass"]
+    direct = trace_measure(solve_direct(set_, td).F)
+    got = trace_measure(rep.F)
+    for (*_, want), (*_, have) in zip(direct.slots(), got.slots()):
+        assert np.allclose(have, want, rtol=0, atol=1e-8)

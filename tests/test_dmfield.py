@@ -388,6 +388,32 @@ def test_mollify_preserves_slit_jump(slit_field, slit_square_32):
         assert tv <= 1e-10
 
 
+def test_mollify_three_dimensional_slit():
+    import json
+
+    from roughgg.domain import make_grid, parse_domain, rasterize
+
+    spec = parse_domain(json.dumps({
+        "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+        "cracks": [{"rect": [[-1, -1, 0.0], [1, 1, 0.0]]}],
+    }))
+    cube = rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    dx = cube.grid.spacing
+    F = sample_field(slit_jump_field(axis=2), cube, 1.0)
+    crack = F.topology.crack[2]
+    assert crack.any()
+    for mult in (4, 2):
+        Fe = mollify_field(F, mult * dx)
+        assert np.all(Fe.vminus[2][crack] == -1.0)
+        assert np.all(Fe.vplus[2][crack] == 1.0)
+        assert divergence_measure(Fe).total_variation <= 1e-10
+    G = sample_field(constant_field([0.4, -0.2, 0.3]), cube, 1.0)
+    Ge = mollify_field(G, 4 * dx)
+    for a in range(3):
+        assert np.allclose(Ge.vminus[a], G.vminus[a], rtol=0, atol=1e-12)
+        assert np.allclose(Ge.vplus[a], G.vplus[a], rtol=0, atol=1e-12)
+
+
 def test_mollify_width_precondition(slit_field, slit_square_32):
     with pytest.raises(InputError):
         mollify_field(slit_field, slit_square_32.grid.spacing)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roughgg.domain import (
-    cantor_cross,
+    cantor_cross_spec,
     make_grid,
     parse_domain,
     preset_set,
@@ -176,18 +176,18 @@ def test_slit_square_coarse_grid_counts():
 def test_cantor_cross_generation_counts():
     for k in (0, 1, 2):
         dx = 3.0 ** (-k) / 4.0
-        spec = preset_spec("cantor-cross", k=k)
+        spec = cantor_cross_spec(k)
         grid = make_grid(spec, dx)
-        rs = cantor_cross(k, grid)
+        rs = rasterize(spec, grid)
         expected = 4.0 * (4.0 / 3.0) ** k
         assert abs(rs.crack_length() - expected) < 1e-9
 
 
 def test_cantor_cross_too_coarse():
-    spec = preset_spec("cantor-cross", k=3)
+    spec = cantor_cross_spec(3)
     grid = make_grid(spec, 0.25)
     with pytest.raises(GridTooCoarseError):
-        cantor_cross(3, grid)
+        rasterize(spec, grid)
 
 
 def test_grid_invariants():

@@ -34,3 +34,43 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and constants."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported anywhere in a module."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+    return used
+
+
+def test_no_unused_private_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    orphans = [f"{module}:{line} {name}"
+               for module, tree in trees.items()
+               for name, line in _private_definitions(tree).items()
+               if name not in used]
+    assert orphans == []
