@@ -27,7 +27,14 @@ from .dmfield import (
     sample_field,
     trace_measure,
 )
-from .domain import PRESET_NAMES, make_grid, parse_domain, preset_spec, rasterize
+from .domain import (
+    PRESET_NAMES,
+    check_cantor_resolution,
+    make_grid,
+    parse_domain,
+    preset_spec,
+    rasterize,
+)
 from .errors import InputError, RoughGGError
 from .fields import (
     linear_field,
@@ -81,10 +88,12 @@ def _load_spec(args):
 
 
 def _build_set(args):
-    spec = _load_spec(args)
     if args.grid < 1:
         raise InputError(f"--grid must be a positive integer, got {args.grid}")
     spacing = 1.0 / args.grid
+    if args.preset == "cantor-cross" and args.k is not None:
+        check_cantor_resolution(args.k, spacing)  # before the spec is built
+    spec = _load_spec(args)
     return spec, rasterize(spec, make_grid(spec, spacing, margin_cells=args.margin))
 
 

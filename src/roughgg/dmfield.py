@@ -687,11 +687,11 @@ def mollify_field(F: FluxField, eps: float) -> FluxField:
     """Facet-wise one-sided mollification, one facet axis at a time
     (``onesided.smooth_facet_values``).
 
-    Interior facets average interior neighbors of the same axis; crack and
-    boundary sides average only samples visible from their own side
-    (segments crossing a crack are dropped, the kernel is renormalized
-    over what remains).  The recorded sup bound never increases: outputs
-    are convex averages.
+    Interior facets are smoothed, and crack and boundary sides keep their
+    values.  An interior facet averages the interior facets of its axis
+    that it sees (segments crossing a crack are dropped, the kernel is
+    renormalized over what remains).  The recorded sup bound never
+    increases: outputs are convex averages.
     """
     out = F.copy()
     for a in range(F.grid.n):

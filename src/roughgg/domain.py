@@ -445,14 +445,12 @@ def rasterize(spec: DomainSpec, grid: Grid) -> RoughSet:
 
     A cell is true iff its center lies in the shape; cracks snap to the
     nearest facet chain (each endpoint moves less than half a cell per
-    axis).  The Cantor-cross preset of generation k needs spacing <= 3^-k,
-    so that each Cantor interval is resolved.  Identical inputs give
-    bit-identical results.
+    axis).  The Cantor-cross preset must resolve its generation
+    (``check_cantor_resolution``).  Identical inputs give bit-identical
+    results.
     """
-    if spec.preset == "cantor-cross" and grid.spacing > 3.0 ** (-spec.k) + 1e-12:
-        raise GridTooCoarseError(
-            f"spacing {grid.spacing} too coarse for generation {spec.k} (need <= 3^-{spec.k})"
-        )
+    if spec.preset == "cantor-cross":
+        check_cantor_resolution(spec.k, grid.spacing)
     lo, hi = spec.bbox()
     glo, ghi = grid.bounds()
     if np.any(lo - grid.spacing < glo) or np.any(hi + grid.spacing > ghi):
@@ -483,6 +481,15 @@ def _cantor_intervals(k: int) -> list[tuple[float, float]]:
             nxt.append((hi - third, hi))
         intervals = nxt
     return intervals
+
+
+def check_cantor_resolution(k: int, spacing: float) -> None:
+    """The Cantor-cross preset of generation k needs spacing <= 3^-k, so
+    that each Cantor interval is resolved.  Cheap, so it can run before
+    the 4^(k+1) crack segments are built."""
+    if k >= 0 and spacing > 3.0 ** (-k) + 1e-12:
+        raise GridTooCoarseError(
+            f"spacing {spacing} too coarse for generation {k} (need <= 3^-{k})")
 
 
 def cantor_cross_spec(k: int) -> DomainSpec:

@@ -1,18 +1,18 @@
 """Crack-respecting one-sided mollification of staggered fields.
 
-Smoothing near a crack must not mix the two sides, or the very jump the
-trace theory is about would be destroyed.  ``smooth_facet_values`` smooths
-one facet axis: it builds the kernel, the crack planes, the plain
-normalized convolution of the interior values and the band that needs
-more care once, then fills the interior facets and the MINUS and PLUS
-sides from them.  Outside the band a facet takes the plain convolution.
+Smoothing must not mix the two sides of a crack, or the very jump the
+trace theory is about would be destroyed.  The rule is one line:
+interior facets are smoothed, and crack and boundary sides keep their
+values.  ``smooth_facet_values`` smooths one facet axis: it builds the
+kernel, the crack planes, the plain normalized convolution of the
+interior values and the band that needs more care once, then fills the
+interior facets.  Outside the band a facet takes the plain convolution.
 Inside it, samples are taken in mirror-image pairs about the facet and a
 pair is kept only when both members are interior samples visible from
-the facet's probe point (segments crossing a crack facet are dropped);
-a side is probed a quarter cell into its own cell.  The surviving weight
-set is symmetric, so the average is second-order faithful to smooth data,
-stays a convex combination (the recorded field bound never grows), and
-degenerates to the identity on fully occluded sides.
+the facet (segments crossing a crack facet are dropped).  The surviving
+weight set is symmetric, so the average is second-order faithful to
+smooth data and stays a convex combination (the recorded field bound
+never grows).
 """
 
 from __future__ import annotations
@@ -29,16 +29,9 @@ def _crack_planes(grid: Grid, crack_masks) -> list[tuple[int, float, np.ndarray]
     index mask) records for fast segment-crossing tests."""
     planes = []
     for b in range(grid.n):
-        mask = crack_masks[b]
-        if not mask.any():
-            continue
-        levels = np.unique(np.argwhere(mask)[:, b])
-        for lev in levels:
-            sl = [slice(None)] * grid.n
-            sl[b] = int(lev)
-            transverse = mask[tuple(sl)]
+        for lev in np.unique(np.nonzero(crack_masks[b])[b]):
             coord = grid.origin[b] + float(lev) * grid.spacing
-            planes.append((b, coord, transverse.copy()))
+            planes.append((b, coord, np.take(crack_masks[b], lev, axis=b)))
     return planes
 
 
@@ -90,21 +83,22 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     """One-sided mollified (vminus, vplus) of ``F`` on the axis-``axis``
     facets, as new arrays.
 
-    Interior facets take one value (written to both sides); each MINUS and
-    PLUS slot averages only what its own side sees; exterior slots keep
-    their values.  See the module docstring for the band rule.
+    Interior facets take one smoothed value (written to both sides); MINUS,
+    PLUS and exterior slots keep their values.  See the module docstring
+    for the band rule.
     """
     grid, top = F.grid, F.topology
     kernel = MollifierKernel(eps, grid)
     weights, R = kernel.weights, kernel.radius_cells
     sample = top.interior[axis]
     values = np.where(sample, F.vminus[axis], 0.0)
-    num = convolve_same(values, weights)
-    den = convolve_same(sample.astype(float), weights)
-    plain = num / np.maximum(den, 1e-300)
+    # outside the band a sample's kernel window holds only samples
+    smoothed = (convolve_same(values, weights)
+                / np.maximum(convolve_same(sample.astype(float), weights), 1e-300))
     planes = _crack_planes(grid, top.crack)
-    near = ((ndimage.maximum_filter((~sample).astype(np.uint8), size=2 * R + 1) > 0)
-            | _near_crack_band(grid, axis, planes, eps))
+    band = sample & ((ndimage.maximum_filter((~sample).astype(np.uint8),
+                                             size=2 * R + 1) > 0)
+                     | _near_crack_band(grid, axis, planes, eps))
 
     # np.argwhere lists the symmetric support in an order that negation
     # reverses: its first half holds one offset of each mirror pair, and
@@ -122,35 +116,21 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     vpad = vpad.ravel()
     mpad = np.pad(sample, R).ravel()
 
-    centers = grid.facet_center_mesh(axis)
-    vminus, vplus = F.vminus[axis].copy(), F.vplus[axis].copy()
-    for targets, probe, fallback, dests in (
-            (top.interior[axis], 0.0, F.vminus[axis], (vminus, vplus)),
-            (top.minus[axis], -0.25 * grid.spacing, F.vminus[axis], (vminus,)),
-            (top.plus[axis], 0.25 * grid.spacing, F.vplus[axis], (vplus,))):
-        smoothed = np.where(den > 1e-12, plain, fallback)
-        band = targets & near
-        if band.any():
-            base = (np.argwhere(band) + R) @ strides
-            points = [np.broadcast_to(c, values.shape)[band] for c in centers]
-            points[axis] = points[axis] + probe
-            acc_num = np.zeros(base.shape[0])
-            acc_den = np.zeros(base.shape[0])
-            for off, shift, w in zip(pair_off, shifts, pair_w):
-                ok = mpad[base + shift] & mpad[base - shift]
-                if planes and ok.any():
-                    for d in (off * grid.spacing, -off * grid.spacing):
-                        d[axis] -= probe
-                        ok &= ~_blocked(grid, planes, points, d)
-                okf = ok.astype(float)
-                acc_num += w * (vpad[base + shift] + vpad[base - shift]) * okf
-                acc_den += 2.0 * w * okf
-            ok0 = mpad[base].astype(float)
-            acc_num += center_w * vpad[base] * ok0
-            acc_den += center_w * ok0
-            smoothed[band] = np.where(acc_den > 0.0,
-                                      acc_num / np.maximum(acc_den, 1e-300),
-                                      fallback[band])
-        for dest in dests:
-            dest[targets] = smoothed[targets]
-    return vminus, vplus
+    base = (np.argwhere(band) + R) @ strides
+    points = [np.broadcast_to(c, values.shape)[band]
+              for c in grid.facet_center_mesh(axis)]
+    acc_num = np.zeros(base.shape[0])
+    acc_den = np.zeros(base.shape[0])
+    for off, shift, w in zip(pair_off, shifts, pair_w):
+        ok = mpad[base + shift] & mpad[base - shift]
+        if planes and ok.any():
+            for d in (off * grid.spacing, -off * grid.spacing):
+                ok &= ~_blocked(grid, planes, points, d)
+        okf = ok.astype(float)
+        acc_num += w * (vpad[base + shift] + vpad[base - shift]) * okf
+        acc_den += 2.0 * w * okf
+    # the centre is the target itself, always a sample
+    smoothed[band] = (acc_num + center_w * vpad[base]) / (acc_den + center_w)
+
+    return (np.where(sample, smoothed, F.vminus[axis]),
+            np.where(sample, smoothed, F.vplus[axis]))

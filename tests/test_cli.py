@@ -212,3 +212,20 @@ def test_grid_zero_exit_2():
     proc = run("classify", "--preset", "square", "--grid", "0")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_large_cantor_generation_exit_2_before_building(monkeypatch):
+    # generation 40 would need 4^41 crack segments; the spacing rule must
+    # refuse it before any segment is built
+    import roughgg.domain
+    from roughgg import cli
+
+    def refuse(k):
+        raise AssertionError(f"cantor intervals built for k={k}")
+
+    monkeypatch.setattr(roughgg.domain, "_cantor_intervals", refuse)
+    assert cli.main(["approx", "--preset", "cantor-cross", "--k", "40",
+                     "--grid", "36"]) == 2
+    # a negative generation is refused by the spec, not by an overflowing 3^-k
+    assert cli.main(["approx", "--preset", "cantor-cross", "--k", "-5000",
+                     "--grid", "36"]) == 2

@@ -488,6 +488,46 @@ def test_weak_convergence_rows_are_public_pairing_gaps(domain, slit_square_32):
         assert row["gap"] == max(gaps)
 
 
+_SIDE_SETS = {
+    "slit-square-32": lambda: preset_set("slit-square", 1.0 / 32.0, margin_cells=4),
+    "slit-disk-64": lambda: preset_set("slit-disk", 1.0 / 64.0, margin_cells=4),
+    "l-shape-48": lambda: preset_set("l-shape", 1.0 / 48.0, margin_cells=4),
+    "cantor-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4),
+    "slit-cube-8": _slit_cube_8,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("domain", list(_SIDE_SETS))
+def test_mollify_keeps_side_values(domain, seed):
+    # crack ends, junctions, corners and 3D crack edges are where a side
+    # could reach around to the other side; no side slot may change
+    set_ = _SIDE_SETS[domain]()
+    top = set_.topology
+    F = random_facet_noise(set_, seed=seed)
+    for mult in (4, 2):
+        Fe = mollify_field(F, mult * set_.grid.spacing)
+        assert Fe.sup_bound <= F.sup_bound
+        for a in range(set_.grid.n):
+            assert np.array_equal(Fe.vminus[a][top.minus[a]], F.vminus[a][top.minus[a]])
+            assert np.array_equal(Fe.vplus[a][top.plus[a]], F.vplus[a][top.plus[a]])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_slit_disk_ladder_rows_do_not_increase(seed):
+    disk = preset_set("slit-disk", 1.0 / 128.0, margin_cells=4)
+    rows = trace_weak_convergence(sample_field(seeded_trig_field(seed), disk, 1.0))["rows"]
+    gaps = [row["gap"] for row in rows]
+    assert all(b <= a for a, b in zip(gaps, gaps[1:])), gaps
+
+
+@pytest.mark.parametrize("seed", [1001, 1004])
+def test_cantor_cross_ladder_converges(seed):
+    cantor = preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4)
+    table = trace_weak_convergence(sample_field(seeded_trig_field(seed), cantor, 1.0))
+    assert table["verdict"] == "CONVERGENT", table["rows"]
+
+
 # --- product rule -------------------------------------------------------------
 
 
