@@ -66,7 +66,7 @@ from .errors import (
     InvariantViolation,
     RoughGGError,
 )
-from .gridcore import MINUS, PLUS, FacetArrays, Grid, Window
+from .gridcore import MINUS, PLUS, FacetArrays, Grid
 from .measure import (
     AhlforsReport,
     BoundaryDecomposition,

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, touching
+from .gridcore import FacetArrays, Grid, touches_edge, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -221,24 +221,22 @@ def interior_approximation(set_: RoughSet, delta: float,
     )
 
 
-def exterior_approximation(set_: RoughSet, delta: float,
-                           window=None) -> ApproxReport:
+def exterior_approximation(set_: RoughSet, delta: float) -> ApproxReport:
     """Outer approximation: apply the interior construction to the
-    complement within a strictly larger window and complement back.
+    complement within the grid, which must strictly contain the set, and
+    complement back.
 
     Cracks are invisible here (they lie inside the body, hence outside
     the complement), so the bound is against the reduced part alone; the
-    reported perimeter includes the window's interior offset wall.
+    reported perimeter includes the wall offset inward from the grid's
+    edge.
     """
-    from .gridcore import Window
-
     grid = set_.grid
-    window = window or Window.full(grid)
-    if not window.strictly_contains_cells(set_.cells):
-        raise InputError("window must strictly contain the set")
-    comp = set_.complement_within(window)
+    if touches_edge(set_.cells):
+        raise InputError("the grid must strictly contain the set")
+    comp = set_.complement_within()
     inner = interior_approximation(comp, delta)
-    f_cells = window.mask(grid) & ~inner.e_cells
+    f_cells = ~inner.e_cells
     red, _ = reduced_facets(set_)
     star_out = red.count() * grid.facet_area
     per_est = perimeter(grid, f_cells, 2.0 * grid.spacing)

@@ -29,7 +29,6 @@ from .dmfield import (
 )
 from .domain import (
     PRESET_NAMES,
-    check_cantor_resolution,
     make_grid,
     parse_domain,
     preset_spec,
@@ -90,11 +89,8 @@ def _load_spec(args):
 def _build_set(args):
     if args.grid < 1:
         raise InputError(f"--grid must be a positive integer, got {args.grid}")
-    spacing = 1.0 / args.grid
-    if args.preset == "cantor-cross" and args.k is not None:
-        check_cantor_resolution(args.k, spacing)  # before the spec is built
     spec = _load_spec(args)
-    return spec, rasterize(spec, make_grid(spec, spacing, margin_cells=args.margin))
+    return spec, rasterize(spec, make_grid(spec, 1.0 / args.grid, margin_cells=args.margin))
 
 
 def _finite_positive(text: str) -> float:
@@ -402,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("ROUGHGG_THREADS"):
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["ROUGHGG_THREADS"])
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from .dmfield import FluxField, TraceData, divergence_measure, trace_measure
 from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
-from .gridcore import MINUS, PLUS, Window, lift, side_orient
+from .gridcore import MINUS, PLUS, lift, side_orient, touches_edge
 
 # Fixed multigrid constants (not tuning knobs): coarsening stops at
 # COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;
@@ -266,8 +266,7 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
     return _audit(F.tighten(), td, "DIRECT", tol, [(iterations, depth)])
 
 
-def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
-                     window: Window | None = None) -> SolveReport:
+def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveReport:
     """Two-step solve through the reduced-boundary problem.
 
     Step 1 builds a box-wide field G whose divergence is the negated
@@ -279,15 +278,14 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10,
     """
     grid = set_.grid
     dx = grid.spacing
-    window = window or Window.full(grid)
     _require_finite(td)
-    if not window.strictly_contains_cells(set_.cells):
-        raise InputError("decomposition window must strictly contain the set")
+    if touches_edge(set_.cells):
+        raise InputError("the grid must strictly contain the set to decompose")
     if not is_compatible(td):
         raise CompatibilityError(
             f"globally incompatible trace data: integral {td.integral}"
         )
-    box_cells = window.mask(grid)
+    box_cells = np.ones(grid.extents, dtype=bool)
     box_set = RoughSet(grid, box_cells)
     edge_masks = [box_set.topology.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
     b = -dx * td.inflow_per_cell()

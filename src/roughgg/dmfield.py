@@ -29,7 +29,7 @@ import numpy as np
 
 from .domain import FacetTopology, RoughSet
 from .errors import InputError, InvariantViolation
-from .gridcore import MINUS, PLUS, FacetArrays, Grid, Window, faces, lift, side_orient, touching
+from .gridcore import MINUS, PLUS, FacetArrays, Grid, faces, lift, side_orient, touches_edge, touching
 from .measure import _fit_loglog
 from .mollify import MollifierKernel
 from .onesided import smooth_facet_values
@@ -281,18 +281,17 @@ def sample_field(f, set_: RoughSet, sup_bound: float) -> FluxField:
     return F
 
 
-def extend_by_zero(F: FluxField, window: Window | None = None) -> FluxField:
-    """Zero extension onto a window that strictly contains the body.
+def extend_by_zero(F: FluxField) -> FluxField:
+    """Zero extension onto the grid, which must strictly contain the body.
 
     Crack facets keep both one-sided values; former boundary facets keep
     the inside value against an outside value of zero.  In the extended
     field those facets are interior, so their jumps become divergence.
     """
     grid = F.grid
-    window = window or Window.full(grid)
-    if not window.strictly_contains_cells(F.set.cells):
-        raise InputError("extension window must strictly contain the set")
-    box_set = RoughSet(grid, window.mask(grid))
+    if touches_edge(F.set.cells):
+        raise InputError("the grid must strictly contain the set to extend by zero")
+    box_set = RoughSet(grid, np.ones(grid.extents, dtype=bool))
     out = FluxField(box_set, F.sup_bound)
     for a in range(grid.n):
         out.vminus[a][...] = F.vminus[a]
@@ -512,7 +511,7 @@ class TraceData:
 TraceMeasure = TraceData
 
 
-def trace_measure(F: FluxField, star_diagnostic=None) -> TraceData:
+def trace_measure(F: FluxField) -> TraceData:
     """Normal trace of F: the one-sided outward flux on every legal side,
     ``gminus = vminus`` and ``gplus = -vplus``, whether or not the two
     sides of a crack facet differ.  Where a facet's sides differ this is
@@ -520,19 +519,8 @@ def trace_measure(F: FluxField, star_diagnostic=None) -> TraceData:
 
     Also audits, exactly, that the reduced-boundary part equals twice the
     mean-flux pairing against the indicator gradient (the discrete form
-    of the halving identity for mollified indicators).  A refinement
-    diagnostic may be attached: boundary-measure growth draws a warning,
-    never a failure (the construction needs only the extension property).
+    of the halving identity for mollified indicators).
     """
-    if star_diagnostic is not None and star_diagnostic.slope > 0.1:
-        import warnings
-
-        warnings.warn(
-            "boundary measure grows under refinement "
-            f"(slope {star_diagnostic.slope:.3f}); trace densities may "
-            "not stay bounded in the limit",
-            stacklevel=2,
-        )
     Ft = extend_by_zero(F)
     div_ext = divergence_measure(Ft)
     tm = TraceData(F.set)

@@ -173,8 +173,11 @@ def _numbers(value, path: str, shape: tuple = ()):
     level: its required length, or None for any); anything else is a
     DomainSemanticError naming the node path."""
     if not shape:
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        try:  # a JSON integer too large for a float overflows here
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
             raise DomainSemanticError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if not isinstance(value, list) or shape[0] not in (None, len(value)):
@@ -348,14 +351,10 @@ class RoughSet:
         # overlapping records: fall back to facet counting
         return total_facets * self.grid.facet_area
 
-    def complement_within(self, window=None) -> "RoughSet":
-        """Indicator complement inside a cell window; cracks are dropped
-        (they lie inside the body, hence outside the complement)."""
-        from .gridcore import Window
-
-        window = window or Window.full(self.grid)
-        cells = window.mask(self.grid) & ~self.cells
-        return RoughSet(self.grid, cells)
+    def complement_within(self) -> "RoughSet":
+        """Indicator complement inside the grid; cracks are dropped (they
+        lie inside the body, hence outside the complement)."""
+        return RoughSet(self.grid, ~self.cells)
 
 
 def _snap_node(grid: Grid, p) -> tuple[int, ...]:
@@ -445,23 +444,26 @@ def rasterize(spec: DomainSpec, grid: Grid) -> RoughSet:
 
     A cell is true iff its center lies in the shape; cracks snap to the
     nearest facet chain (each endpoint moves less than half a cell per
-    axis).  The Cantor-cross preset must resolve its generation
-    (``check_cantor_resolution``).  Identical inputs give bit-identical
-    results.
+    axis).  The Cantor-cross preset needs spacing <= 3^-k to resolve its
+    generation k; the check runs before its 4^(k+1) cracks are built.
+    Identical inputs give bit-identical results.
     """
+    cracks = spec.cracks
     if spec.preset == "cantor-cross":
-        check_cantor_resolution(spec.k, grid.spacing)
+        # clamped so a huge k cannot overflow the power; 3^-1000 is 0.0
+        if grid.spacing > 3.0 ** -min(spec.k, 1000) + 1e-12:
+            raise GridTooCoarseError(f"spacing {grid.spacing} too coarse for "
+                                     f"generation {spec.k} (need <= 3^-{spec.k})")
+        cracks = _cantor_cracks(spec.k)
     lo, hi = spec.bbox()
     glo, ghi = grid.bounds()
     if np.any(lo - grid.spacing < glo) or np.any(hi + grid.spacing > ghi):
         raise InputError("grid must cover the shape bounding box with one cell of margin")
     centers = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
     cells = spec.shape.contains(centers)
-    cracks = FacetArrays(grid)
-    records = []
-    for crack in spec.cracks:
-        records.append(_snap_crack(grid, crack, cracks))
-    return RoughSet(grid, cells, cracks, tuple(records))
+    masks = FacetArrays(grid)
+    records = tuple(_snap_crack(grid, crack, masks) for crack in cracks)
+    return RoughSet(grid, cells, masks, records)
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +485,8 @@ def _cantor_intervals(k: int) -> list[tuple[float, float]]:
     return intervals
 
 
-def check_cantor_resolution(k: int, spacing: float) -> None:
-    """The Cantor-cross preset of generation k needs spacing <= 3^-k, so
-    that each Cantor interval is resolved.  Cheap, so it can run before
-    the 4^(k+1) crack segments are built."""
-    if k >= 0 and spacing > 3.0 ** (-k) + 1e-12:
-        raise GridTooCoarseError(
-            f"spacing {spacing} too coarse for generation {k} (need <= 3^-{k})")
-
-
-def cantor_cross_spec(k: int) -> DomainSpec:
-    """Disk of radius 2 with cracks on the boundaries of the generation-k
-    Cantor-square grid inside the unit square."""
-    if k < 0:
-        raise DomainSemanticError("generation must be >= 0")
+def _cantor_cracks(k: int) -> list[Segment]:
+    """The 4^(k+1) edges of the generation-k Cantor squares."""
     cracks = []
     iv = _cantor_intervals(k)
     for x0, x1 in iv:
@@ -505,9 +495,16 @@ def cantor_cross_spec(k: int) -> DomainSpec:
             cracks.append(Segment((x0, y1), (x1, y1)))
             cracks.append(Segment((x0, y0), (x0, y1)))
             cracks.append(Segment((x1, y0), (x1, y1)))
-    return DomainSpec(
-        shape=Disk((0.0, 0.0), 2.0), cracks=tuple(cracks), preset="cantor-cross", k=k
-    )
+    return cracks
+
+
+def cantor_cross_spec(k: int) -> DomainSpec:
+    """Disk of radius 2 with cracks on the boundaries of the generation-k
+    Cantor-square grid inside the unit square.  Only ``k`` is recorded:
+    ``rasterize`` checks the spacing, then builds the cracks."""
+    if k < 0:
+        raise DomainSemanticError("generation must be >= 0")
+    return DomainSpec(shape=Disk((0.0, 0.0), 2.0), preset="cantor-cross", k=k)
 
 
 def preset_spec(name: str, k: int | None = None) -> DomainSpec:

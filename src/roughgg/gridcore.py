@@ -75,6 +75,12 @@ def touching(masks) -> np.ndarray:
     return out
 
 
+def touches_edge(cells: np.ndarray) -> bool:
+    """True if a true cell lies in the grid's outer layer of cells, so the
+    grid does not strictly contain the set."""
+    return any(np.take(cells, [0, -1], axis=a).any() for a in range(cells.ndim))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``extents`` cells with edge length ``spacing``.
@@ -232,38 +238,3 @@ class FacetArrays:
 
     def intersection_count(self, other: "FacetArrays") -> int:
         return int(sum(int((a & b).sum()) for a, b in zip(self.masks, other.masks)))
-
-
-@dataclass(frozen=True)
-class Window:
-    """Axis-aligned cell-index box ``lo <= i < hi`` on a grid."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(l >= h for l, h in zip(self.lo, self.hi)):
-            raise InputError("window must be nonempty")
-
-    @staticmethod
-    def full(grid: Grid) -> "Window":
-        return Window(tuple(0 for _ in grid.extents), grid.extents)
-
-    def slices(self) -> tuple[slice, ...]:
-        return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
-
-    def mask(self, grid: Grid) -> np.ndarray:
-        m = np.zeros(grid.extents, dtype=bool)
-        m[self.slices()] = True
-        return m
-
-    def strictly_contains_cells(self, cells: np.ndarray) -> bool:
-        """True if every true cell sits inside with >= 1 cell of margin."""
-        idx = np.argwhere(cells)
-        if idx.size == 0:
-            return True
-        lo = idx.min(axis=0)
-        hi = idx.max(axis=0) + 1
-        return bool(
-            np.all(lo > np.asarray(self.lo)) and np.all(hi < np.asarray(self.hi))
-        )

@@ -151,8 +151,9 @@ def read_trace_csv(path: str, grid: Grid) -> dict:
 
     Every row must name an existing facet of ``grid``: the axis lies in
     [0, n) and each index in [0, facet_shape(axis)), so no index wraps.
+    No facet side may be named twice.
     """
-    out = {}
+    out, line_of = {}, {}
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -185,5 +186,9 @@ def read_trace_csv(path: str, grid: Grid) -> dict:
                 raise InputError(
                     f"trace CSV line {line_no}: facet index {idx} outside "
                     f"the axis-{axis} facet grid {shape}")
-            out[(axis, idx, side)] = g
+            key = (axis, idx, side)
+            if key in line_of:
+                raise InputError(f"trace CSV line {line_no}: facet side {key} "
+                                 f"already given on line {line_of[key]}")
+            out[key], line_of[key] = g, line_no
     return out

@@ -193,11 +193,10 @@ def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecom
     )
 
 
-def perimeter(grid: Grid, cells: np.ndarray, eps: float,
-              window=None) -> float:
+def perimeter(grid: Grid, cells: np.ndarray, eps: float) -> float:
     """Perimeter estimate: total variation of the mollified indicator.
 
-    Integrates |grad(chi * rho_eps)| over the window; for a smooth set the
+    Integrates |grad(chi * rho_eps)| over the grid; for a smooth set the
     value converges to the true perimeter as spacing and eps shrink with
     eps/spacing fixed.
     """
@@ -212,8 +211,6 @@ def perimeter(grid: Grid, cells: np.ndarray, eps: float,
         mag = np.hypot(grads[0], grads[1])
     else:
         mag = np.sqrt(sum(g**2 for g in grads))
-    if window is not None:
-        mag = mag[window.slices()]
     return float(mag.sum() * grid.cell_volume)
 
 

@@ -17,7 +17,6 @@ from roughgg.approx import (
 )
 from roughgg.domain import RoughSet, make_grid, parse_domain, preset_set, rasterize
 from roughgg.errors import InputError
-from roughgg.gridcore import Window
 from roughgg.measure import boundary_decomposition, classify, density
 
 
@@ -149,14 +148,6 @@ def test_exterior_approximation_crack_invisible():
         adj |= crack[tuple(sl_lo)]
         adj |= crack[tuple(sl_hi)]
         assert bool(np.all(rep.e_cells[adj]))
-
-
-def test_exterior_approximation_window_precondition():
-    set_ = preset_set("square", 1.0 / 32.0, margin_cells=2)
-    idx = np.argwhere(set_.cells)
-    tight = Window(tuple(idx.min(axis=0)), tuple(idx.max(axis=0) + 1))
-    with pytest.raises(InputError):
-        exterior_approximation(set_, 1.0 / 4.0, window=tight)
 
 
 def test_smooth_levelset_halfplane_and_disk():

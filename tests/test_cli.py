@@ -135,6 +135,19 @@ def test_solve_div_non_finite_exit_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
 
 
+def test_solve_div_repeated_trace_row_exit_2(tmp_path):
+    tr = tmp_path / "tr.csv"
+    proc = run("trace", "--preset", "square", "--grid", "16", "--csv", str(tr))
+    assert proc.returncode == 0
+    lines = tr.read_text().splitlines()
+    bad = tmp_path / "dup.csv"
+    bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+    proc = run("solve-div", "--preset", "square", "--grid", "16",
+               "--trace", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert "line 2" in proc.stderr
+
+
 def test_bad_input_exit_2(tmp_path):
     proc = run("classify", "--domain", '{"shape":{"op":"disk","r":-2}}',
                "--grid", "16")
@@ -171,7 +184,8 @@ def test_bad_flag_values_exit_2(tmp_path, args):
     '{"shape": {"op": "box", "min": [-1, -1], "max": [1, 1]},'
     ' "cracks": [{"seg": [[0, 0]]}]}',
     '{"preset": "cantor-cross", "k": "x"}',
-], ids=["r-nan", "r-string", "box-no-max", "seg-one-point", "k-string"])
+    '{"preset": "cantor-cross", "k": 1' + "0" * 400 + '}',
+], ids=["r-nan", "r-string", "box-no-max", "seg-one-point", "k-string", "k-huge"])
 def test_bad_domain_json_exit_2(doc):
     proc = run("classify", "--domain", doc, "--grid", "16")
     assert proc.returncode == 2, proc.stderr
@@ -219,6 +233,7 @@ def test_large_cantor_generation_exit_2_before_building(monkeypatch):
     # refuse it before any segment is built
     import roughgg.domain
     from roughgg import cli
+    from roughgg.errors import GridTooCoarseError
 
     def refuse(k):
         raise AssertionError(f"cantor intervals built for k={k}")
@@ -229,3 +244,11 @@ def test_large_cantor_generation_exit_2_before_building(monkeypatch):
     # a negative generation is refused by the spec, not by an overflowing 3^-k
     assert cli.main(["approx", "--preset", "cantor-cross", "--k", "-5000",
                      "--grid", "36"]) == 2
+    # nor is a generation beyond the float range an overflow
+    assert cli.main(["approx", "--preset", "cantor-cross", "--k", "9" * 400,
+                     "--grid", "36"]) == 2
+    # the generation of a domain document meets the same rule
+    assert cli.main(["classify", "--domain", '{"preset": "cantor-cross", "k": 40}',
+                     "--grid", "36"]) == 2
+    with pytest.raises(GridTooCoarseError):
+        roughgg.domain.preset_set("cantor-cross", 1.0 / 36.0, k=40)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from roughgg.approx import exterior_approximation
+from roughgg.divsolve import solve_decomposed
 from roughgg.dmfield import (
     FluxField,
+    TraceData,
     VectorTestFunction,
     bv_trace_check,
     default_phi_basis,
@@ -22,7 +25,7 @@ from roughgg.dmfield import (
     trace_measure,
     trace_weak_convergence,
 )
-from roughgg.domain import preset_set
+from roughgg.domain import RoughSet, preset_set
 from roughgg.errors import InputError
 from roughgg.fields import (
     constant_field,
@@ -32,7 +35,7 @@ from roughgg.fields import (
     separated_smooth_field,
     slit_jump_field,
 )
-from roughgg.gridcore import MINUS, PLUS, Window
+from roughgg.gridcore import MINUS, PLUS
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +159,19 @@ def test_extension_zero_field(square_32):
     assert divergence_measure(extend_by_zero(F)).total_variation == 0.0
 
 
-def test_extension_window_must_contain(square_32):
-    idx = np.argwhere(square_32.cells)
-    tight = Window(tuple(idx.min(axis=0)), tuple(idx.max(axis=0) + 1))
-    F = sample_field(constant_field([1.0, 0.0]), square_32, 1.0)
+@pytest.mark.parametrize("edge", [(0, 0), (1, -1)], ids=["axis0-low", "axis1-high"])
+@pytest.mark.parametrize("build", [
+    lambda s: extend_by_zero(FluxField(s, 1.0)),
+    lambda s: solve_decomposed(s, TraceData(s)),
+    lambda s: exterior_approximation(s, 8 * s.grid.spacing),
+], ids=["extend_by_zero", "solve_decomposed", "exterior_approximation"])
+def test_grid_must_strictly_contain_the_set(square_32, build, edge):
+    # zero extension needs a layer of grid cells outside the body
+    axis, index = edge
+    cells = square_32.cells.copy()
+    np.moveaxis(cells, axis, 0)[index] = True
     with pytest.raises(InputError):
-        extend_by_zero(F, tight)
+        build(RoughSet(square_32.grid, cells))
 
 
 # --- pairings and summation by parts --------------------------------------
@@ -637,22 +647,6 @@ def test_three_dimensional_trace_and_divergence():
     tm = trace_measure(F)
     crack_pairs = np.concatenate([tm.net(a)[rs.cracks.masks[a]] for a in range(3)])
     assert crack_pairs.size and np.allclose(crack_pairs, -2.0)
-
-
-def test_trace_measure_warns_on_growing_boundary():
-    import warnings
-
-    from roughgg.domain import preset_spec
-    from roughgg.measure import star_condition_diagnostic
-
-    diag = star_condition_diagnostic(preset_spec("cantor-cross", k=1),
-                                     [3.0 ** (-k) for k in (1, 2, 3)])
-    set_ = preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4)
-    F = sample_field(separated_smooth_field(), set_, 1.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        trace_measure(F, star_diagnostic=diag)
-    assert any("grows under refinement" in str(w.message) for w in caught)
 
 
 def test_bounds_hold_for_rough_fields():

@@ -146,6 +146,16 @@ def test_trace_csv_malformed(tmp_path, square_32):
         read_trace_csv(path, square_32.grid)
 
 
+@pytest.mark.parametrize("repeat", ["0,1,1,0,0.5", "0,1,1,0,-0.5"],
+                         ids=["same-value", "conflicting-value"])
+def test_trace_csv_repeated_side(tmp_path, square_32, repeat):
+    path = os.path.join(tmp_path, "dup.csv")
+    with open(path, "w") as handle:
+        handle.write("axis,i0,i1,side,g\n0,1,1,0,0.5\n0,2,1,0,0.5\n" + repeat + "\n")
+    with pytest.raises(InputError, match="line 4.*line 2"):
+        read_trace_csv(path, square_32.grid)
+
+
 def test_atomic_write_leaves_no_partial(tmp_path):
     target = os.path.join(tmp_path, "out.json")
     atomic_write_text(target, "content")
