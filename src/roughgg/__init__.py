@@ -71,14 +71,10 @@ from .measure import (
     AhlforsReport,
     BoundaryDecomposition,
     Classification,
-    DensityProfile,
-    FacetMeasure,
     ahlfors_constant,
     boundary_decomposition,
     classify,
     density,
-    density_profile,
-    hausdorff_measure,
     perimeter,
     star_condition_diagnostic,
 )

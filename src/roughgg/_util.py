@@ -8,7 +8,7 @@ import math
 import os
 import tempfile
 
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 
 
 def thread_cap() -> int | None:
@@ -97,17 +97,22 @@ def dumps_json(obj) -> str:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file + rename so interrupted runs leave no output."""
+    """Write via a temp file + rename so interrupted runs leave no output.
+    A path that cannot be written (missing directory, a directory) raises
+    InputError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-roughgg-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-roughgg-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -29,7 +29,7 @@ from .dmfield import (
     trace_weak_convergence,
 )
 from .domain import cantor_cross_spec, preset_set
-from .errors import RoughGGError
+from .errors import InputError, RoughGGError
 from .fields import (
     linear_field,
     seeded_trig_field,
@@ -361,6 +361,8 @@ CRITERIA = [
 
 
 def run_acceptance(only: int | None = None, stream=print) -> int:
+    if only is not None and all(number != only for number, *_ in CRITERIA):
+        raise InputError(f"no acceptance criterion numbered {only}")
     failures = 0
     for number, name, fn in CRITERIA:
         if only is not None and number != only:

@@ -31,7 +31,6 @@ from .measure import (
     classify,
     density,
     perimeter,
-    reduced_facets,
 )
 from .mollify import MollifierKernel
 
@@ -203,8 +202,7 @@ def interior_approximation(set_: RoughSet, delta: float,
         raise InvariantViolation("result touches a crack facet")
     audit_cover(set_, cover, targets)
     per_est = perimeter(grid, e_cells, 2.0 * dx)
-    red_e, _ = reduced_facets(RoughSet(grid, e_cells))
-    per_facets = red_e.count() * grid.facet_area
+    per_facets = RoughSet(grid, e_cells).reduced_measure
     removed_volume = (set_.cell_count - int(e_cells.sum())) * grid.cell_volume
     star = bd.star_measure
     kappa = totals.get(STAR_COVER, 0.0) / star if star > 0.0 else 0.0
@@ -237,15 +235,13 @@ def exterior_approximation(set_: RoughSet, delta: float) -> ApproxReport:
     comp = set_.complement_within()
     inner = interior_approximation(comp, delta)
     f_cells = ~inner.e_cells
-    red, _ = reduced_facets(set_)
-    star_out = red.count() * grid.facet_area
+    star_out = set_.reduced_measure
     per_est = perimeter(grid, f_cells, 2.0 * grid.spacing)
-    red_f, _ = reduced_facets(RoughSet(grid, f_cells))
     return ApproxReport(
         delta=delta,
         e_cells=f_cells,
         perimeter_estimate=per_est,
-        perimeter_facets=red_f.count() * grid.facet_area,
+        perimeter_facets=RoughSet(grid, f_cells).reduced_measure,
         removed_volume=(int(f_cells.sum()) - set_.cell_count) * grid.cell_volume,
         star_measure=star_out,
         ratio=per_est / star_out if star_out > 0.0 else math.inf,

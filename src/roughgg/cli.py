@@ -172,14 +172,11 @@ def cmd_perimeter(args) -> int:
     _, set_ = _build_set(args)
     eps = args.eps if args.eps else 4.0 * set_.grid.spacing
     value = perimeter(set_.grid, set_.cells, eps)
-    from .measure import reduced_facets
-
-    red, _ = reduced_facets(set_)
     report = {
         "spacing": set_.grid.spacing,
         "eps": eps,
         "perimeter_estimate": value,
-        "perimeter_facet_count": red.count() * set_.grid.facet_area,
+        "perimeter_facet_count": set_.reduced_measure,
     }
     if args.out:
         _write_json(args.out, report)
@@ -312,7 +309,10 @@ def cmd_solve_div(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {args.out_dir}: {exc.strerror or exc}") from exc
     manifest = {}
     for name in PRESET_NAMES:
         spec = preset_spec(name)

@@ -188,13 +188,13 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
     return u_cells, iterations, vcycle.depth
 
 
-def _gradient_fluxes(grid, cells, edge_masks, u_cells, dx):
-    """Edge flux (u_lower - u_upper)/dx on the allowed edges."""
+def _gradient_fluxes(grid, edge_masks, u_cells, dx):
+    """Edge flux (u_lower - u_upper)/dx on the allowed edges, whose two
+    cells are both graph nodes."""
     out = []
     for a in range(grid.n):
         u_lo, u_up = lift(u_cells, a)
-        m_lo, m_up = lift(cells, a)
-        em = edge_masks[a] & m_lo & m_up
+        em = edge_masks[a]
         v = np.zeros(grid.facet_shape(a))
         v[em] = (u_lo[em] - u_up[em]) / dx
         out.append(v)
@@ -254,7 +254,7 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
     b = -dx * td.inflow_per_cell()
     b[~set_.cells] = 0.0
     u_cells, iterations, depth = _laplacian_solve(set_.cells, interior, b, tol)
-    fluxes = _gradient_fluxes(grid, set_.cells, interior, u_cells, dx)
+    fluxes = _gradient_fluxes(grid, interior, u_cells, dx)
     F = FluxField(set_, 1.0)
     for a in range(grid.n):
         F.vminus[a][...] = fluxes[a]
@@ -289,9 +289,8 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
     box_set = RoughSet(grid, box_cells)
     edge_masks = [box_set.topology.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
     b = -dx * td.inflow_per_cell()
-    b[~box_cells] = 0.0
     u_cells, iterations, depth = _laplacian_solve(box_cells, edge_masks, b, tol)
-    fluxes = _gradient_fluxes(grid, box_cells, edge_masks, u_cells, dx)
+    fluxes = _gradient_fluxes(grid, edge_masks, u_cells, dx)
 
     G = FluxField(box_set, 1.0)
     topo = set_.topology

@@ -339,6 +339,14 @@ class RoughSet:
     def volume(self) -> float:
         return self.cell_count * self.grid.cell_volume
 
+    @property
+    def reduced_measure(self) -> float:
+        """(n-1)-measure of the reduced boundary: reduced facets times
+        facet area.  With ``crack_length()`` it is H^{n-1}(boundary minus
+        the measure-theoretic exterior)."""
+        count = sum(int(m.sum()) for m in self.topology.boundary)
+        return count * self.grid.facet_area
+
     def crack_length(self) -> float:
         """Total crack size with the polyline correction applied."""
         total_facets = self.cracks.count()

@@ -177,26 +177,6 @@ class Grid:
         lo = np.asarray(self.origin)
         return lo, lo + np.asarray(self.extents) * self.spacing
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "spacing": self.spacing,
-            "origin": list(self.origin),
-            "extents": list(self.extents),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Grid":
-        try:
-            return Grid(
-                n=int(obj["n"]),
-                spacing=float(obj["spacing"]),
-                origin=tuple(obj["origin"]),
-                extents=tuple(obj["extents"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed grid object: {exc}") from exc
-
 
 class FacetArrays:
     """Per-axis boolean masks over facet slots; a set of facets in bulk form.

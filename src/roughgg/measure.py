@@ -4,8 +4,10 @@ Cells are labeled interior / exterior / essential-boundary by the volume
 fraction of the body in a reference ball (one fixed radius, default 8
 spacings, thresholds at tau and 1-tau).  The boundary decomposes into
 reduced facets (indicator jumps), the explicit crack part, and
-exterior-density boundary cells; their combined (n-1)-measure is the
-quantity every bound in this package is measured against.
+exterior-density boundary cells.  The boundary measure every bound in
+this package is measured against, H^{n-1} of the boundary minus the
+measure-theoretic exterior, is ``RoughSet.reduced_measure`` plus
+``RoughSet.crack_length()``.
 """
 
 from __future__ import annotations
@@ -26,21 +28,6 @@ ESSBOUNDARY = 1
 INTERIOR = 2
 
 DEFAULT_TAU = 0.05
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Volume-fraction samples of a set in shrinking balls at one point."""
-
-    point: tuple[float, ...]
-    radii: tuple[float, ...]
-    ratios: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
-            raise InputError("radii must be strictly decreasing")
-        if any(not 0.0 <= r <= 1.0 for r in self.ratios):
-            raise InputError("ratios must lie in [0, 1]")
 
 
 @dataclass
@@ -68,7 +55,6 @@ class BoundaryDecomposition:
     measure of the boundary minus the measure-theoretic exterior."""
 
     reduced: FacetArrays
-    inside_lower: list[np.ndarray]  # per axis: body is on the lower side
     crack_part: FacetArrays
     exterior_part: np.ndarray  # bool cells
     reduced_measure: float
@@ -77,15 +63,6 @@ class BoundaryDecomposition:
     @property
     def star_measure(self) -> float:
         return self.reduced_measure + self.crack_measure
-
-
-@dataclass
-class FacetMeasure:
-    """Uniform surface measure on a facet set (optionally length-corrected)."""
-
-    facets: FacetArrays
-    weight_per_facet: float
-    total: float
 
 
 @dataclass
@@ -111,14 +88,6 @@ def density(set_: RoughSet, center, r: float) -> float:
     count = int((set_.cells[window] & inside).sum())
     ratio = count * grid.cell_volume / (unit_ball_volume(grid.n) * r**grid.n)
     return float(min(1.0, max(0.0, ratio)))
-
-
-def density_profile(set_: RoughSet, point, radii) -> DensityProfile:
-    radii = tuple(float(r) for r in radii)
-    if radii and radii[-1] < 4.0 * set_.grid.spacing:
-        raise InputError("smallest profile radius must be >= 4 spacings")
-    ratios = tuple(density(set_, point, r) for r in radii)
-    return DensityProfile(tuple(float(x) for x in point), radii, ratios)
 
 
 def _density_field(set_: RoughSet, r: float) -> np.ndarray:
@@ -164,31 +133,19 @@ def classify(set_: RoughSet, r_star: float | None = None,
     return Classification(labels=labels, density_at_finest=dens, r_star=r_star, tau=tau)
 
 
-def reduced_facets(set_: RoughSet) -> tuple[FacetArrays, list[np.ndarray]]:
-    """Facets separating indicator-true from indicator-false cells.
-
-    Returns the facet masks and, per axis, the sub-mask where the body is
-    on the lower side of the facet (both from ``set_.topology``).
-    """
-    top = set_.topology
-    return FacetArrays(set_.grid, list(top.boundary)), list(top.inside_lower)
-
-
 def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecomposition:
     """Split the discrete boundary into the reduced part, the crack part,
     and exterior-density boundary cells, with the combined measure."""
-    grid = set_.grid
-    reduced, inside_lower = reduced_facets(set_)
+    reduced = FacetArrays(set_.grid, list(set_.topology.boundary))
     overlap = reduced.intersection_count(set_.cracks)
     if overlap:
         raise InputError("crack facets may not coincide with reduced facets")
     exterior_part = touching(reduced.masks) & ~set_.cells & (cls.labels == EXTERIOR)
     return BoundaryDecomposition(
         reduced=reduced,
-        inside_lower=inside_lower,
         crack_part=set_.cracks.copy(),
         exterior_part=exterior_part,
-        reduced_measure=reduced.count() * grid.facet_area,
+        reduced_measure=set_.reduced_measure,
         crack_measure=set_.crack_length(),
     )
 
@@ -212,27 +169,6 @@ def perimeter(grid: Grid, cells: np.ndarray, eps: float) -> float:
     else:
         mag = np.sqrt(sum(g**2 for g in grads))
     return float(mag.sum() * grid.cell_volume)
-
-
-def hausdorff_measure(grid: Grid, facets: FacetArrays,
-                      source_length: float | None = None) -> FacetMeasure:
-    """Uniform (n-1)-measure on a facet set.
-
-    With a polyline source attached (snapped cracks) the total is
-    corrected to the source length; facet counting alone overestimates
-    staircase-snapped slanted sets.
-    """
-    count = facets.count()
-    raw_total = count * grid.facet_area
-    if count == 0:
-        return FacetMeasure(facets=facets.copy(), weight_per_facet=0.0, total=0.0)
-    if source_length is None:
-        return FacetMeasure(facets=facets.copy(), weight_per_facet=grid.facet_area,
-                            total=raw_total)
-    scale = source_length / raw_total
-    return FacetMeasure(facets=facets.copy(),
-                        weight_per_facet=grid.facet_area * scale,
-                        total=float(source_length))
 
 
 def ahlfors_constant(grid: Grid, facets: FacetArrays,

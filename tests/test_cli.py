@@ -177,6 +177,28 @@ def test_bad_flag_values_exit_2(tmp_path, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "file-as-out-dir"])
+def test_unwritable_output_exit_2(tmp_path, target):
+    if target == "file-as-out-dir":
+        out = tmp_path / "taken"
+        out.write_text("")
+        proc = run("gallery", "--out-dir", str(out))
+    else:
+        out = tmp_path / "nodir" / "x.json" if target == "missing-dir" else tmp_path
+        proc = run("classify", "--preset", "square", "--grid", "16", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert str(out) in proc.stderr
+
+
+@pytest.mark.parametrize("number", ["0", "12"])
+def test_accept_unknown_criterion_exit_2(number):
+    proc = run("accept", "--only", number)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("doc", [
     '{"shape": {"op": "disk", "r": NaN}}',
     '{"shape": {"op": "disk", "r": "x"}}',

@@ -382,10 +382,8 @@ def test_null_space_constant_shift_invariance(square_32):
     b[~square_32.cells] = 0.0
     u, _, _ = _laplacian_solve(square_32.cells, topo.interior, b, 1e-10)
     shifted = u + np.where(square_32.cells, 17.25, 0.0)
-    f1 = _gradient_fluxes(square_32.grid, square_32.cells, topo.interior, u,
-                          square_32.grid.spacing)
-    f2 = _gradient_fluxes(square_32.grid, square_32.cells, topo.interior,
-                          shifted, square_32.grid.spacing)
+    f1 = _gradient_fluxes(square_32.grid, topo.interior, u, square_32.grid.spacing)
+    f2 = _gradient_fluxes(square_32.grid, topo.interior, shifted, square_32.grid.spacing)
     for a in range(2):
         assert np.allclose(f1[a], f2[a], atol=1e-9)
 

@@ -199,13 +199,6 @@ def test_grid_invariants():
         Grid(n=4, spacing=0.1, origin=(0, 0, 0, 0), extents=(2, 2, 2, 2))
 
 
-def test_grid_json_round_trip():
-    g = Grid(n=2, spacing=0.125, origin=(-1.0, -2.0), extents=(16, 32))
-    assert Grid.from_json(g.to_json()) == g
-    with pytest.raises(InputError):
-        Grid.from_json({"n": 2})
-
-
 def test_preset_gallery_counts():
     for name in ("square", "disk", "slit-square", "slit-disk", "l-shape"):
         rs = preset_set(name, 1.0 / 16.0)
@@ -239,6 +232,20 @@ def test_three_dimensional_box_with_rect_crack():
     assert rs.cell_count == 512
     assert rs.cracks.count() == 16
     assert rs.crack_length() == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("name", ["square", "slit-square", "l-shape"])
+@pytest.mark.parametrize("n_per_unit", [16, 64])
+def test_reduced_measure_oracle(name, n_per_unit):
+    # perimeter 8 for all three; the slit is a crack, not reduced boundary
+    rs = preset_set(name, 1.0 / n_per_unit)
+    assert rs.reduced_measure == 8.0
+
+
+def test_reduced_measure_oracle_3d_box():
+    spec = parse_domain('{"shape":{"op":"box","min":[-1,-1,-1],"max":[1,1,1]}}')
+    rs = rasterize(spec, make_grid(spec, 1.0 / 8.0))
+    assert rs.reduced_measure == 24.0
 
 
 def test_three_dimensional_ball_volume():

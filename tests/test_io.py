@@ -159,10 +159,11 @@ def test_trace_csv_repeated_side(tmp_path, square_32, repeat):
 def test_atomic_write_leaves_no_partial(tmp_path):
     target = os.path.join(tmp_path, "out.json")
     atomic_write_text(target, "content")
-    assert open(target).read() == "content"
+    with open(target) as handle:
+        assert handle.read() == "content"
     # writing into a missing directory fails without creating the target
     missing = os.path.join(tmp_path, "nodir", "out.json")
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(InputError):
         atomic_write_text(missing, "x")
     assert not os.path.exists(missing)
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-roughgg")]

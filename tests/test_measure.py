@@ -14,10 +14,7 @@ from roughgg.measure import (
     boundary_decomposition,
     classify,
     density,
-    density_profile,
-    hausdorff_measure,
     perimeter,
-    reduced_facets,
     star_condition_diagnostic,
 )
 
@@ -67,16 +64,6 @@ def test_density_errors(square_32):
         density(square_32, (0.0, 0.0), dx)  # radius below two cells
     with pytest.raises(InputError):
         density(square_32, (1.0, 1.0), 10.0)  # ball exits the grid
-
-
-def test_density_profile_invariants(square_32):
-    dx = square_32.grid.spacing
-    prof = density_profile(square_32, (0.0, 0.0), [32 * dx, 16 * dx, 8 * dx])
-    assert all(0.0 <= r <= 1.0 for r in prof.ratios)
-    with pytest.raises(InputError):
-        density_profile(square_32, (0.0, 0.0), [8 * dx, 16 * dx])
-    with pytest.raises(InputError):
-        density_profile(square_32, (0.0, 0.0), [2 * dx])
 
 
 def test_classify_full_box_ring(square_32):
@@ -232,16 +219,6 @@ def test_perimeter_complement_symmetry():
     ) < 1e-9
 
 
-def test_hausdorff_measure_counts(slit_square_32):
-    grid = slit_square_32.grid
-    fm = hausdorff_measure(grid, slit_square_32.cracks)
-    assert fm.total == pytest.approx(2.0)
-    fm2 = hausdorff_measure(grid, slit_square_32.cracks, source_length=1.7)
-    assert fm2.total == pytest.approx(1.7)
-    empty = hausdorff_measure(grid, FacetArrays(grid))
-    assert empty.total == 0.0
-
-
 def test_ahlfors_straight_segment():
     set_ = preset_set("slit-disk", 1.0 / 128.0)
     dx = set_.grid.spacing
@@ -252,7 +229,7 @@ def test_ahlfors_straight_segment():
 
 def test_ahlfors_square_boundary_brute_force():
     set_ = preset_set("square", 1.0 / 64.0)
-    red, _ = reduced_facets(set_)
+    red = FacetArrays(set_.grid, set_.topology.boundary)
     dx = set_.grid.spacing
     radii = [8 * dx, 16 * dx, 32 * dx, 1.0, 2.0]
     rep = ahlfors_constant(set_.grid, red, radii=radii)  # exhaustive centers
@@ -270,7 +247,7 @@ def test_ahlfors_square_boundary_brute_force():
 def test_ahlfors_monotone_in_facets():
     set_ = preset_set("slit-square", 1.0 / 32.0)
     dx = set_.grid.spacing
-    red, _ = reduced_facets(set_)
+    red = FacetArrays(set_.grid, set_.topology.boundary)
     small = set_.cracks
     big = small.union(red)
     radii = [8 * dx, 16 * dx]
