@@ -29,7 +29,8 @@ import numpy as np
 
 from .domain import FacetTopology, RoughSet
 from .errors import InputError, InvariantViolation
-from .gridcore import MINUS, PLUS, FacetArrays, Grid, faces, lift, side_orient, touches_edge, touching
+from .gridcore import (MINUS, PLUS, FacetArrays, Grid, box_any, faces, lift, side_orient,
+                       touches_edge, touching)
 from .measure import _fit_loglog
 from .mollify import MollifierKernel
 from .onesided import smooth_facet_values
@@ -527,9 +528,9 @@ def trace_measure(F: FluxField) -> TraceData:
     return tm
 
 
-def trace_linfinity_check(tm: TraceData, F: FluxField,
-                          c_check: float = 4.0) -> dict:
-    """Sup bound on the trace density against the field bound."""
+def trace_linfinity_check(tm: TraceData, F: FluxField) -> dict:
+    """Sup bound on the trace density against 4 times the field bound."""
+    c_check = 4.0
     ginf = tm.g_infinity
     sup = F.sup_bound
     ratio = ginf / sup if sup > 0.0 else 0.0
@@ -823,11 +824,9 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
     inside-minus-outside pairing collapses to the (here absent)
     divergence concentrated on the interface.
     """
-    from scipy import ndimage
-
     grid = F.grid
     e_cells = np.asarray(e_cells, dtype=bool)
-    grown = ndimage.binary_dilation(e_cells, structure=np.ones((3,) * grid.n, dtype=bool))
+    grown = box_any(e_cells, 1)
     if not bool(np.all(F.set.cells[grown])):
         raise InputError("E must be compactly contained in the body (1-cell margin)")
     if bool(np.any(touching(F.topology.crack) & grown)):
@@ -961,9 +960,10 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
     return {"rows": rows, "bound_rows": bound_rows, "order": order}
 
 
-def extension_bound_check(F: FluxField, c_ext: float = 2.0) -> dict:
-    """Variation of the extended divergence against the interior variation
-    plus the field bound times the boundary measure."""
+def extension_bound_check(F: FluxField) -> dict:
+    """Variation of the extended divergence against twice the interior
+    variation plus the field bound times the boundary measure."""
+    c_ext = 2.0
     lhs = divergence_measure(extend_by_zero(F)).total_variation
     tv_inner = divergence_measure(F).total_variation
     star = F.set.reduced_measure + F.set.crack_length()

@@ -186,6 +186,12 @@ def _numbers(value, path: str, shape: tuple = ()):
     return tuple(_numbers(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(value))
 
 
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise DomainSemanticError(f"{path}: expected a JSON array, got {value!r}")
+    return value
+
+
 def _parse_shape(node, path: str) -> Shape:
     if not isinstance(node, dict) or "op" not in node:
         raise DomainSemanticError(f"{path}: shape node must be an object with 'op'")
@@ -209,10 +215,15 @@ def _parse_shape(node, path: str) -> Shape:
         if len(pts) < 3:
             raise DomainSemanticError(f"{path}: polygon needs >= 3 vertices")
         return Polygon(pts)
-    args = node.get("args", ())
+    args = _array(node.get("args", []), f"{path}.args")
     if len(args) < 2:
         raise DomainSemanticError(f"{path}: {op} needs >= 2 operands")
-    return BoolOp(op, tuple(_parse_shape(s, f"{path}.args[{i}]") for i, s in enumerate(args)))
+    shapes = tuple(_parse_shape(s, f"{path}.args[{i}]") for i, s in enumerate(args))
+    dims = [len(s.bbox()[0]) for s in shapes]  # a polygon's bbox has 2 coordinates
+    for i, dim in enumerate(dims):
+        if dim != dims[0]:
+            raise DomainSemanticError(f"{path}.args[{i}]: {dim}D operand in a {dims[0]}D {op}")
+    return BoolOp(op, shapes)
 
 
 def _parse_crack(node, path: str):
@@ -252,9 +263,8 @@ def parse_domain(text: str) -> DomainSpec:
     if "shape" not in doc:
         raise DomainSemanticError("document needs 'shape' or 'preset'")
     shape = _parse_shape(doc["shape"], "shape")
-    cracks = tuple(
-        _parse_crack(c, f"cracks[{i}]") for i, c in enumerate(doc.get("cracks", ()))
-    )
+    cracks = tuple(_parse_crack(c, f"cracks[{i}]")
+                   for i, c in enumerate(_array(doc.get("cracks", []), "cracks")))
     return DomainSpec(shape=shape, cracks=cracks)
 
 

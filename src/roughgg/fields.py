@@ -55,8 +55,9 @@ def constant_field(vec):
     return f
 
 
-def seeded_trig_field(seed: int, sup_bound: float = 1.0, terms: int = 3):
-    """Random bounded trigonometric field, reproducible from the seed."""
+def seeded_trig_field(seed: int):
+    """Random trigonometric field bounded by 1, reproducible from the seed."""
+    terms = 3
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=(2, terms))
     freqs = rng.integers(1, 4, size=(2, terms)).astype(float)
@@ -71,7 +72,7 @@ def seeded_trig_field(seed: int, sup_bound: float = 1.0, terms: int = 3):
             for t in range(terms):
                 arg = freqs[a, t] * (X[..., 0] + 0.7 * X[..., 1]) + phases[a, t]
                 acc += coeffs[a, t] * np.cos(arg)
-            out[..., a] = sup_bound * acc / norms[a]
+            out[..., a] = acc / norms[a]
         return out
 
     return f

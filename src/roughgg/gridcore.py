@@ -13,6 +13,9 @@ Conventions used throughout the package:
   lower cell's outgoing face in the +a direction; ``orient(PLUS) = -1``.
   The classical outward flux seen from side ``s`` is therefore
   ``orient(s) * value(s)`` where ``value`` is the stored +a component.
+- ``box_any`` is the one box filter.  Slots off the array hold False in the
+  mask being dilated (``box_any(mask, r)``) or eroded
+  (``~box_any(~mask, r, outside=True)``), so an erosion clears the outer layer.
 """
 
 from __future__ import annotations
@@ -63,6 +66,20 @@ def faces(facets: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     lower[axis] = slice(0, -1)
     upper[axis] = slice(1, None)
     return facets[tuple(lower)], facets[tuple(upper)]
+
+
+def box_any(mask: np.ndarray, r: int, outside: bool = False) -> np.ndarray:
+    """True where the (2r+1)^n box around a slot holds a true slot; slots
+    off the array count as ``outside``."""
+    out = np.pad(np.asarray(mask, dtype=bool), r, constant_values=outside)
+    for a in range(out.ndim):
+        view = np.moveaxis(out, a, 0)
+        m = view.shape[0] - 2 * r
+        acc = view[:m].copy()
+        for k in range(1, 2 * r + 1):
+            acc |= view[k:k + m]
+        out = np.moveaxis(acc, 0, a)
+    return out
 
 
 def touching(masks) -> np.ndarray:

@@ -30,16 +30,16 @@ def write_pgm(path: str, levels: np.ndarray) -> None:
     atomic_write_bytes(path, pgm_bytes(levels))
 
 
-def trace_strip_levels(side_weights: dict, grid: Grid, height: int = 16) -> np.ndarray:
+def trace_strip_levels(side_weights: dict, grid: Grid) -> np.ndarray:
     """Trace densities unrolled along lexicographically ordered boundary
-    facet sides, mapped to gray levels (128 = zero)."""
+    facet sides, mapped to gray levels (128 = zero), 16 pixels high."""
     keys = sorted(side_weights)
     if not keys:
-        return np.full((1, height), 128, dtype=np.uint8)
+        return np.full((1, 16), 128, dtype=np.uint8)
     vals = np.array([side_weights[k] for k in keys]) / grid.facet_area
     vmax = np.abs(vals).max() or 1.0
     gray = np.clip(128 + 127 * vals / vmax, 0, 255).astype(np.uint8)
-    return np.repeat(gray[:, None], height, axis=1)
+    return np.repeat(gray[:, None], 16, axis=1)
 
 
 def flux_field_bytes(F: FluxField) -> bytes:

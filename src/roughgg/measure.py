@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .domain import RoughSet
 from .errors import InputError
-from .gridcore import FacetArrays, Grid, touching, unit_ball_volume
+from .gridcore import FacetArrays, Grid, box_any, touching, unit_ball_volume
 from .mollify import MollifierKernel, convolve_same
 
 EXTERIOR = 0
@@ -124,9 +123,8 @@ def classify(set_: RoughSet, r_star: float | None = None,
     labels = np.full(grid.extents, ESSBOUNDARY, dtype=np.int8)
     labels[dens >= 1.0 - tau] = INTERIOR
     labels[dens <= tau] = EXTERIOR
-    structure = np.ones((3,) * grid.n, dtype=bool)
-    deep_in = ndimage.binary_erosion(set_.cells, structure=structure)
-    deep_out = ndimage.binary_erosion(~set_.cells, structure=structure)
+    deep_in = ~box_any(~set_.cells, 1, outside=True)
+    deep_out = ~box_any(set_.cells, 1, outside=True)
     labels[deep_in] = INTERIOR
     labels[deep_out] = EXTERIOR
     labels[touching(set_.cracks.masks)] = INTERIOR

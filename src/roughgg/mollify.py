@@ -8,7 +8,7 @@ import scipy.fft
 
 from ._util import fft_context
 from .errors import InputError
-from .gridcore import Grid
+from .gridcore import Grid, faces, lift
 
 
 def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -83,24 +83,15 @@ def masked_gradient(values: np.ndarray, mask: np.ndarray, spacing: float) -> np.
     n = values.ndim
     out = np.zeros(values.shape + (n,))
     for a in range(n):
-        fwd_val = np.roll(values, -1, axis=a)
-        bwd_val = np.roll(values, 1, axis=a)
-        fwd_ok = np.roll(mask, -1, axis=a)
-        bwd_ok = np.roll(mask, 1, axis=a)
-        edge_lo = [slice(None)] * n
-        edge_hi = [slice(None)] * n
-        edge_lo[a] = 0
-        edge_hi[a] = -1
-        bwd_ok = bwd_ok.copy()
-        fwd_ok = fwd_ok.copy()
-        bwd_ok[tuple(edge_lo)] = False
-        fwd_ok[tuple(edge_hi)] = False
+        lower, upper = lift(values, a)
+        bwd_val, fwd_val = faces(lower, a)[0], faces(upper, a)[1]
+        lower, upper = lift(mask, a, False)
+        bwd_ok, fwd_ok = faces(lower, a)[0], faces(upper, a)[1]
         both = fwd_ok & bwd_ok & mask
         fonly = fwd_ok & ~bwd_ok & mask
         bonly = ~fwd_ok & bwd_ok & mask
-        g = np.zeros(values.shape)
+        g = out[..., a]
         g[both] = (fwd_val[both] - bwd_val[both]) / (2.0 * spacing)
         g[fonly] = (fwd_val[fonly] - values[fonly]) / spacing
         g[bonly] = (values[bonly] - bwd_val[bonly]) / spacing
-        out[..., a] = g
     return out

@@ -18,9 +18,8 @@ never grows).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
-from .gridcore import Grid
+from .gridcore import Grid, box_any
 from .mollify import MollifierKernel, convolve_same
 
 
@@ -96,9 +95,7 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     smoothed = (convolve_same(values, weights)
                 / np.maximum(convolve_same(sample.astype(float), weights), 1e-300))
     planes = _crack_planes(grid, top.crack)
-    band = sample & ((ndimage.maximum_filter((~sample).astype(np.uint8),
-                                             size=2 * R + 1) > 0)
-                     | _near_crack_band(grid, axis, planes, eps))
+    band = sample & (box_any(~sample, R) | _near_crack_band(grid, axis, planes, eps))
 
     # np.argwhere lists the symmetric support in an order that negation
     # reverses: its first half holds one offset of each mirror pair, and

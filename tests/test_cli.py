@@ -207,12 +207,20 @@ def test_accept_unknown_criterion_exit_2(number):
     ' "cracks": [{"seg": [[0, 0]]}]}',
     '{"preset": "cantor-cross", "k": "x"}',
     '{"preset": "cantor-cross", "k": 1' + "0" * 400 + '}',
-], ids=["r-nan", "r-string", "box-no-max", "seg-one-point", "k-string", "k-huge"])
+    '{"shape": {"op": "box", "min": [-1, -1], "max": [1, 1]}, "cracks": 5}',
+    '{"shape": {"op": "box", "min": [-1, -1], "max": [1, 1]}, "cracks": null}',
+    '{"shape": {"op": "union", "args": 5}}',
+    '{"shape": {"op": "union", "args": null}}',
+    '{"shape": {"op": "union", "args": [{"op": "disk", "r": 1},'
+    ' {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]}]}}',
+], ids=["r-nan", "r-string", "box-no-max", "seg-one-point", "k-string", "k-huge",
+        "cracks-int", "cracks-null", "args-int", "args-null", "mixed-dimension"])
 def test_bad_domain_json_exit_2(doc):
     proc = run("classify", "--domain", doc, "--grid", "16")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert any(node in proc.stderr for node in ("shape", "cracks[0]", "k:"))  # names the node
+    # names the node
+    assert any(node in proc.stderr for node in ("shape", "cracks[0]", "cracks:", "k:"))
 
 
 def test_import_leaves_scipy_signal_unloaded():

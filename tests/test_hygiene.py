@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and none
+imports ``scipy.ndimage`` (box filters go through ``gridcore.box_any``)."""
 
 import ast
 import pathlib
@@ -34,6 +35,27 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _ndimage_imports(tree: ast.Module) -> list[int]:
+    """Lines importing ``scipy.ndimage``, at module level or in a function."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.ndimage" or name.startswith("scipy.ndimage.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_ndimage_import(path):
+    assert _ndimage_imports(ast.parse(path.read_text())) == []
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

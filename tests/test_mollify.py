@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 from scipy.signal import fftconvolve
 
+from roughgg.gridcore import box_any
 from roughgg.mollify import convolve_same
 
 
@@ -22,3 +27,15 @@ def test_convolve_same_equals_fftconvolve(values_shape, weights_shape):
         got = convolve_same(v, weights)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=arrays(bool, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=12)),
+       r=st.integers(1, 4))
+def test_box_any_matches_ndimage(mask, r):
+    box = np.ones((2 * r + 1,) * mask.ndim, dtype=bool)
+    assert np.array_equal(box_any(mask, r), ndimage.binary_dilation(mask, structure=box))
+    assert np.array_equal(~box_any(~mask, r, outside=True),
+                          ndimage.binary_erosion(mask, structure=box))
+    assert np.array_equal(box_any(mask, r),
+                          ndimage.maximum_filter(mask.astype(np.uint8), size=2 * r + 1) > 0)
