@@ -204,7 +204,9 @@ def cmd_approx(args) -> int:
             atomic_write_text(args.out, "\n".join(lines) + "\n")
         print(f"approx sweep: verdict {table['verdict']}")
         return 0
-    rep = interior_approximation(set_, args.delta)
+    # 8 spacings is the least scale interior_approximation accepts
+    delta = args.delta if args.delta is not None else max(0.125, 8.0 * set_.grid.spacing)
+    rep = interior_approximation(set_, delta)
     report = {
         "delta": rep.delta,
         "spacing": set_.grid.spacing,
@@ -357,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="interior approximation at one scale")
     _domain_args(p)
-    p.add_argument("--delta", type=_finite_positive, default=0.125)
+    p.add_argument("--delta", type=_finite_positive, default=None,
+                   help="approximation scale (default: 0.125 or 8 spacings, "
+                        "whichever is larger)")
     p.add_argument("--sweep", type=_scale_list,
                    help="comma-separated scales: emit CSV instead")
     p.add_argument("--out")

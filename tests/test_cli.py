@@ -78,6 +78,13 @@ def test_approx_subcommand_and_sweep(tmp_path):
     assert all(line.endswith("BOUNDED") for line in lines[1:])
 
 
+def test_approx_default_scale_on_a_coarse_grid(tmp_path):
+    out = tmp_path / "a.json"
+    proc = run("approx", "--preset", "cantor-cross", "--grid", "36", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["delta"] == 8.0 / 36.0
+
+
 def test_gg_check_subcommand(tmp_path):
     out = tmp_path / "gg.json"
     proc = run("gg-check", "--preset", "slit-square", "--grid", "32",

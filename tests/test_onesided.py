@@ -1,0 +1,200 @@
+"""One-sided mollification against a reference that runs the visibility
+test on every band point and both halves of every mirror pair, and the
+crossing test at the edges of its reach."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from roughgg.dmfield import mollify_field, sample_field
+from roughgg.domain import make_grid, parse_domain, preset_set, rasterize
+from roughgg.errors import CrackPlacementError
+from roughgg.fields import random_facet_noise, seeded_trig_field
+from roughgg.gridcore import box_any
+from roughgg.mollify import MollifierKernel, convolve_same
+from roughgg.onesided import _blocked, _crack_planes, _near_crack_band, _plane_reach
+
+
+def _reference_blocked(grid, planes, starts, delta):
+    """Does the one segment start -> start + delta cross a crack facet?"""
+    blocked = np.zeros(starts[0].shape, dtype=bool)
+    for b, coord, transverse in planes:
+        if delta[b] == 0.0:
+            continue
+        t = (coord - starts[b]) / delta[b]
+        hit = (t > 0.0) & (t < 1.0)
+        idx = []
+        for a in range(grid.n):
+            if a == b:
+                continue
+            xa = starts[a] + t * delta[a]
+            ia = np.floor((xa - grid.origin[a]) / grid.spacing).astype(int)
+            size = transverse.shape[len(idx)]
+            hit &= (ia >= 0) & (ia < size)
+            idx.append(np.clip(ia, 0, size - 1))
+        blocked |= hit & transverse[tuple(idx)]
+    return blocked
+
+
+def _reference_smooth(F, eps, axis):
+    """The mirror-pair loop with the visibility test on every band point."""
+    grid, top = F.grid, F.topology
+    kernel = MollifierKernel(eps, grid)
+    weights, R = kernel.weights, kernel.radius_cells
+    sample = top.interior[axis]
+    values = np.where(sample, F.vminus[axis], 0.0)
+    smoothed = (convolve_same(values, weights)
+                / np.maximum(convolve_same(sample.astype(float), weights), 1e-300))
+    planes = _crack_planes(grid, top.crack)
+    band = sample & (box_any(~sample, R) | _near_crack_band(grid, axis, planes, eps))
+    support = np.argwhere(weights > 0.0)
+    half = support.shape[0] // 2
+    vpad = np.pad(values, R)
+    strides = np.array(vpad.strides) // vpad.itemsize
+    vpad = vpad.ravel()
+    mpad = np.pad(sample, R).ravel()
+    base = (np.argwhere(band) + R) @ strides
+    points = [np.broadcast_to(c, values.shape)[band] for c in grid.facet_center_mesh(axis)]
+    acc_num = np.zeros(base.shape[0])
+    acc_den = np.zeros(base.shape[0])
+    for off in support[:half] - R:
+        shift = off @ strides
+        w = weights[tuple(off + R)]
+        ok = mpad[base + shift] & mpad[base - shift]
+        for d in (off * grid.spacing, -off * grid.spacing):
+            ok &= ~_reference_blocked(grid, planes, points, d)
+        okf = ok.astype(float)
+        acc_num += w * (vpad[base + shift] + vpad[base - shift]) * okf
+        acc_den += 2.0 * w * okf
+    center_w = weights[(R,) * grid.n]
+    smoothed[band] = (acc_num + center_w * vpad[base]) / (acc_den + center_w)
+    return (np.where(sample, smoothed, F.vminus[axis]),
+            np.where(sample, smoothed, F.vplus[axis]))
+
+
+def _mollify_as_reference(F, mults):
+    """``mollify_field(F, mult * dx)`` for each mult, each checked bit for
+    bit against the reference loop."""
+    out = []
+    for mult in mults:
+        eps = mult * F.grid.spacing
+        got = mollify_field(F, eps)
+        for a in range(F.grid.n):
+            vminus, vplus = _reference_smooth(F, eps, a)
+            assert np.array_equal(got.vminus[a], vminus)
+            assert np.array_equal(got.vplus[a], vplus)
+        assert got.sup_bound == F.sup_bound
+        out.append(got)
+    return out
+
+
+def _slit_cube(half_section: bool):
+    r = 0.5 if half_section else 1.0
+    spec = parse_domain(json.dumps({
+        "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+        "cracks": [{"rect": [[-r, -r, 0.0], [r, r, 0.0]]}],
+    }))
+    return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+
+
+# on the 1/8 cubes an 8 dx kernel is wider than the 16-cell body
+@pytest.mark.parametrize("domain, mults", [
+    ("slit-square-32", (8, 4, 2)),
+    ("cantor-cross-36", (8, 4, 2)),
+    ("slit-cube-half-8", (4, 2)),
+    ("slit-cube-full-8", (4, 2)),
+])
+def test_mollify_matches_reference(domain, mults, slit_square_32):
+    set_ = {"slit-square-32": lambda: slit_square_32,
+            "cantor-cross-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2,
+                                                  margin_cells=4),
+            "slit-cube-half-8": lambda: _slit_cube(True),
+            "slit-cube-full-8": lambda: _slit_cube(False)}[domain]()
+    _mollify_as_reference(sample_field(seeded_trig_field(1), set_, 1.0), mults)
+
+
+def _eighths(n, reach=8):
+    return st.lists(st.integers(-reach, reach), min_size=n, max_size=n).map(
+        lambda v: [x / 8.0 for x in v])
+
+
+@st.composite
+def _cracked_domains(draw):
+    """A CSG shape inside [-1, 1]^n (a box, a union with a box or disk, and
+    perhaps a hole) and one to three cracks in [-3/4, 3/4]^n: segments in
+    2D, axis-aligned rectangles in 3D, on the eighths lattice.  Draws whose
+    hole cuts a crack out of the body are rejected."""
+    n = draw(st.sampled_from([2, 3]))
+    args = [{"op": "box", "min": [-1.0] * n, "max": [1.0] * n}]
+
+    def shape():
+        c = draw(_eighths(n))
+        if draw(st.booleans()):
+            return {"op": "disk", "center": c, "r": draw(st.integers(2, 6)) / 8.0}
+        size = draw(st.integers(2, 6)) / 8.0
+        return {"op": "box", "min": [x - size for x in c], "max": [x + size for x in c]}
+
+    node = {"op": "union", "args": args + [shape()]}
+    if draw(st.booleans()):
+        node = {"op": "diff", "args": [node, shape()]}
+    cracks = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(_eighths(n, 6)), draw(_eighths(n, 6))
+        if n == 2:
+            if a != b:
+                cracks.append({"seg": [a, b]})
+            continue
+        flat = draw(st.integers(0, 2))
+        b[flat] = a[flat]
+        if all(a[k] != b[k] for k in range(3) if k != flat):
+            cracks.append({"rect": [[min(x, y) for x, y in zip(a, b)],
+                                    [max(x, y) for x, y in zip(a, b)]]})
+    spacing = 1.0 / (draw(st.sampled_from([16, 24, 32])) if n == 2 else 8)
+    spec = parse_domain(json.dumps({"shape": node, "cracks": cracks}))
+    try:
+        return rasterize(spec, make_grid(spec, spacing, margin_cells=4))
+    except CrackPlacementError:
+        assume(False)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(set_=_cracked_domains(), seed=st.integers(0, 2**16))
+def test_mollify_matches_reference_on_random_cracked_domains(set_, seed):
+    F = random_facet_noise(set_, seed=seed)
+    top = set_.topology
+    for Fe in _mollify_as_reference(F, (8, 4, 2) if set_.grid.n == 2 else (4, 2)):
+        for a in range(set_.grid.n):
+            keep = ~top.interior[a]
+            assert np.array_equal(Fe.vminus[a][keep], F.vminus[a][keep])
+            assert np.array_equal(Fe.vplus[a][keep], F.vplus[a][keep])
+            # a renormalized convex average, up to its rounding
+            for new, old in ((Fe.vminus[a], F.vminus[a]), (Fe.vplus[a], F.vplus[a])):
+                assert np.abs(new).max() <= np.abs(old).max() * (1.0 + 1e-12)
+        assert Fe.sup_bound <= F.sup_bound
+
+
+def test_blocked_at_the_edges_of_reach():
+    """A crack on y = 0 for x in [-1/2, 1/2] and the offset (0, 1/4): a
+    start exactly 1/4 from the plane (t = -1) or on it (t = 0) is not
+    blocked, one a rounding step inside reach is, on either side, and one
+    whose crossing misses the crack's extent is not."""
+    spec = parse_domain(json.dumps({
+        "shape": {"op": "box", "min": [-1, -1], "max": [1, 1]},
+        "cracks": [{"seg": [[-0.5, 0.0], [0.5, 0.0]]}],
+    }))
+    set_ = rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    planes = _crack_planes(set_.grid, set_.topology.crack)
+    assert [(b, coord) for b, coord, _ in planes] == [(1, 0.0)]
+    delta = np.array([0.0, 0.25])
+    inside = np.nextafter(0.25, 0.0)
+    ys = np.array([0.25, -0.25, 0.0, inside, -inside, np.nextafter(0.25, 1.0), inside])
+    xs = np.array([0.0625] * 6 + [0.75])
+    starts = [xs, ys]
+    got = _blocked(set_.grid, planes, starts, delta, _plane_reach(planes, starts))
+    assert got.tolist() == [False, False, False, True, True, False, False]
+    want = (_reference_blocked(set_.grid, planes, starts, delta)
+            | _reference_blocked(set_.grid, planes, starts, -delta))
+    assert np.array_equal(got, want)
