@@ -13,9 +13,7 @@ from .approx import (
     BallCover,
     approximation_sweep,
     cantor_generation_sweep,
-    exterior_approximation,
     interior_approximation,
-    smooth_levelset,
 )
 from .divsolve import (
     SolveReport,

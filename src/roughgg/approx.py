@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, box_any, touches_edge, touching
+from .gridcore import FacetArrays, Grid, box_any, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -31,7 +31,6 @@ from .measure import (
     density,
     perimeter,
 )
-from .mollify import MollifierKernel
 
 EXTERIOR_HALF_DENSITY = "EXTERIOR_HALF_DENSITY"
 STAR_COVER = "STAR_COVER"
@@ -216,37 +215,6 @@ def interior_approximation(set_: RoughSet, delta: float,
     )
 
 
-def exterior_approximation(set_: RoughSet, delta: float) -> ApproxReport:
-    """Outer approximation: apply the interior construction to the
-    complement within the grid, which must strictly contain the set, and
-    complement back.
-
-    Cracks are invisible here (they lie inside the body, hence outside
-    the complement), so the bound is against the reduced part alone; the
-    reported perimeter includes the wall offset inward from the grid's
-    edge.
-    """
-    grid = set_.grid
-    if touches_edge(set_.cells):
-        raise InputError("the grid must strictly contain the set")
-    comp = set_.complement_within()
-    inner = interior_approximation(comp, delta)
-    f_cells = ~inner.e_cells
-    star_out = set_.reduced_measure
-    per_est = perimeter(grid, f_cells, 2.0 * grid.spacing)
-    return ApproxReport(
-        delta=delta,
-        e_cells=f_cells,
-        perimeter_estimate=per_est,
-        perimeter_facets=RoughSet(grid, f_cells).reduced_measure,
-        removed_volume=(int(f_cells.sum()) - set_.cell_count) * grid.cell_volume,
-        star_measure=star_out,
-        ratio=per_est / star_out if star_out > 0.0 else math.inf,
-        cover=inner.cover,
-        kappa=inner.kappa,
-    )
-
-
 def approximation_sweep(set_: RoughSet, deltas,
                         cls: Classification | None = None,
                         bd: BoundaryDecomposition | None = None) -> dict:
@@ -301,21 +269,3 @@ def cantor_generation_sweep(ks) -> dict:
     mins = [r["min_perimeter"] for r in rows]
     growing = all(b > a for a, b in zip(mins, mins[1:]))
     return {"rows": rows, "verdict": "GROWING" if growing else "BOUNDED"}
-
-
-def smooth_levelset(grid: Grid, cells: np.ndarray, eps: float,
-                    t: float) -> np.ndarray:
-    """Superlevel set of the mollified indicator: inner flavor for
-    t > 1/2, outer flavor for t < 1/2."""
-    if not 0.0 < t < 1.0:
-        raise InputError(f"level {t} must lie in (0, 1)")
-    kernel = MollifierKernel(eps, grid)
-    w = kernel.smooth_cells(np.asarray(cells, dtype=float))
-    return w > t
-
-
-def smooth_representative(grid: Grid, report: ApproxReport) -> np.ndarray:
-    """Mollified-level-set representative of the approximant: the cell
-    union is Lipschitz; callers wanting a smooth-boundary stand-in take
-    the 3/4 superlevel set of the indicator mollified at 4 cells."""
-    return smooth_levelset(grid, report.e_cells, 4.0 * grid.spacing, 0.75)

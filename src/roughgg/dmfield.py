@@ -320,15 +320,6 @@ class SignedMeasure:
         self.facet_minus = facet_minus
         self.facet_plus = facet_plus
 
-    @staticmethod
-    def zeros(grid: Grid) -> "SignedMeasure":
-        return SignedMeasure(
-            grid,
-            np.zeros(grid.extents),
-            [np.zeros(grid.facet_shape(a)) for a in range(grid.n)],
-            [np.zeros(grid.facet_shape(a)) for a in range(grid.n)],
-        )
-
     @property
     def total_variation(self) -> float:
         tv = float(np.abs(self.cell_weights).sum())
@@ -595,59 +586,33 @@ def _midpoint_pairing(F: FluxField, pp: _MidpointPhi, cell_weights: np.ndarray) 
     return total
 
 
-def normal_trace_pairing(F: FluxField, phi: TestFunction,
-                         scheme: str = "midpoint") -> float:
+def normal_trace_pairing(F: FluxField, phi: TestFunction) -> float:
     """The trace pairing: integral of phi against div F plus the flux-
     gradient integral over the body.
 
-    ``midpoint``: analytic grad(phi) at facet centers (interior facets,
-    full dual volume) and at half-cell midpoints (crack/boundary sides,
-    half volume); exact for grid-aligned piecewise-constant data against
-    polynomial phi.  The pairing is linear in the field, so it is the
-    field half (``_midpoint_pairing``) applied to the phi half
-    (``_midpoint_phi``), and callers pairing many fields of one topology
-    against the same phi build the phi half once.  ``sbp``: discrete
-    differences of phi; summation by parts then collapses the pairing to
-    the boundary/crack facet-side sum with phi at facet centers,
-    identically for any field.
+    The flux-gradient integral takes the analytic grad(phi) at facet
+    centers on interior facets (full dual volume) and at half-cell
+    midpoints on crack and boundary sides (half volume).  Where grad(phi)
+    is affine (the degree-2 ``default_phi_basis``) the pairing equals
+    ``trace_measure(F).integrate(phi)`` up to rounding, for every field
+    on the set.  The
+    pairing is linear in the field, so it is the field half
+    (``_midpoint_pairing``) applied to the phi half (``_midpoint_phi``),
+    and callers pairing many fields of one topology against the same phi
+    build the phi half once.
     """
-    if scheme not in ("midpoint", "sbp"):
-        raise InputError(f"unknown pairing scheme {scheme!r}")
-    grid = F.grid
-    div = divergence_measure(F)
-    if scheme == "midpoint":
-        return _midpoint_pairing(F, _midpoint_phi(grid, phi, F.topology), div.cell_weights)
-    area = grid.facet_area
-    Xc = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
-    phi_cells = phi.value(Xc)
-    total = float((phi_cells * div.cell_weights).sum())
-    top = F.topology
-    for a in range(grid.n):
-        interior = top.interior[a]
-        Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
-        phi_f = phi.value(Xf)
-        # centered difference across the facet: phi(upper) - phi(lower)
-        lower, upper = lift(phi_cells, a)
-        diff = upper - lower
-        total += float((F.vminus[a][interior] * diff[interior]).sum()) * area
-        for side, mask, vals, cell_phi in zip((MINUS, PLUS), (top.minus[a], top.plus[a]),
-                                              (F.vminus[a], F.vplus[a]), (lower, upper)):
-            if mask.any():
-                total += side_orient(side) * float(
-                    (vals[mask] * (phi_f - cell_phi)[mask]).sum()
-                ) * area
-    return total
+    return _midpoint_pairing(F, _midpoint_phi(F.grid, phi, F.topology),
+                             divergence_measure(F).cell_weights)
 
 
 def gauss_green_residual(F: FluxField, phi: TestFunction,
-                         tm: TraceData | None = None,
-                         scheme: str = "midpoint") -> float:
+                         tm: TraceData | None = None) -> float:
     """Gap between the trace pairing and the facet-midpoint integral of
     phi against the trace measure; exact for grid-aligned
     piecewise-constant fields, first-order small for smooth data."""
     if tm is None:
         tm = trace_measure(F)
-    lhs = normal_trace_pairing(F, phi, scheme=scheme)
+    lhs = normal_trace_pairing(F, phi)
     rhs = tm.integrate(phi)
     return abs(lhs - rhs)
 
@@ -866,7 +831,7 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
     atoms_one = _mollified_chi_pairing(F, e_cells, finest, "one")
     atoms_split = _mollified_chi_pairing(F, e_cells, finest, "split")
     for phi in phi_basis:
-        lhs = normal_trace_pairing(F_E, phi, scheme="midpoint")
+        lhs = normal_trace_pairing(F_E, phi)
         rhs = -2.0 * _facet_pairing(grid, weights_per_eps[finest], phi)
         gg_residual = max(gg_residual, abs(lhs - rhs))
         halving_residual = max(

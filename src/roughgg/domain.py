@@ -369,11 +369,6 @@ class RoughSet:
         # overlapping records: fall back to facet counting
         return total_facets * self.grid.facet_area
 
-    def complement_within(self) -> "RoughSet":
-        """Indicator complement inside the grid; cracks are dropped (they
-        lie inside the body, hence outside the complement)."""
-        return RoughSet(self.grid, ~self.cells)
-
 
 def _snap_node(grid: Grid, p) -> tuple[int, ...]:
     """Nearest grid node (vertex) to a point; each coordinate moves < dx/2."""

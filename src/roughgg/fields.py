@@ -1,11 +1,9 @@
-"""Analytic and seeded test fields used by demos and the acceptance suite."""
+"""Analytic test fields for the CLI, the demos and the acceptance suite:
+callables on (..., n) point arrays, with no dependence on a domain."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .dmfield import FluxField
-from .domain import RoughSet
 
 
 def slit_jump_field(axis: int = 1):
@@ -44,17 +42,6 @@ def linear_field():
     return f
 
 
-def constant_field(vec):
-    vec = np.asarray(vec, dtype=float)
-
-    def f(X):
-        out = np.zeros(X.shape)
-        out[...] = vec
-        return out
-
-    return f
-
-
 def seeded_trig_field(seed: int):
     """Random trigonometric field bounded by 1, reproducible from the seed."""
     terms = 3
@@ -76,18 +63,3 @@ def seeded_trig_field(seed: int):
         return out
 
     return f
-
-
-def random_facet_noise(set_: RoughSet, seed: int, sup_bound: float = 1.0) -> FluxField:
-    """Independent uniform values on every live facet side; the roughest
-    member of the bounded class, for worst-case property checks."""
-    rng = np.random.default_rng(seed)
-    F = FluxField(set_, sup_bound)
-    for a in range(set_.grid.n):
-        shape = set_.grid.facet_shape(a)
-        vals = rng.uniform(-sup_bound, sup_bound, size=shape)
-        F.vminus[a][...] = vals
-        F.vplus[a][...] = vals
-        crack = F.topology.crack[a]
-        F.vplus[a][crack] = rng.uniform(-sup_bound, sup_bound, size=shape)[crack]
-    return F.restrict()

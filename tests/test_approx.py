@@ -11,9 +11,7 @@ from roughgg.approx import (
     approximation_sweep,
     audit_cover,
     cantor_generation_sweep,
-    exterior_approximation,
     interior_approximation,
-    smooth_levelset,
 )
 from roughgg.domain import RoughSet, make_grid, parse_domain, preset_set, rasterize
 from roughgg.errors import InputError
@@ -122,65 +120,8 @@ def test_half_density_balls_on_whisker():
     assert not (rep.e_cells & whisker).any()
 
 
-def test_exterior_approximation_contains_disk():
-    set_ = preset_set("disk", 1.0 / 128.0, margin_cells=24)
-    rep = exterior_approximation(set_, 1.0 / 8.0)
-    assert bool(np.all(rep.e_cells[set_.cells]))
-    assert rep.removed_volume >= 0.0
-    perims = [
-        exterior_approximation(set_, d).perimeter_estimate
-        for d in (1 / 8, 1 / 16)
-    ]
-    assert max(perims) <= 4.0 * min(perims)
-
-
-def test_exterior_approximation_crack_invisible():
-    set_ = preset_set("slit-square", 1.0 / 64.0, margin_cells=24)
-    rep = exterior_approximation(set_, 1.0 / 8.0)
-    # every crack facet sits strictly inside the outer approximation
-    for a in range(2):
-        crack = set_.cracks.masks[a]
-        sl_lo = [slice(None)] * 2
-        sl_hi = [slice(None)] * 2
-        sl_lo[a] = slice(1, None)
-        sl_hi[a] = slice(0, -1)
-        adj = np.zeros(set_.grid.extents, bool)
-        adj |= crack[tuple(sl_lo)]
-        adj |= crack[tuple(sl_hi)]
-        assert bool(np.all(rep.e_cells[adj]))
-
-
-def test_smooth_levelset_halfplane_and_disk():
-    set_ = preset_set("square", 1.0 / 64.0, margin_cells=8)
-    grid = set_.grid
-    lv = smooth_levelset(grid, set_.cells, 8 * grid.spacing, 0.5)
-    # the level boundary tracks the square edge within one cell
-    X = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
-    inside = np.max(np.abs(X), axis=-1) < 1.0 - grid.spacing
-    outside = np.max(np.abs(X), axis=-1) > 1.0 + grid.spacing
-    assert bool(np.all(lv[inside]))
-    assert not lv[outside].any()
-    disk = preset_set("disk", 1.0 / 64.0, margin_cells=8)
-    hi = smooth_levelset(disk.grid, disk.cells, 8 * disk.grid.spacing, 0.9)
-    assert bool(np.all(disk.cells[hi]))  # inner flavor
-    lo = smooth_levelset(disk.grid, disk.cells, 8 * disk.grid.spacing, 0.1)
-    assert bool(np.all(lo[disk.cells]))  # outer flavor
-    with pytest.raises(InputError):
-        smooth_levelset(grid, set_.cells, 8 * grid.spacing, 1.5)
-
-
 def test_interior_approximation_deterministic(slit_256):
     a = interior_approximation(slit_256, 1.0 / 8.0)
     b = interior_approximation(slit_256, 1.0 / 8.0)
     assert np.array_equal(a.e_cells, b.e_cells)
     assert a.cover.balls == b.cover.balls
-
-
-def test_smooth_representative_contained():
-    from roughgg.approx import smooth_representative
-
-    set_ = preset_set("square", 1.0 / 64.0, margin_cells=4)
-    rep = interior_approximation(set_, 1.0 / 8.0)
-    smooth = smooth_representative(set_.grid, rep)
-    assert smooth.any()
-    assert bool(np.all(set_.cells[smooth]))

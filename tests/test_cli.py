@@ -1,11 +1,15 @@
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 CLI = [sys.executable, "-m", "roughgg.cli"]
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*args, cwd=None):
@@ -228,6 +232,26 @@ def test_bad_domain_json_exit_2(doc):
     assert "Traceback" not in proc.stderr
     # names the node
     assert any(node in proc.stderr for node in ("shape", "cracks[0]", "cracks:", "k:"))
+
+
+def test_readme_trace_readers_match_their_writers():
+    # a trace CSV indexes facets of one grid, so `--trace FILE` must name
+    # the domain and grid of the command that wrote `--csv FILE`
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    domain_flags = ("--preset", "--domain", "--domain-file", "--k", "--margin", "--grid")
+    written, readers = {}, 0
+    for line in "\n".join(blocks).splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["roughgg"]:
+            continue
+        flags = {k: v for k, v in zip(argv, argv[1:]) if k.startswith("--")}
+        domain = {k: flags.get(k) for k in domain_flags}
+        if "--trace" in flags:
+            assert written.get(flags["--trace"]) == domain, line
+            readers += 1
+        if "--csv" in flags:
+            written[flags["--csv"]] = domain
+    assert readers > 0
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -14,6 +14,8 @@ from roughgg.errors import CompatibilityError, InputError
 from roughgg.fields import slit_jump_field
 from roughgg.gridcore import MINUS, PLUS
 
+from conftest import constant_field, random_facet_noise
+
 
 def left_right_data(set_):
     def fn(X, nu):
@@ -433,7 +435,6 @@ def test_side_weights_are_extended_divergence_where_sides_differ(build):
     # differ, the weight of each legal side is its negated facet atom in
     # the divergence of the zero extension
     from roughgg.dmfield import extend_by_zero
-    from roughgg.fields import random_facet_noise
 
     set_ = build()
     F = random_facet_noise(set_, seed=17)
@@ -456,7 +457,7 @@ def test_side_weights_are_extended_divergence_where_sides_differ(build):
 def test_decomposed_solve_where_cracks_enclose_regions(field):
     # the Cantor cracks close off squares, so the cut-edge box graph has
     # several components; compatible data balances on each of them
-    from roughgg.fields import constant_field, separated_smooth_field
+    from roughgg.fields import separated_smooth_field
 
     set_ = preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4)
     f = constant_field([0.6, -0.8]) if field == "constant" else separated_smooth_field()

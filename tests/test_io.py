@@ -8,7 +8,7 @@ from roughgg._util import atomic_write_text, dumps_json, format_float
 from roughgg.dmfield import sample_field
 from roughgg.domain import preset_set
 from roughgg.errors import InputError, InvariantViolation
-from roughgg.fields import random_facet_noise, slit_jump_field
+from roughgg.fields import slit_jump_field
 from roughgg.io import (
     flux_field_bytes,
     pgm_bytes,
@@ -18,6 +18,8 @@ from roughgg.io import (
     write_flux_field,
     write_trace_csv,
 )
+
+from conftest import random_facet_noise
 
 
 def test_float_formatting_17_digits():

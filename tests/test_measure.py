@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roughgg.domain import preset_set, preset_spec
+from roughgg.domain import RoughSet, preset_set, preset_spec
 from roughgg.errors import InputError
 from roughgg.gridcore import FacetArrays
 from roughgg.measure import (
@@ -149,7 +149,7 @@ def test_classify_thin_strip_override():
 def test_duality_exterior_is_complement_interior(square_32):
     grid = square_32.grid
     cls = classify(square_32)
-    comp = square_32.complement_within()
+    comp = RoughSet(grid, ~square_32.cells)
     cls_c = classify(comp)
     # compare away from the grid edge where the window bias differs
     margin = 10
@@ -211,7 +211,7 @@ def test_perimeter_complement_symmetry():
     square = preset_set("square", 1.0 / 32.0, margin_cells=8)
     grid = square.grid
     eps = 4 * grid.spacing
-    comp = square.complement_within()
+    comp = RoughSet(grid, ~square.cells)
     assert abs(
         perimeter(grid, square.cells, eps)
         - (perimeter(grid, comp.cells, eps)

@@ -6,16 +6,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roughgg.dmfield import mollify_field, sample_field
 from roughgg.domain import make_grid, parse_domain, preset_set, rasterize
-from roughgg.errors import CrackPlacementError
-from roughgg.fields import random_facet_noise, seeded_trig_field
+from roughgg.fields import seeded_trig_field
 from roughgg.gridcore import box_any
 from roughgg.mollify import MollifierKernel, convolve_same
 from roughgg.onesided import _blocked, _crack_planes, _near_crack_band, _plane_reach
+
+from conftest import cracked_domains, random_facet_noise
 
 
 def _reference_blocked(grid, planes, starts, delta):
@@ -116,52 +117,8 @@ def test_mollify_matches_reference(domain, mults, slit_square_32):
     _mollify_as_reference(sample_field(seeded_trig_field(1), set_, 1.0), mults)
 
 
-def _eighths(n, reach=8):
-    return st.lists(st.integers(-reach, reach), min_size=n, max_size=n).map(
-        lambda v: [x / 8.0 for x in v])
-
-
-@st.composite
-def _cracked_domains(draw):
-    """A CSG shape inside [-1, 1]^n (a box, a union with a box or disk, and
-    perhaps a hole) and one to three cracks in [-3/4, 3/4]^n: segments in
-    2D, axis-aligned rectangles in 3D, on the eighths lattice.  Draws whose
-    hole cuts a crack out of the body are rejected."""
-    n = draw(st.sampled_from([2, 3]))
-    args = [{"op": "box", "min": [-1.0] * n, "max": [1.0] * n}]
-
-    def shape():
-        c = draw(_eighths(n))
-        if draw(st.booleans()):
-            return {"op": "disk", "center": c, "r": draw(st.integers(2, 6)) / 8.0}
-        size = draw(st.integers(2, 6)) / 8.0
-        return {"op": "box", "min": [x - size for x in c], "max": [x + size for x in c]}
-
-    node = {"op": "union", "args": args + [shape()]}
-    if draw(st.booleans()):
-        node = {"op": "diff", "args": [node, shape()]}
-    cracks = []
-    for _ in range(draw(st.integers(1, 3))):
-        a, b = draw(_eighths(n, 6)), draw(_eighths(n, 6))
-        if n == 2:
-            if a != b:
-                cracks.append({"seg": [a, b]})
-            continue
-        flat = draw(st.integers(0, 2))
-        b[flat] = a[flat]
-        if all(a[k] != b[k] for k in range(3) if k != flat):
-            cracks.append({"rect": [[min(x, y) for x, y in zip(a, b)],
-                                    [max(x, y) for x, y in zip(a, b)]]})
-    spacing = 1.0 / (draw(st.sampled_from([16, 24, 32])) if n == 2 else 8)
-    spec = parse_domain(json.dumps({"shape": node, "cracks": cracks}))
-    try:
-        return rasterize(spec, make_grid(spec, spacing, margin_cells=4))
-    except CrackPlacementError:
-        assume(False)
-
-
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(set_=_cracked_domains(), seed=st.integers(0, 2**16))
+@given(set_=cracked_domains(), seed=st.integers(0, 2**16))
 def test_mollify_matches_reference_on_random_cracked_domains(set_, seed):
     F = random_facet_noise(set_, seed=seed)
     top = set_.topology
