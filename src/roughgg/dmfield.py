@@ -44,8 +44,9 @@ from .onesided import smooth_facet_values
 class TestFunction:
     """Scalar compactly supported test function with analytic gradient.
 
-    ``value(X)`` and ``grad(X)`` take stacked coordinates of shape
-    (..., n).  The cutoff is identically 1 inside ``flat_radius`` and
+    Every method takes stacked coordinates (..., n), a full mesh or the
+    rows of a few masked slots; ``core_grad(X, axis)`` is one partial of
+    ``core(X)``.  The cutoff is identically 1 inside ``flat_radius`` and
     falls smoothly to 0 at ``support_radius``; grids are expected to fit
     inside the flat region so polynomial quadrature identities stay exact.
     """
@@ -70,9 +71,15 @@ class TestFunction:
         t = np.clip((r - lo) / (hi - lo), 0.0, 1.0)
         return -6.0 * t * (1.0 - t) / (hi - lo)
 
+    @staticmethod
+    def _radius(X):  # r^2 summed left to right over the components
+        r2 = X[..., 0] * X[..., 0]
+        for a in range(1, X.shape[-1]):
+            r2 = r2 + X[..., a] * X[..., a]
+        return np.sqrt(r2)
+
     def value(self, X: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum(X * X, axis=-1))
-        return self.core(X) * self._cutoff(r)
+        return self.core(X) * self._cutoff(self._radius(X))
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         return np.stack([self.grad_component(X, a) for a in range(X.shape[-1])],
@@ -80,12 +87,12 @@ class TestFunction:
 
     def grad_component(self, X: np.ndarray, axis: int) -> np.ndarray:
         """One partial derivative, without forming the others."""
-        r = np.sqrt(np.sum(X * X, axis=-1))
+        r = self._radius(X)
         eta = self._cutoff(r)
         deta = self._cutoff_deriv(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(r > 0.0, X[..., axis] / np.maximum(r, 1e-300), 0.0)
-        return self.core_grad(X)[..., axis] * eta + self.core(X) * deta * unit
+        return self.core_grad(X, axis) * eta + self.core(X) * deta * unit
 
     def audit(self, points: np.ndarray, step: float) -> float:
         """Max relative gap between the analytic gradient and central
@@ -114,42 +121,37 @@ def polynomial_test_function(exponents: tuple[int, ...],
                 out = out * X[..., a] ** e
         return out
 
-    def core_grad(X):
-        g = np.zeros(X.shape)
-        for a, e in enumerate(exponents):
-            if e == 0:
-                continue
-            term = e * np.ones(X.shape[:-1])
-            for b, eb in enumerate(exponents):
-                p = eb - 1 if b == a else eb
-                if p:
-                    term = term * X[..., b] ** p
-            g[..., a] = term
-        return g
+    def core_grad(X, axis):
+        if exponents[axis] == 0:
+            return np.zeros(X.shape[:-1])
+        term = exponents[axis] * np.ones(X.shape[:-1])
+        for b, eb in enumerate(exponents):
+            p = eb - 1 if b == axis else eb
+            if p:
+                term = term * X[..., b] ** p
+        return term
 
     label = name or "x^" + ",".join(str(e) for e in exponents)
     return TestFunction(core, core_grad, support_radius, name=label)
 
 
 def default_phi_basis(grid: Grid, degree: int = 2) -> list[TestFunction]:
-    """Polynomials of degree <= 2 times a cutoff that is 1 over the grid."""
+    """Monomials times a cutoff that is 1 over the grid: quadratics (in 3D
+    a subset) for ``degree=2``, plus cubics for ``degree=3``."""
+    if degree not in (2, 3):
+        raise InputError(f"phi basis degree must be 2 or 3, not {degree!r}")
     lo, hi = grid.bounds()
     radius = float(np.max(np.abs(np.stack([lo, hi])))) * math.sqrt(grid.n)
     support = 4.0 * radius + 4.0
     flat = 2.0 * radius + 2.0
-    exps = []
     if grid.n == 2:
-        exps = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1)]
-        if degree >= 2:
-            exps.append((2, 0))
-        if degree >= 3:
-            exps += [(0, 3), (3, 0), (2, 1)]
+        exps = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 0)]
+        cubics = [(0, 3), (3, 0), (2, 1)]
     else:
         exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0), (1, 1, 0)]
-        if degree >= 3:
-            exps += [(0, 0, 3), (3, 0, 0)]
+        cubics = [(0, 0, 3), (3, 0, 0)]
     out = []
-    for e in exps:
+    for e in exps + (cubics if degree == 3 else []):
         tf = polynomial_test_function(e, support)
         tf.flat_radius = flat
         out.append(tf)
@@ -410,9 +412,10 @@ class TraceData:
     def fill(self, fn) -> "TraceData":
         """Prescribe g = fn(x, nu) from facet centers and exterior normals."""
         for a, side, mask, arr in self.slots():
+            if side == MINUS:  # the first side of each axis: one facet mesh per axis
+                X = np.stack(np.broadcast_arrays(*self.grid.facet_center_mesh(a)), axis=-1)
             if not mask.any():
                 continue
-            X = np.stack(np.broadcast_arrays(*self.grid.facet_center_mesh(a)), axis=-1)
             nu = np.zeros(self.grid.n)
             nu[a] = side_orient(side)
             arr[mask] = fn(X, nu)[mask]
@@ -545,15 +548,16 @@ class _MidpointPhi:
     """The test-function half of the midpoint pairing, for one topology.
 
     ``cells`` is phi at cell centers; per axis a, ``facet[a]`` is the
-    partial derivative along a at facet centers and ``lower[a]`` /
-    ``upper[a]`` are the same derivative a quarter cell below / above the
-    facet center, or None where the topology has no such one-sided slot.
+    partial derivative along a at every facet center.  ``lower[a]`` /
+    ``upper[a]`` are 1-D arrays over the slots of ``topology.minus[a]`` /
+    ``topology.plus[a]`` in C order: the same derivative a quarter cell
+    below / above those facet centers, evaluated there only.
     """
 
     cells: np.ndarray
     facet: list[np.ndarray]
-    lower: list[np.ndarray | None]
-    upper: list[np.ndarray | None]
+    lower: list[np.ndarray]
+    upper: list[np.ndarray]
 
 
 def _midpoint_phi(grid: Grid, phi: TestFunction, top: FacetTopology) -> _MidpointPhi:
@@ -565,24 +569,23 @@ def _midpoint_phi(grid: Grid, phi: TestFunction, top: FacetTopology) -> _Midpoin
         for out, mask, sign in zip((lower, upper), (top.minus[a], top.plus[a]), (-1.0, 1.0)):
             off = np.zeros(grid.n)
             off[a] = sign * 0.25 * grid.spacing  # quarter cell into the side's cell
-            out.append(phi.grad_component(Xf + off, a) if mask.any() else None)
+            out.append(phi.grad_component(Xf[mask] + off, a))
     return _MidpointPhi(phi.value(Xc), facet, lower, upper)
 
 
 def _midpoint_pairing(F: FluxField, pp: _MidpointPhi, cell_weights: np.ndarray) -> float:
     """The field half of the midpoint pairing: ``F``, with the cell
     weights of its divergence, against a precomputed test function."""
-    grid = F.grid
-    vol = grid.cell_volume
+    vol = F.grid.cell_volume
     total = float((pp.cells * cell_weights).sum())
     top = F.topology
-    for a in range(grid.n):
+    for a in range(F.grid.n):
         interior = top.interior[a]
         total += float((F.vminus[a][interior] * pp.facet[a][interior]).sum()) * vol
         for mask, vals, dphi_half in ((top.minus[a], F.vminus[a], pp.lower[a]),
                                       (top.plus[a], F.vplus[a], pp.upper[a])):
-            if mask.any():
-                total += float((vals[mask] * dphi_half[mask]).sum()) * vol * 0.5
+            if dphi_half.size:
+                total += float((vals[mask] * dphi_half).sum()) * vol * 0.5
     return total
 
 
@@ -595,11 +598,11 @@ def normal_trace_pairing(F: FluxField, phi: TestFunction) -> float:
     midpoints on crack and boundary sides (half volume).  Where grad(phi)
     is affine (the degree-2 ``default_phi_basis``) the pairing equals
     ``trace_measure(F).integrate(phi)`` up to rounding, for every field
-    on the set.  The
-    pairing is linear in the field, so it is the field half
-    (``_midpoint_pairing``) applied to the phi half (``_midpoint_phi``),
-    and callers pairing many fields of one topology against the same phi
-    build the phi half once.
+    on the set.  The pairing is linear in the field, so it is the field
+    half (``_midpoint_pairing``) applied to the phi half
+    (``_midpoint_phi``, on stacked coordinates, with the half-cell
+    derivatives at the one-sided slots only); callers pairing many fields
+    of one topology against the same phi build the phi half once.
     """
     return _midpoint_pairing(F, _midpoint_phi(F.grid, phi, F.topology),
                              divergence_measure(F).cell_weights)
@@ -612,9 +615,7 @@ def gauss_green_residual(F: FluxField, phi: TestFunction,
     piecewise-constant fields, first-order small for smooth data."""
     if tm is None:
         tm = trace_measure(F)
-    lhs = normal_trace_pairing(F, phi)
-    rhs = tm.integrate(phi)
-    return abs(lhs - rhs)
+    return abs(normal_trace_pairing(F, phi) - tm.integrate(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from roughgg.dmfield import (
     FluxField,
     TraceData,
     VectorTestFunction,
+    _midpoint_phi,
     bv_trace_check,
     default_phi_basis,
     divergence_measure,
@@ -76,6 +77,16 @@ def test_grad_component_matches_grad_exactly():
             g = phi.grad(X)
             for a in range(n):
                 assert np.array_equal(phi.grad_component(X, a), g[..., a])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 4, 2.5, "3"])
+def test_phi_basis_degree_is_two_or_three(n, degree):
+    grid = (preset_set("square", 1.0 / 16.0, margin_cells=4) if n == 2
+            else _slit_cube_8()).grid
+    with pytest.raises(InputError):
+        default_phi_basis(grid, degree=degree)
+    assert len(default_phi_basis(grid, degree=3)) > len(default_phi_basis(grid))
 
 
 # --- sampling -------------------------------------------------------------
@@ -513,6 +524,73 @@ _SIDE_SETS = {
     "cantor-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4),
     "slit-cube-8": _slit_cube_8,
 }
+
+
+def _reference_grad_component(phi, X, axis):
+    """The monomial partial with r^2 summed by ``np.sum`` over the stacked
+    axis and the whole gradient built, of which one column is kept."""
+    exps = tuple(int(e) for e in phi.name[2:].split(","))
+    g = np.zeros(X.shape)
+    for a, e in enumerate(exps):
+        if e == 0:
+            continue
+        term = e * np.ones(X.shape[:-1])
+        for b, eb in enumerate(exps):
+            p = eb - 1 if b == a else eb
+            if p:
+                term = term * X[..., b] ** p
+        g[..., a] = term
+    r = np.sqrt(np.sum(X * X, axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(r > 0.0, X[..., axis] / np.maximum(r, 1e-300), 0.0)
+    return g[..., axis] * phi._cutoff(r) + phi.core(X) * phi._cutoff_deriv(r) * unit
+
+
+def _reference_pairing(F, phi):
+    """The midpoint pairing with every derivative evaluated on the whole
+    facet lattice and read on the slots afterwards."""
+    grid, top = F.grid, F.topology
+    vol = grid.cell_volume
+    Xc = cell_mesh(F.set)
+    phi_c = phi.core(Xc) * phi._cutoff(np.sqrt(np.sum(Xc * Xc, axis=-1)))
+    total = float((phi_c * divergence_measure(F).cell_weights).sum())
+    for a in range(grid.n):
+        Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
+        interior = top.interior[a]
+        dphi = _reference_grad_component(phi, Xf, a)
+        total += float((F.vminus[a][interior] * dphi[interior]).sum()) * vol
+        for mask, vals, sign in ((top.minus[a], F.vminus[a], -1.0),
+                                 (top.plus[a], F.vplus[a], 1.0)):
+            if mask.any():
+                off = np.zeros(grid.n)
+                off[a] = sign * 0.25 * grid.spacing
+                dphi_half = _reference_grad_component(phi, Xf + off, a)
+                total += float((vals[mask] * dphi_half[mask]).sum()) * vol * 0.5
+    return total
+
+
+def _assert_pairing_matches_reference(set_, seed):
+    F = random_facet_noise(set_, seed=seed)
+    top = set_.topology
+    for phi in default_phi_basis(set_.grid, degree=3):
+        assert normal_trace_pairing(F, phi) == _reference_pairing(F, phi), phi.name
+        pp = _midpoint_phi(set_.grid, phi, top)
+        for a in range(set_.grid.n):
+            assert pp.lower[a].shape == (int(top.minus[a].sum()),)
+            assert pp.upper[a].shape == (int(top.plus[a].sum()),)
+
+
+@pytest.mark.parametrize("domain", list(_SIDE_SETS))
+def test_pairing_matches_full_lattice_reference(domain):
+    _assert_pairing_matches_reference(_SIDE_SETS[domain](), seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_pairing_matches_reference_on_random_cracked_domains(n, data, seed):
+    _assert_pairing_matches_reference(data.draw(cracked_domains(dims=(n,)), label="set_"),
+                                      seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
