@@ -6,76 +6,48 @@ whose boundary minus the measure-theoretic exterior has finite size:
 measure-theoretic classification, uniformly-bounded-perimeter interior
 approximation, normal traces across cracks, up-to-the-boundary
 integration by parts, and prescribed-trace divergence solves.
+
+The public names below load their module on first use (PEP 562), so
+``import roughgg`` runs no submodule and loads no scipy.
 """
 
-from .approx import (
-    ApproxReport,
-    BallCover,
-    approximation_sweep,
-    cantor_generation_sweep,
-    interior_approximation,
-)
-from .divsolve import (
-    SolveReport,
-    is_compatible,
-    solve_decomposed,
-    solve_direct,
-    verify_solution,
-)
-from .dmfield import (
-    FluxField,
-    SignedMeasure,
-    TestFunction,
-    TraceData,
-    TraceMeasure,
-    VectorTestFunction,
-    bv_trace_check,
-    default_phi_basis,
-    divergence_measure,
-    extend_by_zero,
-    extension_bound_check,
-    gauss_green_residual,
-    interior_normal_trace,
-    mollify_field,
-    normal_trace_pairing,
-    polynomial_test_function,
-    product_rule_check,
-    sample_field,
-    trace_linfinity_check,
-    trace_measure,
-    trace_weak_convergence,
-)
-from .domain import (
-    DomainSpec,
-    RoughSet,
-    make_grid,
-    parse_domain,
-    preset_set,
-    preset_spec,
-    rasterize,
-)
-from .errors import (
-    CompatibilityError,
-    CrackPlacementError,
-    DomainSemanticError,
-    DomainSyntaxError,
-    GridTooCoarseError,
-    InputError,
-    InvariantViolation,
-    RoughGGError,
-)
-from .gridcore import MINUS, PLUS, FacetArrays, Grid
-from .measure import (
-    AhlforsReport,
-    BoundaryDecomposition,
-    Classification,
-    ahlfors_constant,
-    boundary_decomposition,
-    classify,
-    density,
-    perimeter,
-    star_condition_diagnostic,
-)
-from .mollify import MollifierKernel
+import importlib
 
+_EXPORTS = {
+    "approx": ("ApproxReport", "BallCover", "approximation_sweep",
+               "cantor_generation_sweep", "interior_approximation"),
+    "divsolve": ("SolveReport", "is_compatible", "solve_decomposed",
+                 "solve_direct", "verify_solution"),
+    "dmfield": ("FluxField", "SignedMeasure", "TestFunction", "TraceData",
+                "TraceMeasure", "VectorTestFunction", "bv_trace_check",
+                "default_phi_basis", "divergence_measure", "extend_by_zero",
+                "extension_bound_check", "gauss_green_residual",
+                "interior_normal_trace", "mollify_field", "normal_trace_pairing",
+                "polynomial_test_function", "product_rule_check", "sample_field",
+                "trace_linfinity_check", "trace_measure", "trace_weak_convergence"),
+    "domain": ("DomainSpec", "RoughSet", "make_grid", "parse_domain", "preset_set",
+               "preset_spec", "rasterize"),
+    "errors": ("CompatibilityError", "CrackPlacementError", "DomainSemanticError",
+               "DomainSyntaxError", "GridTooCoarseError", "InputError",
+               "InvariantViolation", "RoughGGError"),
+    "gridcore": ("MINUS", "PLUS", "FacetArrays", "Grid"),
+    "measure": ("AhlforsReport", "BoundaryDecomposition", "Classification",
+                "ahlfors_constant", "boundary_decomposition", "classify", "density",
+                "perimeter", "star_condition_diagnostic"),
+    "mollify": ("MollifierKernel",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,8 +17,6 @@ import numpy as np
 
 from . import io as rio
 from ._util import atomic_write_text, dumps_json
-from .approx import approximation_sweep, interior_approximation
-from .divsolve import solve_decomposed, solve_direct, verify_solution
 from .dmfield import (
     TraceData,
     default_phi_basis,
@@ -184,6 +182,8 @@ def cmd_perimeter(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from .approx import approximation_sweep, interior_approximation
+
     _, set_ = _build_set(args)
     if args.sweep:
         table = approximation_sweep(set_, args.sweep)
@@ -283,6 +283,8 @@ def cmd_gg_check(args) -> int:
 
 
 def cmd_solve_div(args) -> int:
+    from .divsolve import solve_decomposed, solve_direct, verify_solution
+
     _, set_ = _build_set(args)
     td = TraceData(set_)
     for key, g in rio.read_trace_csv(args.trace, set_.grid).items():

@@ -4,7 +4,6 @@ one same-mode convolution routine (``convolve_same``)."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from ._util import fft_context
 from .errors import InputError
@@ -26,6 +25,8 @@ def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a])
             for a in range(values.ndim)]
     if axes:
+        import scipy.fft
+
         fshape = [scipy.fft.next_fast_len(full[a], True) for a in axes]
         with fft_context():
             spectrum = (scipy.fft.rfftn(values, fshape, axes=axes)

@@ -1,10 +1,19 @@
 """Source hygiene: no module imports a name it never uses, and none
-imports ``scipy.ndimage`` (box filters go through ``gridcore.box_any``)."""
+imports ``scipy.ndimage`` (box filters go through ``gridcore.box_any``).
+Start-up: ``import roughgg`` loads no scipy, each CLI subcommand loads
+only the scipy it calls, and the lazy package exports stay complete."""
 
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import roughgg
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "roughgg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -96,3 +105,163 @@ def test_no_unused_private_definitions():
                for name, line in _private_definitions(tree).items()
                if name not in used]
     assert orphans == []
+
+
+# ---------------------------------------------------------------------------
+# start-up: which scipy each process loads
+# ---------------------------------------------------------------------------
+
+SCIPY_PARTS = ("scipy.fft", "scipy.sparse", "scipy.spatial")
+
+# runs one CLI command in-process and prints, as its last line, the exit
+# code and the scipy modules loaded
+PROBE = """
+import json, sys
+from roughgg.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "scipy": sorted(
+    k for k in sys.modules if k == "scipy" or k.startswith("scipy."))}))
+"""
+
+
+def _fresh_python(args, cwd=None) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=cwd, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli_scipy(tmp_path, *argv) -> set[str]:
+    """The scipy parts (``SCIPY_PARTS``) that one CLI command loads."""
+    out = _fresh_python(["-c", PROBE, *argv], cwd=tmp_path)
+    assert out["code"] == 0
+    return {part for part in SCIPY_PARTS if part in out["scipy"]}
+
+
+@pytest.mark.parametrize("module", ["roughgg", "roughgg.cli"])
+def test_import_loads_no_scipy(module):
+    out = _fresh_python(["-c", f"import json, sys, {module}; "
+                               "print(json.dumps('scipy' in sys.modules))"])
+    assert out is False
+
+
+SLIT = ["--preset", "slit-square", "--grid", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["trace", *SLIT, "--csv", "tr.csv"],
+    ["gg-check", *SLIT],
+    ["gallery", "--out-dir", "gallery"],
+], ids=lambda argv: argv[0])
+def test_subcommand_loads_no_scipy(tmp_path, argv):
+    out = _fresh_python(["-c", PROBE, *argv], cwd=tmp_path)
+    assert out == {"code": 0, "scipy": []}
+
+
+def test_classify_loads_only_fft(tmp_path):
+    assert _cli_scipy(tmp_path, "classify", *SLIT) == {"scipy.fft"}
+
+
+def test_solve_div_loads_only_sparse(tmp_path):
+    _cli_scipy(tmp_path, "trace", *SLIT, "--csv", "tr.csv")
+    assert _cli_scipy(tmp_path, "solve-div", *SLIT, "--trace", "tr.csv") == {"scipy.sparse"}
+
+
+def _scipy_imports(nodes) -> list[str]:
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] == "scipy"]
+
+
+def test_module_level_scipy_imports():
+    """Only ``approx`` (cKDTree) and ``divsolve`` (the sparse solve) import
+    scipy at module level; every other use imports it where it runs."""
+    found = {p.name: _scipy_imports(ast.parse(p.read_text()).body)
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {
+        "approx.py": ["scipy.spatial"],
+        "divsolve.py": ["scipy.sparse", "scipy.sparse.linalg"],
+    }
+
+
+def test_cli_imports_heavy_modules_in_their_commands():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert not top & {"approx", "divsolve", "accept"}
+    inside = {node.name: {n.module for n in ast.walk(node)
+                          if isinstance(n, ast.ImportFrom) and n.level == 1}
+              for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert inside["cmd_approx"] == {"approx"}
+    assert inside["cmd_solve_div"] == {"divsolve"}
+    assert inside["cmd_accept"] == {"accept"}
+
+
+# ---------------------------------------------------------------------------
+# the package's lazy exports
+# ---------------------------------------------------------------------------
+
+EXPORTS = {
+    "approx": ["ApproxReport", "BallCover", "approximation_sweep",
+               "cantor_generation_sweep", "interior_approximation"],
+    "divsolve": ["SolveReport", "is_compatible", "solve_decomposed", "solve_direct",
+                 "verify_solution"],
+    "dmfield": ["FluxField", "SignedMeasure", "TestFunction", "TraceData",
+                "TraceMeasure", "VectorTestFunction", "bv_trace_check",
+                "default_phi_basis", "divergence_measure", "extend_by_zero",
+                "extension_bound_check", "gauss_green_residual",
+                "interior_normal_trace", "mollify_field", "normal_trace_pairing",
+                "polynomial_test_function", "product_rule_check", "sample_field",
+                "trace_linfinity_check", "trace_measure", "trace_weak_convergence"],
+    "domain": ["DomainSpec", "RoughSet", "make_grid", "parse_domain", "preset_set",
+               "preset_spec", "rasterize"],
+    "errors": ["CompatibilityError", "CrackPlacementError", "DomainSemanticError",
+               "DomainSyntaxError", "GridTooCoarseError", "InputError",
+               "InvariantViolation", "RoughGGError"],
+    "gridcore": ["MINUS", "PLUS", "FacetArrays", "Grid"],
+    "measure": ["AhlforsReport", "BoundaryDecomposition", "Classification",
+                "ahlfors_constant", "boundary_decomposition", "classify", "density",
+                "perimeter", "star_condition_diagnostic"],
+    "mollify": ["MollifierKernel"],
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_exports_are_pinned():
+    assert len(EXPORTED) == 60
+    assert sorted(roughgg.__all__) == sorted(name for _, name in EXPORTED)
+
+
+@pytest.mark.parametrize("module,name", EXPORTED, ids=[n for _, n in EXPORTED])
+def test_export_is_the_module_object(module, name):
+    exec_ns = {}
+    exec(f"from roughgg import {name}", exec_ns)
+    assert exec_ns[name] is getattr(importlib.import_module(f"roughgg.{module}"), name)
+
+
+def test_trace_measure_is_trace_data():
+    assert roughgg.TraceMeasure is roughgg.TraceData
+
+
+def test_dir_lists_every_export():
+    assert set(roughgg.__all__) <= set(dir(roughgg))
+
+
+def test_star_import_binds_all():
+    exec_ns = {}
+    exec("from roughgg import *", exec_ns)
+    assert set(exec_ns) - {"__builtins__"} == set(roughgg.__all__)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        roughgg.no_such_name
