@@ -23,7 +23,7 @@ _EXPORTS = {
                 "default_phi_basis", "divergence_measure", "extend_by_zero",
                 "extension_bound_check", "gauss_green_residual",
                 "interior_normal_trace", "mollify_field", "normal_trace_pairing",
-                "polynomial_test_function", "product_rule_check", "sample_field",
+                "product_rule_check", "sample_field",
                 "trace_linfinity_check", "trace_measure", "trace_weak_convergence"),
     "domain": ("DomainSpec", "RoughSet", "make_grid", "parse_domain", "preset_set",
                "preset_spec", "rasterize"),

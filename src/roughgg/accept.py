@@ -15,13 +15,13 @@ import numpy as np
 from .approx import approximation_sweep, cantor_generation_sweep
 from .divsolve import solve_decomposed, solve_direct
 from .dmfield import (
+    TestFunction,
     TraceData,
     default_phi_basis,
     extension_bound_check,
     gauss_green_residual,
     interior_normal_trace,
     normal_trace_pairing,
-    polynomial_test_function,
     product_rule_check,
     sample_field,
     trace_linfinity_check,
@@ -106,7 +106,7 @@ def criterion_2():
         return False, f"slit residual {worst_rel:.3e} above 1e-8"
     # smooth data: the identity is inexact against cubic test functions,
     # decaying at second order (degree <= 2 is reproduced identically)
-    cubics = [polynomial_test_function(e, 40.0) for e in ((0, 3), (2, 1), (3, 0))]
+    cubics = [TestFunction(e) for e in ((0, 3), (2, 1), (3, 0))]
     residuals = []
     spacings = []
     for denom in (32, 64, 128):

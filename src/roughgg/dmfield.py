@@ -22,7 +22,6 @@ Dicts keyed by (axis, facet index, side) exist only as export views
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,44 +41,31 @@ from .onesided import smooth_facet_values
 
 
 class TestFunction:
-    """Scalar compactly supported test function with analytic gradient.
+    """Monomial test function x^e0 * y^e1 (* z^e2) with analytic gradient.
 
+    The Gauss-Green formula up to the boundary pairs against test
+    functions that need not vanish near the boundary, and the pairing
+    evaluates phi only inside the grid box, so no cutoff is applied.
     Every method takes stacked coordinates (..., n), a full mesh or the
-    rows of a few masked slots; ``core_grad(X, axis)`` is one partial of
-    ``core(X)``.  The cutoff is identically 1 inside ``flat_radius`` and
-    falls smoothly to 0 at ``support_radius``; grids are expected to fit
-    inside the flat region so polynomial quadrature identities stay exact.
+    rows of a few masked slots.
     """
 
-    def __init__(self, core, core_grad, support_radius: float,
-                 flat_radius: float | None = None, name: str = "phi"):
-        self.core = core
-        self.core_grad = core_grad
-        self.support_radius = float(support_radius)
-        self.flat_radius = (
-            0.5 * support_radius if flat_radius is None else float(flat_radius)
-        )
-        self.name = name
+    __test__ = False  # pytest would otherwise collect it by its name
 
-    def _cutoff(self, r):
-        lo, hi = self.flat_radius, self.support_radius
-        t = np.clip((r - lo) / (hi - lo), 0.0, 1.0)
-        return 1.0 - t * t * (3.0 - 2.0 * t)  # C^1 smoothstep window
-
-    def _cutoff_deriv(self, r):
-        lo, hi = self.flat_radius, self.support_radius
-        t = np.clip((r - lo) / (hi - lo), 0.0, 1.0)
-        return -6.0 * t * (1.0 - t) / (hi - lo)
+    def __init__(self, exponents: tuple[int, ...]):
+        self.exponents = tuple(exponents)
+        self.name = "x^" + ",".join(str(e) for e in self.exponents)
 
     @staticmethod
-    def _radius(X):  # r^2 summed left to right over the components
-        r2 = X[..., 0] * X[..., 0]
-        for a in range(1, X.shape[-1]):
-            r2 = r2 + X[..., a] * X[..., a]
-        return np.sqrt(r2)
+    def _term(X: np.ndarray, coef: int, powers) -> np.ndarray:
+        out = coef * np.ones(X.shape[:-1])
+        for a, p in enumerate(powers):
+            if p:
+                out = out * X[..., a] ** p
+        return out
 
     def value(self, X: np.ndarray) -> np.ndarray:
-        return self.core(X) * self._cutoff(self._radius(X))
+        return self._term(X, 1, self.exponents)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         return np.stack([self.grad_component(X, a) for a in range(X.shape[-1])],
@@ -87,12 +73,10 @@ class TestFunction:
 
     def grad_component(self, X: np.ndarray, axis: int) -> np.ndarray:
         """One partial derivative, without forming the others."""
-        r = self._radius(X)
-        eta = self._cutoff(r)
-        deta = self._cutoff_deriv(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r > 0.0, X[..., axis] / np.maximum(r, 1e-300), 0.0)
-        return self.core_grad(X, axis) * eta + self.core(X) * deta * unit
+        e = self.exponents[axis]
+        if e == 0:
+            return np.zeros(X.shape[:-1])
+        return self._term(X, e, [p - (b == axis) for b, p in enumerate(self.exponents)])
 
     def audit(self, points: np.ndarray, step: float) -> float:
         """Max relative gap between the analytic gradient and central
@@ -110,52 +94,19 @@ class TestFunction:
         return worst
 
 
-def polynomial_test_function(exponents: tuple[int, ...],
-                             support_radius: float, name: str | None = None) -> TestFunction:
-    """Monomial x^e0 * y^e1 (* z^e2) under the standard cutoff."""
-
-    def core(X):
-        out = np.ones(X.shape[:-1])
-        for a, e in enumerate(exponents):
-            if e:
-                out = out * X[..., a] ** e
-        return out
-
-    def core_grad(X, axis):
-        if exponents[axis] == 0:
-            return np.zeros(X.shape[:-1])
-        term = exponents[axis] * np.ones(X.shape[:-1])
-        for b, eb in enumerate(exponents):
-            p = eb - 1 if b == axis else eb
-            if p:
-                term = term * X[..., b] ** p
-        return term
-
-    label = name or "x^" + ",".join(str(e) for e in exponents)
-    return TestFunction(core, core_grad, support_radius, name=label)
-
-
 def default_phi_basis(grid: Grid, degree: int = 2) -> list[TestFunction]:
-    """Monomials times a cutoff that is 1 over the grid: quadratics (in 3D
-    a subset) for ``degree=2``, plus cubics for ``degree=3``."""
+    """Monomials of degree <= 2 for ``degree=2``, plus cubics for
+    ``degree=3``.  In 2D the quadratic set is all six monomials; in 3D it
+    is 1, x, y, z, y^2 and xy (six of the ten: no x^2, z^2, xz or yz)."""
     if degree not in (2, 3):
         raise InputError(f"phi basis degree must be 2 or 3, not {degree!r}")
-    lo, hi = grid.bounds()
-    radius = float(np.max(np.abs(np.stack([lo, hi])))) * math.sqrt(grid.n)
-    support = 4.0 * radius + 4.0
-    flat = 2.0 * radius + 2.0
     if grid.n == 2:
         exps = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 0)]
         cubics = [(0, 3), (3, 0), (2, 1)]
     else:
         exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0), (1, 1, 0)]
         cubics = [(0, 0, 3), (3, 0, 0)]
-    out = []
-    for e in exps + (cubics if degree == 3 else []):
-        tf = polynomial_test_function(e, support)
-        tf.flat_radius = flat
-        out.append(tf)
-    return out
+    return [TestFunction(e) for e in exps + (cubics if degree == 3 else [])]
 
 
 class VectorTestFunction:
@@ -670,7 +621,7 @@ def trace_weak_convergence(F: FluxField, eps_list=None,
     if phi_basis is None:
         phi_basis = default_phi_basis(grid, degree=3)
     if len(phi_basis) < 5:
-        raise InputError("need >= 5 basis functions (degree-2 span)")
+        raise InputError("need >= 5 basis functions (default_phi_basis(grid) has 6)")
     fields = [F] + [mollify_field(F, eps) for eps in eps_list]
     cell_weights = [divergence_measure(G).cell_weights for G in fields]
     gaps = [[] for _ in eps_list]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -78,8 +79,10 @@ def write_flux_field(path: str, F: FluxField) -> None:
 
 def read_flux_field(path: str, set_: RoughSet) -> FluxField:
     """Rebuild a flux field over an existing rough set (the binary does
-    not carry the domain; grids must agree).  A truncated file or a
-    record naming no facet side of the grid is an InputError."""
+    not carry the domain; grids must agree).  A truncated file, a record
+    naming no facet side of the grid, a non-finite float, a live value
+    above the declared bound or bytes after the last record is an
+    InputError."""
     with open(path, "rb") as handle:
         data = handle.read()
     if data[:4] != MAGIC:
@@ -100,6 +103,8 @@ def read_flux_field(path: str, set_: RoughSet) -> FluxField:
     (spacing,) = take("d")
     origin = take(f"{n}d")
     (sup_bound,) = take("d")
+    if not all(map(math.isfinite, (spacing, *origin, sup_bound))):
+        raise InputError("non-finite float in the flux-field header")
     grid = set_.grid
     if (n, extents, spacing, origin) != (
         grid.n,
@@ -115,6 +120,8 @@ def read_flux_field(path: str, set_: RoughSet) -> FluxField:
         if off + 8 * count > len(data):
             raise InputError(f"truncated flux-field file in the axis-{a} array")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise InputError(f"non-finite value in the axis-{a} flux-field array")
         off += 8 * count
         F.vminus[a][...] = arr
         F.vplus[a][...] = arr
@@ -127,7 +134,12 @@ def read_flux_field(path: str, set_: RoughSet) -> FluxField:
                 and all(i < k for i, k in zip(idx, grid.facet_shape(a)))):
             raise InputError(
                 f"flux-field record (axis {a}, {idx}, side {side}) names no facet side")
+        if not math.isfinite(value):
+            raise InputError(f"non-finite value in flux-field record (axis {a}, {idx})")
         (F.vminus if side == MINUS else F.vplus)[a][idx] = value
+    if off != len(data):
+        raise InputError(f"{len(data) - off} bytes after the last flux-field record")
+    F.check_bound()
     return F
 
 

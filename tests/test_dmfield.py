@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from roughgg.divsolve import solve_decomposed
 from roughgg.dmfield import (
     FluxField,
+    TestFunction,
     TraceData,
     VectorTestFunction,
     _midpoint_phi,
@@ -20,7 +21,6 @@ from roughgg.dmfield import (
     interior_normal_trace,
     mollify_field,
     normal_trace_pairing,
-    polynomial_test_function,
     product_rule_check,
     sample_field,
     trace_linfinity_check,
@@ -68,11 +68,10 @@ def test_grad_component_matches_grad_exactly():
     grid = preset_set("square", 1.0 / 16.0, margin_cells=4).grid
     rng = np.random.default_rng(7)
     for n in (2, 3):
-        # points inside the flat region and across the cutoff ramp
+        # points inside and well outside the grid box
         X = rng.uniform(-8.0, 8.0, size=(40, 7, n))
-        X[0, 0] = 0.0  # r = 0 takes the other branch of the unit vector
         basis = default_phi_basis(grid, degree=3) if n == 2 else [
-            polynomial_test_function(e, 6.0) for e in ((0, 0, 0), (1, 2, 0), (0, 1, 3))]
+            TestFunction(e) for e in ((0, 0, 0), (1, 2, 0), (0, 1, 3))]
         for phi in basis:
             g = phi.grad(X)
             for a in range(n):
@@ -87,6 +86,22 @@ def test_phi_basis_degree_is_two_or_three(n, degree):
     with pytest.raises(InputError):
         default_phi_basis(grid, degree=degree)
     assert len(default_phi_basis(grid, degree=3)) > len(default_phi_basis(grid))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_basis_names_do_not_depend_on_grid_extent(n):
+    import json
+
+    from roughgg.domain import make_grid, parse_domain, preset_spec
+
+    spec = preset_spec("disk") if n == 2 else parse_domain(json.dumps(
+        {"shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]}}))
+    tight, wide = (make_grid(spec, 1.0 / 8.0, margin_cells=m) for m in (1, 40))
+    assert np.max(np.abs(wide.bounds())) > 5.0 * np.max(np.abs(tight.bounds()))
+    for degree in (2, 3):
+        names = [phi.name for phi in default_phi_basis(tight, degree)]
+        assert names == [phi.name for phi in default_phi_basis(wide, degree)]
+        assert len(names) == 6 + (3 if n == 2 else 2) * (degree - 2)
 
 
 # --- sampling -------------------------------------------------------------
@@ -314,7 +329,7 @@ def test_gauss_green_zero_field(square_32):
 
 
 def test_gauss_green_smooth_refines():
-    cubic = polynomial_test_function((0, 3), 40.0)
+    cubic = TestFunction((0, 3))
     res = []
     for denom in (16, 32, 64):
         set_ = preset_set("disk", 1.0 / denom, margin_cells=4)
@@ -526,10 +541,37 @@ _SIDE_SETS = {
 }
 
 
-def _reference_grad_component(phi, X, axis):
-    """The monomial partial with r^2 summed by ``np.sum`` over the stacked
-    axis and the whole gradient built, of which one column is kept."""
+def _reference_cutoff(grid, r):
+    """The radial cutoff that basis members once carried, with its
+    derivative: 1 inside 2R + 2 and a C^1 smoothstep down to 0 at 4R + 4,
+    R being the largest |coordinate| of the grid box times sqrt(n)."""
+    lo, hi = grid.bounds()
+    radius = float(np.max(np.abs(np.stack([lo, hi])))) * math.sqrt(grid.n)
+    flat, support = 2.0 * radius + 2.0, 4.0 * radius + 4.0
+    t = np.clip((r - flat) / (support - flat), 0.0, 1.0)
+    return 1.0 - t * t * (3.0 - 2.0 * t), -6.0 * t * (1.0 - t) / (support - flat)
+
+
+def _reference_monomial(phi, X):
     exps = tuple(int(e) for e in phi.name[2:].split(","))
+    out = np.ones(X.shape[:-1])
+    for a, e in enumerate(exps):
+        if e:
+            out = out * X[..., a] ** e
+    return exps, out
+
+
+def _reference_value(phi, grid, X):
+    """The monomial times the cutoff, r^2 summed by ``np.sum``."""
+    eta, _ = _reference_cutoff(grid, np.sqrt(np.sum(X * X, axis=-1)))
+    return _reference_monomial(phi, X)[1] * eta
+
+
+def _reference_grad_component(phi, grid, X, axis):
+    """The product rule through the cutoff, with r^2 summed by ``np.sum``
+    over the stacked axis and the whole gradient built, of which one
+    column is kept."""
+    exps, core = _reference_monomial(phi, X)
     g = np.zeros(X.shape)
     for a, e in enumerate(exps):
         if e == 0:
@@ -541,9 +583,23 @@ def _reference_grad_component(phi, X, axis):
                 term = term * X[..., b] ** p
         g[..., a] = term
     r = np.sqrt(np.sum(X * X, axis=-1))
+    eta, deta = _reference_cutoff(grid, r)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(r > 0.0, X[..., axis] / np.maximum(r, 1e-300), 0.0)
-    return g[..., axis] * phi._cutoff(r) + phi.core(X) * phi._cutoff_deriv(r) * unit
+    return g[..., axis] * eta + core * deta * unit
+
+
+@pytest.mark.parametrize("domain", ["slit-square-32", "slit-cube-8"])
+def test_monomials_match_cutoff_reference(domain):
+    grid = _SIDE_SETS[domain]().grid
+    meshes = [grid.cell_center_mesh()] + [grid.facet_center_mesh(a) for a in range(grid.n)]
+    for phi in default_phi_basis(grid, degree=3):
+        for mesh in meshes:
+            X = np.stack(np.broadcast_arrays(*mesh), axis=-1)
+            assert np.array_equal(phi.value(X), _reference_value(phi, grid, X)), phi.name
+            for a in range(grid.n):
+                assert np.array_equal(phi.grad_component(X, a),
+                                      _reference_grad_component(phi, grid, X, a)), phi.name
 
 
 def _reference_pairing(F, phi):
@@ -551,20 +607,19 @@ def _reference_pairing(F, phi):
     facet lattice and read on the slots afterwards."""
     grid, top = F.grid, F.topology
     vol = grid.cell_volume
-    Xc = cell_mesh(F.set)
-    phi_c = phi.core(Xc) * phi._cutoff(np.sqrt(np.sum(Xc * Xc, axis=-1)))
+    phi_c = _reference_value(phi, grid, cell_mesh(F.set))
     total = float((phi_c * divergence_measure(F).cell_weights).sum())
     for a in range(grid.n):
         Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
         interior = top.interior[a]
-        dphi = _reference_grad_component(phi, Xf, a)
+        dphi = _reference_grad_component(phi, grid, Xf, a)
         total += float((F.vminus[a][interior] * dphi[interior]).sum()) * vol
         for mask, vals, sign in ((top.minus[a], F.vminus[a], -1.0),
                                  (top.plus[a], F.vplus[a], 1.0)):
             if mask.any():
                 off = np.zeros(grid.n)
                 off[a] = sign * 0.25 * grid.spacing
-                dphi_half = _reference_grad_component(phi, Xf + off, a)
+                dphi_half = _reference_grad_component(phi, grid, Xf + off, a)
                 total += float((vals[mask] * dphi_half[mask]).sum()) * vol * 0.5
     return total
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -46,14 +47,18 @@ def test_pgm_header_and_shape():
 
 
 def test_flux_field_binary_round_trip(tmp_path, slit_square_32):
-    F = random_facet_noise(slit_square_32, seed=9)
-    path = os.path.join(tmp_path, "field.dmf")
-    write_flux_field(path, F)
-    G = read_flux_field(path, slit_square_32)
-    for a in range(2):
-        assert np.array_equal(F.vminus[a], G.vminus[a])
-        assert np.array_equal(F.vplus[a], G.vplus[a])
-    assert G.sup_bound == F.sup_bound
+    # values at the bound, as in a sampled slit field or a tightened one,
+    # read back as well as values below it
+    for F in (random_facet_noise(slit_square_32, seed=9),
+              random_facet_noise(slit_square_32, seed=3).tighten(),
+              sample_field(slit_jump_field(), slit_square_32, 1.0)):
+        path = os.path.join(tmp_path, "field.dmf")
+        write_flux_field(path, F)
+        G = read_flux_field(path, slit_square_32)
+        for a in range(2):
+            assert np.array_equal(F.vminus[a], G.vminus[a])
+            assert np.array_equal(F.vplus[a], G.vplus[a])
+        assert G.sup_bound == F.sup_bound
 
 
 def test_flux_field_binary_deterministic(slit_square_32):
@@ -109,6 +114,45 @@ def test_flux_field_record_out_of_range(tmp_path, slit_square_32, field, value):
     with open(path, "wb") as handle:
         handle.write(bytes(data))
     with pytest.raises(InputError, match="names no facet side"):
+        read_flux_field(path, slit_square_32)
+
+
+def _sup_bound_offset(n) -> int:
+    return 4 + 1 + 8 * n + 8 + 8 * n
+
+
+def _live_array_offset(set_) -> int:
+    """Byte offset of the value of the first interior axis-0 facet."""
+    flat = int(np.flatnonzero(set_.topology.interior[0])[0])
+    return _sup_bound_offset(set_.grid.n) + 8 + 8 * flat
+
+
+_BAD_FILE_ERRORS = {
+    "nan-sup-bound": "non-finite float in the flux-field header",
+    "inf-array-value": "non-finite value in the axis-0",
+    "inf-record-value": "non-finite value in flux-field record",
+    "above-bound": "exceeds declared bound",
+    "trailing-bytes": "3 bytes after the last flux-field record",
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_FILE_ERRORS))
+def test_flux_field_rejects_bad_values(tmp_path, slit_square_32, kind):
+    grid = slit_square_32.grid
+    data = bytearray(flux_field_bytes(random_facet_noise(slit_square_32, seed=9)))
+    f64 = {"nan-sup-bound": (_sup_bound_offset(grid.n), float("nan")),
+           "inf-array-value": (_live_array_offset(slit_square_32), float("inf")),
+           "inf-record-value": (_record_offset(grid) + 2 + 8 * grid.n, -float("inf")),
+           "above-bound": (_live_array_offset(slit_square_32), 1.5)}
+    if kind in f64:
+        at, value = f64[kind]
+        data[at:at + 8] = struct.pack("<d", value)
+    else:
+        data += b"\x00\x01\x02"
+    path = os.path.join(tmp_path, "bad.dmf")
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+    with pytest.raises(InputError, match=_BAD_FILE_ERRORS[kind]):
         read_flux_field(path, slit_square_32)
 
 
