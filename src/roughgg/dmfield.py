@@ -180,15 +180,17 @@ class FluxField:
         return self
 
     def check_bound(self) -> None:
+        """Raise ``InputError`` when a live slot is not finite or exceeds
+        the declared bound."""
         worst = 0.0
         for a in range(self.grid.n):
             live = self.topology.interior[a] | self.topology.crack[a] | self.topology.boundary[a]
-            if live.any():
-                worst = max(
-                    worst,
-                    float(np.abs(self.vminus[a][live]).max()),
-                    float(np.abs(self.vplus[a][live]).max()),
-                )
+            for values in (self.vminus[a][live], self.vplus[a][live]):
+                if not np.isfinite(values).all():
+                    raise InputError(f"field has {np.count_nonzero(~np.isfinite(values))} "
+                                     f"non-finite values on live axis-{a} facets")
+                if values.size:
+                    worst = max(worst, float(np.abs(values).max()))
         if worst > self.sup_bound * (1.0 + 1e-12):
             raise InputError(
                 f"field magnitude {worst} exceeds declared bound {self.sup_bound}"

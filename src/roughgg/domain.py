@@ -196,7 +196,7 @@ def _parse_shape(node, path: str) -> Shape:
     if not isinstance(node, dict) or "op" not in node:
         raise DomainSemanticError(f"{path}: shape node must be an object with 'op'")
     op = node["op"]
-    if op not in _SHAPE_OPS:
+    if not isinstance(op, str) or op not in _SHAPE_OPS:
         raise DomainSemanticError(f"{path}: unknown shape op {op!r}")
     if op in ("disk", "ball"):
         center = _numbers(node.get("center", [0.0, 0.0]), f"{path}.center", (None,))

@@ -11,12 +11,19 @@ that lie near a crack (``_near_crack_band``).  Outside the band a facet
 takes the plain convolution.  Inside it, samples are taken in
 mirror-image pairs about the facet and a pair is kept only when both
 members are interior samples visible from the facet (segments crossing a
-crack facet are dropped).  A segment no longer than the kernel width can
-cross a crack only from a start near it, so visibility is tested only at
-the near-crack facets, and per crack plane only at those within the
-offset's reach |delta_b| of it.  The surviving weight set is symmetric,
-so the average is second-order faithful to smooth data and stays a
-convex combination (the recorded field bound never grows).
+crack facet are dropped).  The surviving weight set is symmetric, so the
+average is second-order faithful to smooth data and stays a convex
+combination (the recorded field bound never grows).
+
+The band is summed in two regions, with one per-element order and
+arithmetic of the pairs (``_pair_average``):
+
+- the near box, the bounding box of the band's near-crack facets, on
+  dense shifted slices, testing visibility exactly by slabs
+  (``_clear_crossings``);
+- the rest of the band by flat gathers, testing no visibility: a segment
+  no longer than the kernel width cannot reach a crack facet from a start
+  that is not near a crack.
 """
 
 from __future__ import annotations
@@ -27,65 +34,83 @@ from .gridcore import Grid, box_any
 from .mollify import MollifierKernel, convolve_same
 
 
-def _crack_planes(grid: Grid, crack_masks) -> list[tuple[int, float, np.ndarray]]:
+def _bounding_box(mask: np.ndarray) -> tuple[slice, ...] | None:
+    """Slices of the smallest box holding every true slot, or None."""
+    idx = np.nonzero(mask)
+    if idx[0].size == 0:
+        return None
+    return tuple(slice(i.min(), i.max() + 1) for i in idx)
+
+
+def _crack_planes(grid: Grid, crack_masks) -> list[tuple]:
     """Group crack facets into (normal axis, plane coordinate, transverse
-    index mask) records for fast segment-crossing tests."""
+    index mask, transverse extent) records.  Each transverse mask is padded
+    by one False slot at the end of every axis, so that index -1 and the
+    index one past the end both read False; the extent is the bounding box
+    of its crack facets."""
     planes = []
     for b in range(grid.n):
         for lev in np.unique(np.nonzero(crack_masks[b])[b]):
             coord = grid.origin[b] + float(lev) * grid.spacing
-            planes.append((b, coord, np.take(crack_masks[b], lev, axis=b)))
+            transverse = np.take(crack_masks[b], lev, axis=b)
+            planes.append((b, coord, np.pad(transverse, [(0, 1)] * transverse.ndim),
+                           _bounding_box(transverse)))
     return planes
 
 
-def _plane_reach(planes, starts: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per crack plane, the starts ordered by their distance to the plane
-    and those distances, so that the starts within some reach of it are a
-    prefix of the order."""
-    reach = []
-    for b, coord, _ in planes:
-        dist = np.abs(coord - starts[b])
-        order = np.argsort(dist, kind="stable")
-        reach.append((order, dist[order]))
-    return reach
-
-
-def _blocked(grid: Grid, planes, starts: list[np.ndarray], delta: np.ndarray,
-             reach) -> np.ndarray:
-    """Does a segment start -> start + delta or start -> start - delta
-    cross any crack facet?  ``starts`` are per-axis 1-D coordinate arrays
-    and ``reach`` is ``_plane_reach(planes, starts)``.
+def _clear_crossings(ok: np.ndarray, grid: Grid, planes, coords: list[np.ndarray],
+                     delta: np.ndarray, cache: dict) -> None:
+    """Clear the starts in ``ok`` from which the segment to start + delta
+    or to start - delta crosses a crack facet; ``ok`` is laid out as the
+    broadcast of the per-axis 1-D coordinate arrays ``coords``.
 
     A segment meets the plane of normal axis b at start + t * delta with
-    0 < |t| < 1 only if the start lies within |delta_b| of it (division
-    rounds monotonically, so a computed distance above |delta_b| gives
-    |t| >= 1), so per plane only that prefix of the starts is tested, and
-    only the starts that meet the plane are located in its transverse
-    mask.  The -delta
-    half meets it at -t, at the very same point: IEEE rounding is
-    symmetric in sign, so both halves share one crossing point bit for
-    bit.
+    0 < |t| < 1, and the -delta half at -t: IEEE rounding is symmetric in
+    sign, so both halves share one crossing point bit for bit.  t depends
+    only on a start's b coordinate, and the crossing's cell along a
+    transverse axis a only on t and the start's a coordinate.  So per
+    plane the crossings fill a slab (the levels that meet the plane, by the
+    rows whose crossings reach the crack's extent), located by 2-D index
+    tables cached per (plane, delta_b, delta_a) that evaluate the same IEEE
+    expressions as a per-start test would.
     """
-    blocked = np.zeros(starts[0].shape, dtype=bool)
-    for (b, coord, transverse), (order, dist) in zip(planes, reach):
+    for p, (b, coord, transverse, extent) in enumerate(planes):
         if delta[b] == 0.0:
             continue
-        cand = order[:np.searchsorted(dist, abs(delta[b]), side="right")]
-        t = (coord - starts[b][cand]) / delta[b]
-        hit = (t != 0.0) & (np.abs(t) < 1.0)
-        cand, t = cand[hit], t[hit]
-        inside = np.ones(cand.shape, dtype=bool)
+        key = (p, delta[b])
+        if key not in cache:
+            t = (coord - coords[b]) / delta[b]
+            hit = (t != 0.0) & (np.abs(t) < 1.0)
+            levels = _bounding_box(hit)
+            if levels is not None:
+                shape = [-1 if i == b else 1 for i in range(grid.n)]
+                levels = (levels[0], t[levels], hit[levels].reshape(shape))
+            cache[key] = levels
+        if cache[key] is None:
+            continue
+        levels, t, hit = cache[key]
+        # index arrays broadcast to the slab, in the axis order of ok
+        slab = [levels] * grid.n
         idx = []
-        for a in range(grid.n):
-            if a == b:
-                continue
-            xa = starts[a][cand] + t * delta[a]
-            ia = np.floor((xa - grid.origin[a]) / grid.spacing).astype(int)
-            size = transverse.shape[len(idx)]
-            inside &= (ia >= 0) & (ia < size)
-            idx.append(np.clip(ia, 0, size - 1))
-        blocked[cand[inside & transverse[tuple(idx)]]] = True
-    return blocked
+        for k, a in enumerate(a for a in range(grid.n) if a != b):
+            akey = (p, delta[b], a, delta[a])
+            if akey not in cache:
+                xa = coords[a][:, None] + t * delta[a]
+                ia = np.floor((xa - grid.origin[a]) / grid.spacing).astype(int)
+                lo, hi = extent[k].start, extent[k].stop
+                rows = _bounding_box(((ia >= lo) & (ia < hi)).any(axis=1))
+                if rows is not None:
+                    ia = np.clip(ia[rows], -1, transverse.shape[k] - 1)
+                    shape = [1] * grid.n
+                    shape[a], shape[b] = ia.shape
+                    rows = (rows[0], (ia if a < b else ia.T).reshape(shape))
+                cache[akey] = rows
+            if cache[akey] is None:
+                break
+            slab[a], ia = cache[akey]
+            idx.append(ia)
+        else:
+            ok[tuple(slab)] &= ~(transverse[tuple(idx)] & hit)
 
 
 def _near_crack_band(grid: Grid, axis: int, planes, eps: float) -> np.ndarray:
@@ -96,16 +121,29 @@ def _near_crack_band(grid: Grid, axis: int, planes, eps: float) -> np.ndarray:
     coords = grid.facet_center_mesh(axis)
     band = np.zeros(grid.facet_shape(axis), dtype=bool)
     reach = eps + grid.spacing
-    for b, coord, transverse in planes:
+    for b, coord, _, extent in planes:
         box = np.abs(coords[b] - coord) <= reach
-        nz = np.argwhere(transverse)
         tr_axes = [a for a in range(grid.n) if a != b]
-        for a, first, last in zip(tr_axes, nz.min(axis=0), nz.max(axis=0)):
-            lo = grid.origin[a] + first * grid.spacing - reach
-            hi = grid.origin[a] + (last + 1) * grid.spacing + reach
+        for a, span in zip(tr_axes, extent):
+            lo = grid.origin[a] + span.start * grid.spacing - reach
+            hi = grid.origin[a] + span.stop * grid.spacing + reach
             box = box & (coords[a] >= lo) & (coords[a] <= hi)
         band |= box
     return band
+
+
+def _pair_average(pairs, pair_w, center_w: float, centre: np.ndarray) -> np.ndarray:
+    """Kernel average at targets with values ``centre``.  ``pairs`` yields
+    each mirror pair's (kept mask, forward values, backward values) in the
+    order of ``pair_w``; the pairs are summed first and the centre, always
+    kept, last."""
+    acc_num = np.zeros(centre.shape)
+    acc_den = np.zeros(centre.shape)
+    for (ok, fwd, bwd), w in zip(pairs, pair_w):
+        okf = ok.astype(float)
+        acc_num += w * (fwd + bwd) * okf
+        acc_den += 2.0 * w * okf
+    return (acc_num + center_w * centre) / (acc_den + center_w)
 
 
 def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,31 +175,43 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     pair_w = weights[tuple(support[:half].T)]
     center_w = weights[(R,) * grid.n]
     pair_off = support[:half] - R
-    # flat reads from arrays padded by R: every offset stays in bounds and
-    # a padded slot is never a sample
+    # reads from arrays padded by R: every offset stays in bounds and a
+    # padded slot is never a sample
     vpad = np.pad(values, R)
+    mpad = np.pad(sample, R)
+
+    rest = band
+    box = _bounding_box(band & near)
+    if box is not None:
+        # dense shifted slices over the near box, visibility by slabs
+        coords = [c.ravel()[s] for c, s in zip(grid.facet_center_mesh(axis), box)]
+        cache = {}
+
+        def dense(off):
+            fwd = tuple(slice(s.start + R + o, s.stop + R + o) for s, o in zip(box, off))
+            bwd = tuple(slice(s.start + R - o, s.stop + R - o) for s, o in zip(box, off))
+            ok = mpad[fwd] & mpad[bwd]
+            _clear_crossings(ok, grid, planes, coords, off * grid.spacing, cache)
+            return ok, vpad[fwd], vpad[bwd]
+
+        centre = vpad[tuple(slice(s.start + R, s.stop + R) for s in box)]
+        inner = band[box]
+        smoothed[box][inner] = _pair_average(map(dense, pair_off), pair_w,
+                                             center_w, centre)[inner]
+        rest = band.copy()
+        rest[box] = False
+
+    # flat gathers over the rest of the band, where no segment reaches a
+    # crack facet
     strides = np.array(vpad.strides) // vpad.itemsize
-    shifts = pair_off @ strides
-    vpad = vpad.ravel()
-    mpad = np.pad(sample, R).ravel()
+    vflat, mflat = vpad.ravel(), mpad.ravel()
+    base = (np.argwhere(rest) + R) @ strides
 
-    base = (np.argwhere(band) + R) @ strides
-    sub = np.flatnonzero(near[band])
-    starts = [np.broadcast_to(c, values.shape)[band & near]
-              for c in grid.facet_center_mesh(axis)]
-    reach = _plane_reach(planes, starts)
-    acc_num = np.zeros(base.shape[0])
-    acc_den = np.zeros(base.shape[0])
-    for off, shift, w in zip(pair_off, shifts, pair_w):
+    def flat(shift):
         fwd, bwd = base + shift, base - shift
-        ok = mpad[fwd] & mpad[bwd]
-        if sub.size and ok[sub].any():
-            ok[sub] &= ~_blocked(grid, planes, starts, off * grid.spacing, reach)
-        okf = ok.astype(float)
-        acc_num += w * (vpad[fwd] + vpad[bwd]) * okf
-        acc_den += 2.0 * w * okf
-    # the centre is the target itself, always a sample
-    smoothed[band] = (acc_num + center_w * vpad[base]) / (acc_den + center_w)
+        return mflat[fwd] & mflat[bwd], vflat[fwd], vflat[bwd]
 
+    smoothed[rest] = _pair_average(map(flat, pair_off @ strides), pair_w,
+                                   center_w, vflat[base])
     return (np.where(sample, smoothed, F.vminus[axis]),
             np.where(sample, smoothed, F.vplus[axis]))

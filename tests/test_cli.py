@@ -234,6 +234,15 @@ def test_bad_domain_json_exit_2(doc):
     assert any(node in proc.stderr for node in ("shape", "cracks[0]", "cracks:", "k:"))
 
 
+@pytest.mark.parametrize("op", ["[0]", '{"op": "disk"}'], ids=["list", "object"])
+def test_non_string_shape_op_exit_2(op, capsys):
+    from roughgg import cli
+
+    doc = '{"shape": {"op": %s, "args": [{"op": "disk", "r": 1}]}}' % op
+    assert cli.main(["classify", "--domain", doc, "--grid", "8"]) == 2
+    assert "shape: unknown shape op" in capsys.readouterr().err
+
+
 def test_readme_trace_readers_match_their_writers():
     # a trace CSV indexes facets of one grid, so `--trace FILE` must name
     # the domain and grid of the command that wrote `--csv FILE`

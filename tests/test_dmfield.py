@@ -126,6 +126,20 @@ def test_sample_bound_enforced(square_32):
     F.check_bound()
 
 
+
+def test_sample_rejects_non_finite_values(slit_square_32):
+    # NaN compares False against any bound, so it is refused by name
+    def nan_right(X):
+        return np.where(X[..., :1] > 0.3, np.nan, 1.0) * np.ones(X.shape)
+
+    with pytest.raises(InputError, match="non-finite"):
+        sample_field(nan_right, slit_square_32, 1.0)
+    F = sample_field(constant_field([1.0, 1.0]), slit_square_32, 1.0)
+    F.vplus[1][F.topology.crack[1]] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        F.check_bound()
+
+
 # --- divergence -----------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """One-sided mollification against a reference that runs the visibility
 test on every band point and both halves of every mirror pair, and the
-crossing test at the edges of its reach."""
+slab crossing test at the edges of its reach."""
 
 import json
 
@@ -14,7 +14,7 @@ from roughgg.domain import make_grid, parse_domain, preset_set, rasterize
 from roughgg.fields import seeded_trig_field
 from roughgg.gridcore import box_any
 from roughgg.mollify import MollifierKernel, convolve_same
-from roughgg.onesided import _blocked, _crack_planes, _near_crack_band, _plane_reach
+from roughgg.onesided import _clear_crossings, _crack_planes, _near_crack_band
 
 from conftest import cracked_domains, random_facet_noise
 
@@ -22,7 +22,7 @@ from conftest import cracked_domains, random_facet_noise
 def _reference_blocked(grid, planes, starts, delta):
     """Does the one segment start -> start + delta cross a crack facet?"""
     blocked = np.zeros(starts[0].shape, dtype=bool)
-    for b, coord, transverse in planes:
+    for b, coord, transverse, _ in planes:
         if delta[b] == 0.0:
             continue
         t = (coord - starts[b]) / delta[b]
@@ -92,28 +92,31 @@ def _mollify_as_reference(F, mults):
     return out
 
 
-def _slit_cube(half_section: bool):
+def _slit_cube(half_section: bool, denom: int = 8):
     r = 0.5 if half_section else 1.0
     spec = parse_domain(json.dumps({
         "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
         "cracks": [{"rect": [[-r, -r, 0.0], [r, r, 0.0]]}],
     }))
-    return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    return rasterize(spec, make_grid(spec, 1.0 / denom, margin_cells=4))
 
 
-# on the 1/8 cubes an 8 dx kernel is wider than the 16-cell body
+# on the 1/8 cubes an 8 dx kernel is wider than the 16-cell body; the
+# 6 dx kernel on the 1/12 cube reaches from the crack to the body's faces
 @pytest.mark.parametrize("domain, mults", [
     ("slit-square-32", (8, 4, 2)),
     ("cantor-cross-36", (8, 4, 2)),
     ("slit-cube-half-8", (4, 2)),
     ("slit-cube-full-8", (4, 2)),
+    ("slit-cube-half-12", (6,)),
 ])
 def test_mollify_matches_reference(domain, mults, slit_square_32):
     set_ = {"slit-square-32": lambda: slit_square_32,
             "cantor-cross-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2,
                                                   margin_cells=4),
             "slit-cube-half-8": lambda: _slit_cube(True),
-            "slit-cube-full-8": lambda: _slit_cube(False)}[domain]()
+            "slit-cube-full-8": lambda: _slit_cube(False),
+            "slit-cube-half-12": lambda: _slit_cube(True, 12)}[domain]()
     _mollify_as_reference(sample_field(seeded_trig_field(1), set_, 1.0), mults)
 
 
@@ -137,21 +140,25 @@ def test_blocked_at_the_edges_of_reach():
     """A crack on y = 0 for x in [-1/2, 1/2] and the offset (0, 1/4): a
     start exactly 1/4 from the plane (t = -1) or on it (t = 0) is not
     blocked, one a rounding step inside reach is, on either side, and one
-    whose crossing misses the crack's extent is not."""
+    whose crossing misses the crack's extent is not.  The slab test runs on
+    the box of all (x, y) pairs of the starts' coordinates and agrees with
+    the per-start reference on every one."""
     spec = parse_domain(json.dumps({
         "shape": {"op": "box", "min": [-1, -1], "max": [1, 1]},
         "cracks": [{"seg": [[-0.5, 0.0], [0.5, 0.0]]}],
     }))
     set_ = rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
     planes = _crack_planes(set_.grid, set_.topology.crack)
-    assert [(b, coord) for b, coord, _ in planes] == [(1, 0.0)]
+    assert [(b, coord) for b, coord, *_ in planes] == [(1, 0.0)]
     delta = np.array([0.0, 0.25])
     inside = np.nextafter(0.25, 0.0)
     ys = np.array([0.25, -0.25, 0.0, inside, -inside, np.nextafter(0.25, 1.0), inside])
     xs = np.array([0.0625] * 6 + [0.75])
-    starts = [xs, ys]
-    got = _blocked(set_.grid, planes, starts, delta, _plane_reach(planes, starts))
-    assert got.tolist() == [False, False, False, True, True, False, False]
+    ok = np.ones((xs.size, ys.size), dtype=bool)
+    _clear_crossings(ok, set_.grid, planes, [xs, ys], delta, {})
+    got = ~ok
+    assert np.diagonal(got).tolist() == [False, False, False, True, True, False, False]
+    starts = [c.ravel() for c in np.meshgrid(xs, ys, indexing="ij")]
     want = (_reference_blocked(set_.grid, planes, starts, delta)
             | _reference_blocked(set_.grid, planes, starts, -delta))
-    assert np.array_equal(got, want)
+    assert np.array_equal(got.ravel(), want)
