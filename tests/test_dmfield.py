@@ -126,7 +126,6 @@ def test_sample_bound_enforced(square_32):
     F.check_bound()
 
 
-
 def test_sample_rejects_non_finite_values(slit_square_32):
     # NaN compares False against any bound, so it is refused by name
     def nan_right(X):

@@ -101,8 +101,8 @@ def _slit_cube(half_section: bool, denom: int = 8):
     return rasterize(spec, make_grid(spec, 1.0 / denom, margin_cells=4))
 
 
-# on the 1/8 cubes an 8 dx kernel is wider than the 16-cell body; the
-# 6 dx kernel on the 1/12 cube reaches from the crack to the body's faces
+# on the 1/8 cubes an 8 dx kernel is wider than the 16-cell body; on the
+# 1/12 half-section cube a 6 dx kernel spans the crack's rim to the side faces
 @pytest.mark.parametrize("domain, mults", [
     ("slit-square-32", (8, 4, 2)),
     ("cantor-cross-36", (8, 4, 2)),
