@@ -50,7 +50,7 @@ w = rep.weights[0] / square.grid.facet_area
 x = np.broadcast_to(square.grid.facet_center_mesh(0)[0], w.shape)
 lefts = w[(w != 0.0) & (x < 0.0)]
 print(f"\ninterior trace on a sub-square, left-edge density "
-      f"{np.mean(lefts):.4f} (half the unit flux); Richardson gate "
+      f"{np.mean(lefts):.4f} (half the unit flux); fitted-order gate "
       f"{'passed' if rep.gate_passed else 'failed'}")
 print(f"minus twice the measure reproduces the interior pairing to "
       f"{rep.gg_residual:.1e}")

@@ -37,11 +37,11 @@ from .fields import (
     slit_jump_field,
 )
 from .measure import (
-    _fit_loglog,
     ahlfors_constant,
     boundary_decomposition,
     classify,
     perimeter,
+    refinement_order,
     star_condition_diagnostic,
 )
 
@@ -115,7 +115,9 @@ def criterion_2():
         tm = trace_measure(F)
         residuals.append(max(gauss_green_residual(F, phi, tm) for phi in cubics))
         spacings.append(set_.grid.spacing)
-    slope = _fit_loglog(spacings, residuals)
+    slope = refinement_order(spacings, residuals)
+    if slope is None:
+        return False, "smooth residuals at roundoff: no order to fit"
     ok = slope >= 0.9
     return ok, (f"slit rel {worst_rel:.2e} <= 1e-8; smooth order {slope:.2f} "
                 f"(need >= 0.9)")
@@ -136,15 +138,15 @@ def criterion_3():
         ratios = [r["ratio"] for r in table["rows"]]
         removed = [r["removed"] for r in table["rows"]]
         ds = [r["delta"] for r in table["rows"]]
-        if max(ratios) > 4.0 * min(ratios):
-            return False, f"{name}: ratio spread {max(ratios)/min(ratios):.2f} > 4"
+        spread = max(ratios) / min(ratios)
+        if table["verdict"] != "BOUNDED":
+            return False, f"{name}: ratio spread {spread:.2f} > 4"
         if any(b >= a for a, b in zip(removed, removed[1:])):
             return False, f"{name}: removed volume not decreasing"
-        slope = _fit_loglog(ds, removed)
-        if slope < 0.9:
-            return False, f"{name}: removed-volume slope {slope:.2f} < 0.9"
-        details.append(f"{name}: spread {max(ratios)/min(ratios):.2f}, "
-                       f"slope {slope:.2f}")
+        slope = refinement_order(ds, removed)
+        if slope is None or slope < 0.9:
+            return False, f"{name}: removed-volume slope {slope or 0.0:.2f} < 0.9"
+        details.append(f"{name}: spread {spread:.2f}, slope {slope:.2f}")
     return True, "; ".join(details)
 
 

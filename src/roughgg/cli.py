@@ -110,7 +110,7 @@ def _scale_list(text: str) -> list[float]:
 def _build_field(args, set_):
     name = args.field
     if name == "seed" or name.startswith("seed:"):
-        text = str(args.seed) if name == "seed" else name[len("seed:"):]
+        text = "0" if name == "seed" else name[len("seed:"):]
         if not (text.isascii() and text.isdigit()):
             raise InputError(f"field seed must be a non-negative integer, got {text!r}")
         return sample_field(seeded_trig_field(int(text)), set_, 1.0)
@@ -137,7 +137,6 @@ def _domain_args(p):
                    help="cells per unit length (spacing = 1/N)")
     p.add_argument("--k", type=int, default=None, help="generation for cantor-cross")
     p.add_argument("--margin", type=int, default=4, help="margin cells around the box")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled audits")
 
 
 def cmd_classify(args) -> int:

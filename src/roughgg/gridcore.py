@@ -98,6 +98,10 @@ def touches_edge(cells: np.ndarray) -> bool:
     return any(np.take(cells, [0, -1], axis=a).any() for a in range(cells.ndim))
 
 
+# solve-div peaks at ~550 B per cell, so a grid at the cap fits in 8 GB
+MAX_CELLS = 2**23
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``extents`` cells with edge length ``spacing``.
@@ -119,8 +123,9 @@ class Grid:
             raise InputError("origin/extents length must match dimension")
         if any(m < 1 for m in self.extents):
             raise InputError("extents must be >= 1 per axis")
-        if math.prod(self.extents) > 2**31:
-            raise InputError("grid too large for the cell address space")
+        if math.prod(self.extents) > MAX_CELLS:
+            raise InputError(f"grid of {math.prod(self.extents)} cells exceeds "
+                             f"the cap of {MAX_CELLS}")
         object.__setattr__(self, "origin", tuple(float(x) for x in self.origin))
         object.__setattr__(self, "extents", tuple(int(m) for m in self.extents))
 

@@ -206,31 +206,27 @@ def ahlfors_constant(grid: Grid, facets: FacetArrays,
     return AhlforsReport(constant=best, witnesses=witnesses)
 
 
-@dataclass
-class StarDiagnostic:
-    """Refinement-ladder growth report for the boundary measure."""
-
-    rows: list[dict]
-    slope_total: float
-    slope_reduced: float
-    slope_crack: float | None
-
-    @property
-    def slope(self) -> float:
-        """Growth rate of the worst component; ~0 supports finiteness."""
-        slopes = [self.slope_total, self.slope_reduced]
-        if self.slope_crack is not None:
-            slopes.append(self.slope_crack)
-        return max(slopes)
-
-
-def _fit_loglog(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs); ys clamp at 1e-300."""
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+def refinement_order(scales, gaps) -> float | None:
+    """Order p of gap ~ scale^p on a ladder: the least-squares slope of
+    log gap (clamped at 1e-300) against log scale; None when every gap is
+    at roundoff (<= 1e-250).  Callers pin their own threshold."""
+    gaps = np.asarray(gaps, dtype=float)
+    if not gaps.max() > 1e-250:
+        return None
+    xs = np.log(np.asarray(scales, dtype=float))
+    ys = np.log(np.maximum(gaps, 1e-300))
     A = np.stack([xs, np.ones_like(xs)], axis=1)
     coeff, *_ = np.linalg.lstsq(A, ys, rcond=None)
     return float(coeff[0])
+
+
+@dataclass
+class StarDiagnostic:
+    """Boundary-measure ladder rows and the growth rate of the worst
+    component; ~0 supports finiteness."""
+
+    rows: list[dict]
+    slope: float
 
 
 def star_condition_diagnostic(spec, spacings) -> StarDiagnostic:
@@ -254,20 +250,12 @@ def star_condition_diagnostic(spec, spacings) -> StarDiagnostic:
         set_ = rasterize(level_spec, make_grid(level_spec, dx))
         cls = classify(set_)
         bd = boundary_decomposition(set_, cls)
-        rows.append(
-            {
-                "spacing": dx,
-                "star_measure": bd.star_measure,
-                "reduced": bd.reduced_measure,
-                "crack": bd.crack_measure,
-            }
-        )
+        rows.append({"spacing": dx, "star_measure": bd.star_measure,
+                     "reduced": bd.reduced_measure, "crack": bd.crack_measure})
     inv = [1.0 / r["spacing"] for r in rows]
-    slope_total = _fit_loglog(inv, [r["star_measure"] for r in rows])
-    slope_reduced = _fit_loglog(inv, [max(r["reduced"], 1e-300) for r in rows])
-    has_crack = all(r["crack"] > 0.0 for r in rows)
-    slope_crack = (
-        _fit_loglog(inv, [r["crack"] for r in rows]) if has_crack else None
-    )
-    return StarDiagnostic(rows=rows, slope_total=slope_total,
-                          slope_reduced=slope_reduced, slope_crack=slope_crack)
+    components = ["star_measure", "reduced"]
+    if all(r["crack"] > 0.0 for r in rows):
+        components.append("crack")
+    # a component at roundoff on every level is flat
+    slopes = [refinement_order(inv, [r[c] for r in rows]) or 0.0 for c in components]
+    return StarDiagnostic(rows=rows, slope=max(slopes))

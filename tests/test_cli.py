@@ -322,3 +322,31 @@ def test_large_cantor_generation_exit_2_before_building(monkeypatch):
                      "--grid", "36"]) == 2
     with pytest.raises(GridTooCoarseError):
         roughgg.domain.preset_set("cantor-cross", 1.0 / 36.0, k=40)
+
+
+def test_grid_above_the_cell_cap_exit_2_before_building(monkeypatch, capsys):
+    # 40,008^2 cells would need a 25 GB centre array; the cap must refuse
+    # the grid before rasterize allocates anything
+    from roughgg import cli
+
+    def refuse(spec, grid):
+        raise AssertionError(f"rasterized a grid of extents {grid.extents}")
+
+    monkeypatch.setattr(cli, "rasterize", refuse)
+    assert cli.main(["classify", "--preset", "square", "--grid", "20000"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_seed_flag_is_gone_and_bare_seed_means_seed_0(tmp_path):
+    proc = run("trace", "--preset", "square", "--grid", "16", "--field", "seed",
+               "--seed", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 3" in proc.stderr
+    outs = []
+    for field in ("seed", "seed:0"):
+        out = tmp_path / f"{field.replace(':', '_')}.json"
+        proc = run("gg-check", "--preset", "square", "--grid", "16", "--field", field,
+                   "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(out.read_text()))
+    assert outs[0]["rows"] == outs[1]["rows"]

@@ -399,6 +399,36 @@ def test_interior_trace_staircase_diagonal():
     assert -2.0 * diag_total == pytest.approx(flux, rel=0.05)
 
 
+@pytest.fixture(scope="module")
+def slit_disk_trig():
+    set_ = preset_set("slit-disk", 1.0 / 128.0)
+    return sample_field(seeded_trig_field(0), set_, 1.0)
+
+
+@pytest.mark.parametrize("cells", [32, 8])
+def test_interior_trace_gate_follows_the_fitted_order(slit_disk_trig, cells):
+    # E_delta of the slit disk: at 32 dx the x^1,0 pairing converges faster
+    # than second order (steps 3.73e-3 then 6.77e-4), which the gate must
+    # pass; at 8 dx the x^0,1 steps grow (1.37e-4 then 2.53e-4), which it
+    # must fail
+    from roughgg.approx import interior_approximation
+
+    F = slit_disk_trig
+    E = interior_approximation(F.set, cells * F.grid.spacing).e_cells
+    rep = interior_normal_trace(F, E)
+    rows = {r["phi"]: r for r in rep.gate_details}
+    for r in rows.values():
+        steps = abs(r["coarse"] - r["mid"]), abs(r["mid"] - r["fine"])
+        assert r["ok"] == (steps[1] <= 0.75 * steps[0])
+    if cells == 32:
+        assert rows["x^1,0"]["order"] > 2.0
+        assert rep.gate_passed
+    else:
+        assert rows["x^0,1"]["order"] < 0.0
+        assert not rows["x^0,1"]["ok"]
+        assert not rep.gate_passed
+
+
 def test_interior_trace_preconditions(square_32):
     F = sample_field(constant_field([1.0, 0.0]), square_32, 1.0)
     not_contained = square_32.cells.copy()

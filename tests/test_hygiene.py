@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and none
-imports ``scipy.ndimage`` (box filters go through ``gridcore.box_any``).
+"""Source hygiene: no module imports a name it never uses or another
+module's private ``_name``, and none imports ``scipy.ndimage`` (box
+filters go through ``gridcore.box_any``).
 Start-up: ``import roughgg`` loads no scipy, each CLI subcommand loads
 only the scipy it calls, and the lazy package exports stay complete."""
 
@@ -105,6 +106,30 @@ def test_no_unused_private_definitions():
                for name, line in _private_definitions(tree).items()
                if name not in used]
     assert orphans == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """``_name`` imported from a sibling module, or read as an attribute of
+    one (``from . import io as rio; rio._name``)."""
+    out, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level >= 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    out.append(f"{node.lineno} {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            out.append(f"{node.lineno} {node.value.id}.{node.attr}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cross_module_private_imports(path):
+    # a helper two modules share is public in the module that owns it
+    assert _private_imports(ast.parse(path.read_text())) == []
 
 
 # ---------------------------------------------------------------------------

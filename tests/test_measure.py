@@ -15,6 +15,7 @@ from roughgg.measure import (
     classify,
     density,
     perimeter,
+    refinement_order,
     star_condition_diagnostic,
 )
 
@@ -272,6 +273,20 @@ def test_ahlfors_cantor_growth():
                                radii=radii)
         values.append(rep.constant)
     assert values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize("p", [-0.75, 0.5, 1.0, 2.46])
+def test_refinement_order_fits_a_power_law(p):
+    scales = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    gaps = [3.0 * s**p for s in scales]
+    want = np.polyfit(np.log(scales), np.log(gaps), 1)[0]
+    assert abs(refinement_order(scales, gaps) - p) <= 1e-12
+    assert abs(refinement_order(scales, gaps) - want) <= 1e-12
+
+
+def test_refinement_order_is_none_at_roundoff():
+    assert refinement_order([4.0, 2.0, 1.0], [0.0, 1e-300, 1e-250]) is None
+    assert refinement_order([4.0, 2.0, 1.0], [0.0, 0.0, 2e-250]) is not None
 
 
 def test_star_diagnostic_slopes():
