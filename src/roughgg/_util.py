@@ -1,39 +1,13 @@
-"""Small shared helpers: FFT worker count, atomic output, float formatting."""
+"""Small shared helpers: atomic output and float formatting."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 import tempfile
 
 from .errors import InputError, InvariantViolation
-
-
-def thread_cap() -> int | None:
-    """FFT worker count from ROUGHGG_THREADS (None = scipy's default, one
-    worker unless the caller set another)."""
-    raw = os.environ.get("ROUGHGG_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
-@contextlib.contextmanager
-def fft_context():
-    """scipy.fft worker context: ROUGHGG_THREADS workers when it is set."""
-    cap = thread_cap()
-    if cap is None:
-        yield
-        return
-    import scipy.fft
-
-    with scipy.fft.set_workers(cap):
-        yield
 
 
 def format_float(x: float) -> str:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
@@ -94,28 +93,51 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
     return [(c, r, EXTERIOR_HALF_DENSITY) for c, r in accepted]
 
 
+def _stencil(n: int, dx: float, radius: float) -> list:
+    """Index offsets ``o``, per ball facet axis ``a`` and target facet axis
+    ``b``, of the axis-``b`` facets whose centres lie within ``radius`` of
+    an axis-``a`` facet centre: ``|(o + (e_a - e_b) / 2) dx|^2 <= radius^2``."""
+    r = int(math.ceil(radius / dx)) + 1
+    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * n, indexing="ij"), -1)
+    box = box.reshape(-1, n)
+    half = 0.5 * np.eye(n)
+    return [[box[(((box + half[a] - half[b]) * dx) ** 2).sum(axis=1) <= radius**2]
+             for b in range(n)] for a in range(n)]
+
+
+def _lattice(grid: Grid, radius: float):
+    """Every axis's facet slots in one flat array, each facet grid padded
+    past the stencil in a common box, so an index offset is one flat
+    offset.  Returns ``slot(axes, idx)``, the flat offsets per ball axis of
+    the slots within ``radius``, and the array size."""
+    pad = int(math.ceil(radius / grid.spacing)) + 1
+    shape = [m + 1 + 2 * pad for m in grid.extents]
+    size = math.prod(shape)
+    strides = np.array([math.prod(shape[j + 1:]) for j in range(grid.n)])
+    offsets = [np.concatenate([(b - a) * size + o @ strides for b, o in enumerate(row)])
+               for a, row in enumerate(_stencil(grid.n, grid.spacing, radius))]
+    return (lambda axes, idx: axes * size + (idx + pad) @ strides), offsets, grid.n * size
+
+
 def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
     """Equal balls greedily marched along the facet set until every facet
-    sits fully inside some ball."""
+    sits fully inside some ball; each ball marks its facets by stencil."""
     dx = grid.spacing
     rho = max(2.0 * dx, dx * math.floor(delta / (2.0 * dx)))
     rho = min(rho, delta * 0.999)
-    centers = targets.centers()
-    if centers.shape[0] == 0:
-        return []
-    tree = cKDTree(centers)
-    covered = np.zeros(centers.shape[0], dtype=bool)
-    balls = []
     # marking margin: every cell whose closed cube touches a covered facet
     # (corner contact included) must land inside the ball
     reach = rho - dx * math.sqrt(0.25 + (grid.n - 1))
-    for i in range(centers.shape[0]):
-        if covered[i]:
+    slot, offsets, size = _lattice(grid, reach + 1e-12 * dx)
+    slots = [(a, s) for a, mask in enumerate(targets.masks)
+             for s in slot(a, np.argwhere(mask)).tolist()]
+    covered = np.zeros(size, dtype=bool)
+    balls = []
+    for c, (a, s) in zip(targets.centers(), slots):
+        if covered[s]:
             continue
-        c = centers[i]
         balls.append((tuple(float(v) for v in c), rho, STAR_COVER))
-        hit = tree.query_ball_point(c, reach + 1e-12 * dx)
-        covered[hit] = True
+        covered[s + offsets[a]] = True
     return balls
 
 
@@ -133,7 +155,7 @@ def _remove_balls(set_: RoughSet, balls) -> np.ndarray:
 def audit_cover(set_: RoughSet, cover: BallCover,
                 targets: FacetArrays) -> None:
     """Post-hoc exactness audit: low-density balls re-pass the half
-    check and the facet cover really covers every target facet."""
+    check, and the facet cover, centred on facets, covers every target."""
     grid = set_.grid
     for center, r, kind in cover.balls:
         if kind == EXTERIOR_HALF_DENSITY:
@@ -142,21 +164,34 @@ def audit_cover(set_: RoughSet, cover: BallCover,
                     f"cover ball at {center} (r={r}) fails the density check"
                 )
     star_balls = [(np.asarray(c), r) for c, r, k in cover.balls if k == STAR_COVER]
-    centers = targets.centers()
-    if centers.shape[0] == 0:
+    if targets.count() == 0:
         return
     if not star_balls:
         raise InvariantViolation("boundary facets exist but the cover is empty")
-    half_diag = 0.5 * grid.spacing * math.sqrt(grid.n - 1)
-    ball_xy = np.stack([c for c, _ in star_balls])
+    dx = grid.spacing
+    half_diag = 0.5 * dx * math.sqrt(grid.n - 1)
     rho = star_balls[0][1]
-    tree = cKDTree(ball_xy)
-    dist, _ = tree.query(centers)
-    if not bool(np.all(dist <= rho - half_diag + 1e-9 * grid.spacing)):
-        worst = int(np.argmax(dist))
-        raise InvariantViolation(
-            f"facet at {centers[worst]} is not inside any cover ball"
-        )
+    # ball centres sit on facet centres: 2 (c - origin) / dx - 1 is even
+    # on the axes across the facet and odd on its own axis
+    u = 2.0 * (np.stack([c for c, _ in star_balls]) - np.asarray(grid.origin)) / dx - 1.0
+    q = np.rint(u).astype(int)
+    odd = q % 2 == 1
+    idx = (q + odd) // 2
+    if (np.abs(u - q).max() > 1e-6 or np.any(odd.sum(axis=1) != 1)
+            or np.any(idx < 0) or np.any(idx > np.asarray(grid.extents))):
+        raise InvariantViolation("a cover ball is not centred on a facet of the grid")
+    slot, offsets, size = _lattice(grid, rho - half_diag + 1e-9 * dx)
+    axes = np.argmax(odd, axis=1)
+    hit = np.zeros(size, dtype=bool)
+    for a in range(grid.n):
+        hit[(slot(a, idx[axes == a])[:, None] + offsets[a]).ravel()] = True
+    for a, mask in enumerate(targets.masks):
+        where = np.argwhere(mask)
+        missed = where[~hit[slot(a, where)]]
+        if missed.size:
+            raise InvariantViolation(
+                f"facet at {grid.facet_center(a, missed[0])} is not inside any cover ball"
+            )
 
 
 def interior_approximation(set_: RoughSet, delta: float,

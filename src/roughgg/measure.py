@@ -97,7 +97,9 @@ def _density_field(set_: RoughSet, r: float) -> np.ndarray:
     axes = [np.arange(-ticks, ticks + 1) for _ in range(grid.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     kernel = (sum(m**2 for m in mesh) <= radius_cells**2 * (1 + 1e-12)).astype(float)
-    counts = convolve_same(set_.cells.astype(float), kernel)
+    # 0/1 cells under a 0/1 kernel: integer counts, so FFT roundoff
+    # cannot move a density across a threshold
+    counts = np.rint(convolve_same(set_.cells.astype(float), kernel))
     ratio = counts * grid.cell_volume / (unit_ball_volume(grid.n) * r**grid.n)
     return np.clip(ratio, 0.0, 1.0)
 

@@ -5,19 +5,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import fft_context
 from .errors import InputError
 from .gridcore import Grid, faces, lift
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a fast real-FFT length (as
+    ``scipy.fft.next_fast_len(n, True)``)."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Linear convolution with zero padding, cropped to ``values.shape``
     (centered, as ``scipy.signal.fftconvolve(..., mode="same")``).
 
-    Real FFTs run over the axes where both sizes exceed 1 (the others
-    broadcast), padded to the next fast length of the full size; the
-    arithmetic is the same as ``fftconvolve``'s, so results agree bit for
-    bit.
+    ``numpy.fft`` real FFTs run over the axes where both sizes exceed 1
+    (the others broadcast), padded to ``_fast_len`` of the full size.
     """
     values = np.asarray(values, dtype=float)
     s1, s2 = values.shape, weights.shape
@@ -25,13 +35,10 @@ def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a])
             for a in range(values.ndim)]
     if axes:
-        import scipy.fft
-
-        fshape = [scipy.fft.next_fast_len(full[a], True) for a in axes]
-        with fft_context():
-            spectrum = (scipy.fft.rfftn(values, fshape, axes=axes)
-                        * scipy.fft.rfftn(weights, fshape, axes=axes))
-            out = scipy.fft.irfftn(spectrum, fshape, axes=axes)
+        fshape = [_fast_len(full[a]) for a in axes]
+        spectrum = (np.fft.rfftn(values, fshape, axes=axes)
+                    * np.fft.rfftn(weights, fshape, axes=axes))
+        out = np.fft.irfftn(spectrum, fshape, axes=axes)
         out = out[tuple(slice(k) for k in full)]
     else:
         out = values * weights

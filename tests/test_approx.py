@@ -1,20 +1,25 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from roughgg.approx import (
     EXTERIOR_HALF_DENSITY,
     STAR_COVER,
+    BallCover,
+    _facet_cover,
+    _stencil,
     approximation_sweep,
     audit_cover,
     cantor_generation_sweep,
     interior_approximation,
 )
 from roughgg.domain import RoughSet, make_grid, parse_domain, preset_set, rasterize
-from roughgg.errors import InputError
+from roughgg.errors import InputError, InvariantViolation
 from roughgg.measure import boundary_decomposition, classify, density
 
 
@@ -125,3 +130,86 @@ def test_interior_approximation_deterministic(slit_256):
     b = interior_approximation(slit_256, 1.0 / 8.0)
     assert np.array_equal(a.e_cells, b.e_cells)
     assert a.cover.balls == b.cover.balls
+
+
+# ---------------------------------------------------------------------------
+# the facet-lattice stencil against a cKDTree reference
+# ---------------------------------------------------------------------------
+
+PRESETS = ["square", "disk", "slit-square", "slit-disk", "l-shape", "cantor-cross"]
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_case(name: str):
+    """(grid, target facets) of a preset at 1/128, or the slit cube at 1/16."""
+    if name == "slit-cube":
+        spec = parse_domain(json.dumps({
+            "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+            "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
+        }))
+        set_ = rasterize(spec, make_grid(spec, 1.0 / 16.0, margin_cells=4))
+    else:
+        set_ = preset_set(name, 1.0 / 128.0)
+    bd = boundary_decomposition(set_, classify(set_))
+    return set_, bd.reduced.union(bd.crack_part)
+
+
+def _kdtree_cover(grid, targets, delta):
+    """The greedy facet cover marked by ``cKDTree.query_ball_point``."""
+    dx = grid.spacing
+    rho = min(max(2.0 * dx, dx * math.floor(delta / (2.0 * dx))), delta * 0.999)
+    reach = rho - dx * math.sqrt(0.25 + (grid.n - 1))
+    centers = targets.centers()
+    tree = cKDTree(centers)
+    covered = np.zeros(centers.shape[0], dtype=bool)
+    balls = []
+    for i, c in enumerate(centers):
+        if not covered[i]:
+            balls.append((tuple(float(v) for v in c), rho, STAR_COVER))
+            covered[tree.query_ball_point(c, reach + 1e-12 * dx)] = True
+    return balls
+
+
+def _kdtree_audit_passes(grid, balls, targets) -> bool:
+    """Every target facet centre within rho - half_diag of a ball centre."""
+    half_diag = 0.5 * grid.spacing * math.sqrt(grid.n - 1)
+    dist, _ = cKDTree(np.array([c for c, _r, _k in balls])).query(targets.centers())
+    return bool(np.all(dist <= balls[0][1] - half_diag + 1e-9 * grid.spacing))
+
+
+def _audit_passes(set_, balls, targets) -> bool:
+    try:
+        audit_cover(set_, BallCover(balls=balls, totals={}), targets)
+    except InvariantViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", PRESETS + ["slit-cube"])
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_facet_cover_matches_kdtree(name, m):
+    set_, targets = _cover_case(name)
+    delta = m * set_.grid.spacing
+    balls = _facet_cover(set_.grid, targets, delta)
+    assert balls == _kdtree_cover(set_.grid, targets, delta)
+    for kept in (balls, balls[:len(balls) // 2] + balls[len(balls) // 2 + 1:], balls[::2]):
+        assert _audit_passes(set_, kept, targets) \
+            == _kdtree_audit_passes(set_.grid, kept, targets)
+    assert not _audit_passes(set_, balls[::2], targets)
+
+
+@pytest.mark.parametrize("n, a, b, offset", [
+    (2, 0, 0, (2, 1)), (2, 0, 1, (1, 1)), (3, 2, 0, (1, 2, -1)),
+])
+def test_stencil_edge_is_the_slack(n, a, b, offset):
+    """Lattice distances never equal the reach, so the edge that matters is
+    the cover's 1e-12 dx slack: inside it an offset is kept, beyond it not."""
+    dx = 1.0 / 64.0
+    shift = (np.eye(n)[a] - np.eye(n)[b]) / 2.0
+    dist = dx * math.sqrt(((np.array(offset) + shift) ** 2).sum())
+
+    def kept(reach):
+        return offset in map(tuple, _stencil(n, dx, reach + 1e-12 * dx)[a][b].tolist())
+
+    assert kept(dist - 0.5e-12 * dx)
+    assert not kept(dist - 1.5e-12 * dx)

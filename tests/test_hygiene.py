@@ -179,17 +179,17 @@ SLIT = ["--preset", "slit-square", "--grid", "16"]
 
 @pytest.mark.parametrize("argv", [
     ["--help"],
+    ["classify", *SLIT],
+    ["perimeter", *SLIT],
+    ["approx", *SLIT],
+    ["approx", "--preset", "slit-square", "--grid", "32", "--sweep", "0.5,0.375,0.25"],
     ["trace", *SLIT, "--csv", "tr.csv"],
     ["gg-check", *SLIT],
     ["gallery", "--out-dir", "gallery"],
-], ids=lambda argv: argv[0])
+], ids=lambda argv: argv[0] + ("-sweep" if "--sweep" in argv else ""))
 def test_subcommand_loads_no_scipy(tmp_path, argv):
     out = _fresh_python(["-c", PROBE, *argv], cwd=tmp_path)
     assert out == {"code": 0, "scipy": []}
-
-
-def test_classify_loads_only_fft(tmp_path):
-    assert _cli_scipy(tmp_path, "classify", *SLIT) == {"scipy.fft"}
 
 
 def test_solve_div_loads_only_sparse(tmp_path):
@@ -208,13 +208,23 @@ def _scipy_imports(nodes) -> list[str]:
 
 
 def test_module_level_scipy_imports():
-    """Only ``approx`` (cKDTree) and ``divsolve`` (the sparse solve) import
-    scipy at module level; every other use imports it where it runs."""
+    """Only ``divsolve`` (the sparse solve) imports scipy at module level;
+    every other use imports it where it runs."""
     found = {p.name: _scipy_imports(ast.parse(p.read_text()).body)
              for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {
-        "approx.py": ["scipy.spatial"],
         "divsolve.py": ["scipy.sparse", "scipy.sparse.linalg"],
+    }
+
+
+def test_scipy_imports_anywhere():
+    """Beyond ``divsolve``, only ``measure.ahlfors_constant`` (cKDTree)
+    imports scipy, in its body; nothing imports ``scipy.fft``."""
+    found = {p.name: _scipy_imports(ast.walk(ast.parse(p.read_text())))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {
+        "divsolve.py": ["scipy.sparse", "scipy.sparse.linalg"],
+        "measure.py": ["scipy.spatial"],
     }
 
 

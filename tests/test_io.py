@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughgg._util import atomic_write_text, dumps_json, format_float
 from roughgg.dmfield import sample_field
@@ -154,6 +156,48 @@ def test_flux_field_rejects_bad_values(tmp_path, slit_square_32, kind):
         handle.write(bytes(data))
     with pytest.raises(InputError, match=_BAD_FILE_ERRORS[kind]):
         read_flux_field(path, slit_square_32)
+
+
+@pytest.fixture(scope="module")
+def slit_16_dmf1(tmp_path_factory):
+    """A slit-square 1/16 rough set, a valid DMF1 file of its slit field,
+    and a path to write mutated copies to."""
+    set_ = preset_set("slit-square", 1.0 / 16.0, margin_cells=4)
+    data = flux_field_bytes(sample_field(slit_jump_field(), set_, 1.0))
+    return set_, data, str(tmp_path_factory.mktemp("fuzz") / "mutated.dmf")
+
+
+# a byte position favours the header and the record table as often as the
+# arrays between them
+_POSITION = st.integers(0, 64) | st.integers(0, 1 << 20) | st.integers(-64, -1)
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), _POSITION, st.integers(1, 255)),
+    st.tuples(st.just("cut"), _POSITION),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+def test_flux_field_fuzz(slit_16_dmf1, mutations):
+    """Flipped, cut or appended bytes: ``read_flux_field`` raises
+    InputError or returns a field within its bound, never anything else."""
+    set_, data, path = slit_16_dmf1
+    data = bytearray(data)
+    for kind, *args in mutations:
+        if kind == "flip" and data:
+            data[args[0] % len(data)] ^= args[1]
+        elif kind == "cut":
+            del data[args[0] % (len(data) + 1):]
+        elif kind == "append":
+            data += args[0]
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+    try:
+        F = read_flux_field(path, set_)
+    except InputError:
+        return
+    F.check_bound()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -92,6 +92,29 @@ def _near(set_, mask):
                                    iterations=int(set_.grid.extents[0] // 4))
 
 
+@pytest.mark.parametrize("shape, r_cells", [
+    ((47, 40), 8.0), ((41, 38), 5.5), ((21, 19, 18), 4.0), ((17, 16, 15), 3.5),
+], ids=["2d-8", "2d-5.5", "3d-4", "3d-3.5"])
+def test_density_counts_are_exact(shape, r_cells):
+    """The ball counts behind the density field are the direct integer
+    counts, so FFT roundoff cannot move a label across a threshold."""
+    from scipy.signal import convolve
+
+    from roughgg.gridcore import Grid, unit_ball_volume
+    from roughgg.measure import _density_field
+
+    n = len(shape)
+    grid = Grid(n=n, spacing=1.0 / 32.0, origin=(0.0,) * n, extents=shape)
+    cells = np.random.default_rng(sum(shape)).random(shape) < 0.5
+    ticks = np.arange(-int(r_cells), int(r_cells) + 1)
+    mesh = np.meshgrid(*[ticks] * n, indexing="ij")
+    ball = (sum(m**2 for m in mesh) <= r_cells**2).astype(float)
+    counts = convolve(cells.astype(float), ball, mode="same", method="direct")
+    r = r_cells * grid.spacing
+    expected = np.clip(counts * grid.cell_volume / (unit_ball_volume(n) * r**n), 0.0, 1.0)
+    assert np.array_equal(_density_field(RoughSet(grid, cells), r), expected)
+
+
 def test_classify_partition(slit_square_64):
     cls = classify(slit_square_64)
     assert cls.count(INTERIOR) + cls.count(ESSBOUNDARY) + cls.count(EXTERIOR) \

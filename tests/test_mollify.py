@@ -4,10 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len
+from scipy.signal import convolve
 
 from roughgg.gridcore import box_any
-from roughgg.mollify import convolve_same
+from roughgg.mollify import _fast_len, convolve_same
+
+
+def _numpy_fft_same(values, weights):
+    """Same-mode convolution by numpy.fft real FFTs at ``_fast_len`` over
+    the axes where both sizes exceed 1, cropped to the centre."""
+    s1, s2 = np.array(values.shape), np.array(weights.shape)
+    axes = [a for a in range(values.ndim) if s1[a] > 1 and s2[a] > 1]
+    full = np.maximum(s1, s2)
+    full[axes] = s1[axes] + s2[axes] - 1
+    fshape = [_fast_len(int(full[a])) for a in axes]
+    out = np.fft.irfftn(np.fft.rfftn(values, fshape, axes=axes)
+                        * np.fft.rfftn(weights, fshape, axes=axes), fshape, axes=axes)
+    start = (full - s1) // 2
+    return out[tuple(slice(b, b + k) for b, k in zip(start, s1))]
 
 
 @pytest.mark.parametrize("values_shape, weights_shape", [
@@ -19,14 +34,23 @@ from roughgg.mollify import convolve_same
     ((16, 11, 10), (7, 7, 7)),
 ])
 def test_convolve_same_equals_fftconvolve(values_shape, weights_shape):
+    """``fftconvolve``'s same mode: bit for bit the numpy.fft arithmetic,
+    and within roundoff of the direct sum."""
     rng = np.random.default_rng(sum(values_shape) + sum(weights_shape))
     values = rng.standard_normal(values_shape)
     weights = rng.random(weights_shape)
     for v in (values, (values > 0.0).astype(float)):
-        expected = fftconvolve(v, weights, mode="same")
         got = convolve_same(v, weights)
+        expected = _numpy_fft_same(v, weights)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+        direct = convolve(v, weights, mode="same", method="direct")
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_fast_len_matches_scipy():
+    assert [_fast_len(n) for n in range(1, 5001)] == [
+        next_fast_len(n, True) for n in range(1, 5001)]
 
 
 @settings(max_examples=100, deadline=None)
