@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, box_any, touching
+from .gridcore import FacetArrays, Grid, box_any, lattice_reach, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -93,45 +93,74 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
     return [(c, r, EXTERIOR_HALF_DENSITY) for c, r in accepted]
 
 
-def _stencil(n: int, dx: float, radius: float) -> list:
-    """Index offsets ``o``, per ball facet axis ``a`` and target facet axis
-    ``b``, of the axis-``b`` facets whose centres lie within ``radius`` of
-    an axis-``a`` facet centre: ``|(o + (e_a - e_b) / 2) dx|^2 <= radius^2``."""
-    r = int(math.ceil(radius / dx)) + 1
+def _stencil(n: int, dx: float, radius: float, shifts=None) -> list:
+    """Index offsets ``o``, per ball facet axis ``a`` and target lattice
+    ``b``, of the targets whose centres lie within ``radius`` of an
+    axis-``a`` facet centre: ``|(o + e_a / 2 - shifts[b]) dx|^2 <=
+    radius^2``.  The targets are the facets of each axis (``shifts[b] =
+    e_b / 2``) unless ``shifts`` is given; the cells are shift 0."""
+    r = lattice_reach(np.ceil(radius / dx) + 1, n, f"cover ball radius {radius}")
     box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * n, indexing="ij"), -1)
     box = box.reshape(-1, n)
     half = 0.5 * np.eye(n)
-    return [[box[(((box + half[a] - half[b]) * dx) ** 2).sum(axis=1) <= radius**2]
-             for b in range(n)] for a in range(n)]
+    return [[box[(((box + half[a] - s) * dx) ** 2).sum(axis=1) <= radius**2]
+             for s in (half if shifts is None else shifts)] for a in range(n)]
 
 
-def _lattice(grid: Grid, radius: float):
-    """Every axis's facet slots in one flat array, each facet grid padded
-    past the stencil in a common box, so an index offset is one flat
-    offset.  Returns ``slot(axes, idx)``, the flat offsets per ball axis of
-    the slots within ``radius``, and the array size."""
+def _lattice(grid: Grid, radius: float, shifts=None):
+    """Every target lattice's slots (see ``_stencil``) in one flat array,
+    each padded past the stencil in a common box, so an index offset is
+    one flat offset.  Returns ``slot(axes, idx)``, the flat offsets per
+    ball axis of the targets within ``radius``, the array's shape
+    (targets, *box) and the padding."""
+    rows = _stencil(grid.n, grid.spacing, radius, shifts)
     pad = int(math.ceil(radius / grid.spacing)) + 1
-    shape = [m + 1 + 2 * pad for m in grid.extents]
-    size = math.prod(shape)
-    strides = np.array([math.prod(shape[j + 1:]) for j in range(grid.n)])
+    shape = (len(rows[0]),) + tuple(m + 1 + 2 * pad for m in grid.extents)
+    size = math.prod(shape[1:])
+    strides = np.array([math.prod(shape[j + 2:]) for j in range(grid.n)])
     offsets = [np.concatenate([(b - a) * size + o @ strides for b, o in enumerate(row)])
-               for a, row in enumerate(_stencil(grid.n, grid.spacing, radius))]
-    return (lambda axes, idx: axes * size + (idx + pad) @ strides), offsets, grid.n * size
+               for a, row in enumerate(rows)]
+    return (lambda axes, idx: axes * size + (idx + pad) @ strides), offsets, shape, pad
+
+
+def _hits(grid: Grid, radius: float, centers, cells: bool = False) -> list[np.ndarray]:
+    """Per target lattice (each axis's facets, or with ``cells`` the cells)
+    the slots within ``radius`` of a ball centred on a facet centre in
+    ``centers``, marked by stencil a chunk of balls at a time."""
+    # 2 (c - origin) / dx - 1 is even on the axes across a facet and odd
+    # on its own axis
+    u = 2.0 * (np.asarray(centers) - np.asarray(grid.origin)) / grid.spacing - 1.0
+    q = np.rint(u).astype(int)
+    odd = q % 2 == 1
+    idx, axes = (q + odd) // 2, np.argmax(odd, axis=1)
+    if (np.abs(u - q).max() > 1e-6 or np.any(odd.sum(axis=1) != 1)
+            or np.any(idx < 0) or np.any(idx > np.asarray(grid.extents))):
+        raise InvariantViolation("a cover ball is not centred on a facet of the grid")
+    slot, offsets, shape, pad = _lattice(grid, radius, np.zeros((1, grid.n)) if cells else None)
+    hit = np.zeros(math.prod(shape), dtype=bool)
+    for a in range(grid.n):
+        base = slot(a, idx[axes == a])
+        step = max(1, 2**20 // offsets[a].size)
+        for k in range(0, base.size, step):
+            hit[(base[k:k + step, None] + offsets[a]).ravel()] = True
+    targets = [grid.extents] if cells else [grid.facet_shape(b) for b in range(grid.n)]
+    return [h[tuple(slice(pad, pad + m) for m in t)]
+            for h, t in zip(hit.reshape(shape), targets)]
 
 
 def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
     """Equal balls greedily marched along the facet set until every facet
     sits fully inside some ball; each ball marks its facets by stencil."""
     dx = grid.spacing
-    rho = max(2.0 * dx, dx * math.floor(delta / (2.0 * dx)))
+    rho = max(2.0 * dx, dx * float(np.floor(delta / (2.0 * dx))))  # floor(inf) is inf
     rho = min(rho, delta * 0.999)
     # marking margin: every cell whose closed cube touches a covered facet
     # (corner contact included) must land inside the ball
     reach = rho - dx * math.sqrt(0.25 + (grid.n - 1))
-    slot, offsets, size = _lattice(grid, reach + 1e-12 * dx)
+    slot, offsets, shape, _ = _lattice(grid, reach + 1e-12 * dx)
     slots = [(a, s) for a, mask in enumerate(targets.masks)
              for s in slot(a, np.argwhere(mask)).tolist()]
-    covered = np.zeros(size, dtype=bool)
+    covered = np.zeros(math.prod(shape), dtype=bool)
     balls = []
     for c, (a, s) in zip(targets.centers(), slots):
         if covered[s]:
@@ -142,13 +171,22 @@ def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
 
 
 def _remove_balls(set_: RoughSet, balls) -> np.ndarray:
+    """Cells whose centres lie in a removal ball.  Star balls (radius k dx,
+    k >= 4, on facet centres) mark a cell stencil: a cell at offset o from
+    an axis-a facet lies at d^2 / dx^2 = |o|^2 + o_a + 1/4, never within
+    1/4 of k^2, so neither roundoff nor the slack moves it across."""
     grid = set_.grid
+    # hair of slack: facets marked covered at the marking tolerance
+    # must see both incident cells removed
+    slack = 1e-9 * grid.spacing
     removed = np.zeros(grid.extents, dtype=bool)
-    for center, r, _kind in balls:
-        # hair of slack: facets marked covered at the marking tolerance
-        # must see both incident cells removed
-        window, inside = grid.ball(center, (r + 1e-9 * grid.spacing) ** 2)
-        removed[window] |= inside
+    for center, r, kind in balls:
+        if kind != STAR_COVER:
+            window, inside = grid.ball(center, (r + slack) ** 2)
+            removed[window] |= inside
+    star = [(c, r) for c, r, kind in balls if kind == STAR_COVER]
+    if star:  # one radius, as the cover makes them
+        removed |= _hits(grid, star[0][1] + slack, [c for c, _ in star], cells=True)[0]
     return removed
 
 
@@ -163,7 +201,7 @@ def audit_cover(set_: RoughSet, cover: BallCover,
                 raise InvariantViolation(
                     f"cover ball at {center} (r={r}) fails the density check"
                 )
-    star_balls = [(np.asarray(c), r) for c, r, k in cover.balls if k == STAR_COVER]
+    star_balls = [(c, r) for c, r, k in cover.balls if k == STAR_COVER]
     if targets.count() == 0:
         return
     if not star_balls:
@@ -171,23 +209,9 @@ def audit_cover(set_: RoughSet, cover: BallCover,
     dx = grid.spacing
     half_diag = 0.5 * dx * math.sqrt(grid.n - 1)
     rho = star_balls[0][1]
-    # ball centres sit on facet centres: 2 (c - origin) / dx - 1 is even
-    # on the axes across the facet and odd on its own axis
-    u = 2.0 * (np.stack([c for c, _ in star_balls]) - np.asarray(grid.origin)) / dx - 1.0
-    q = np.rint(u).astype(int)
-    odd = q % 2 == 1
-    idx = (q + odd) // 2
-    if (np.abs(u - q).max() > 1e-6 or np.any(odd.sum(axis=1) != 1)
-            or np.any(idx < 0) or np.any(idx > np.asarray(grid.extents))):
-        raise InvariantViolation("a cover ball is not centred on a facet of the grid")
-    slot, offsets, size = _lattice(grid, rho - half_diag + 1e-9 * dx)
-    axes = np.argmax(odd, axis=1)
-    hit = np.zeros(size, dtype=bool)
-    for a in range(grid.n):
-        hit[(slot(a, idx[axes == a])[:, None] + offsets[a]).ravel()] = True
+    hits = _hits(grid, rho - half_diag + 1e-9 * dx, [c for c, _ in star_balls])
     for a, mask in enumerate(targets.masks):
-        where = np.argwhere(mask)
-        missed = where[~hit[slot(a, where)]]
+        missed = np.argwhere(mask & ~hits[a])
         if missed.size:
             raise InvariantViolation(
                 f"facet at {grid.facet_center(a, missed[0])} is not inside any cover ball"

@@ -28,8 +28,8 @@ import numpy as np
 
 from .domain import FacetTopology, RoughSet
 from .errors import InputError, InvariantViolation
-from .gridcore import (MINUS, PLUS, FacetArrays, Grid, box_any, faces, lift, side_orient,
-                       touches_edge, touching)
+from .gridcore import (MINUS, PLUS, FacetArrays, Grid, box_any, faces, lift, nonzero,
+                       side_orient, touches_edge, touching)
 from .measure import refinement_order
 from .mollify import MollifierKernel
 from .onesided import smooth_facet_values
@@ -46,8 +46,10 @@ class TestFunction:
     The Gauss-Green formula up to the boundary pairs against test
     functions that need not vanish near the boundary, and the pairing
     evaluates phi only inside the grid box, so no cutoff is applied.
-    Every method takes stacked coordinates (..., n), a full mesh or the
-    rows of a few masked slots.
+    Every method takes one coordinate array per axis, the broadcastable
+    1-D arrays of ``Grid.cell_center_mesh()`` / ``facet_center_mesh(a)``
+    or equal-length 1-D gathers of a few slots, and multiplies the per-axis
+    powers coefficient first, then axis 0, 1, ....
     """
 
     __test__ = False  # pytest would otherwise collect it by its name
@@ -57,41 +59,22 @@ class TestFunction:
         self.name = "x^" + ",".join(str(e) for e in self.exponents)
 
     @staticmethod
-    def _term(X: np.ndarray, coef: int, powers) -> np.ndarray:
-        out = coef * np.ones(X.shape[:-1])
-        for a, p in enumerate(powers):
+    def _term(coords, coef: int, powers) -> np.ndarray:
+        out = coef
+        for x, p in zip(coords, powers):
             if p:
-                out = out * X[..., a] ** p
-        return out
+                out = out * x ** p
+        return np.broadcast_to(np.asarray(out, dtype=float),
+                               np.broadcast_shapes(*(np.shape(x) for x in coords)))
 
-    def value(self, X: np.ndarray) -> np.ndarray:
-        return self._term(X, 1, self.exponents)
+    def value(self, coords) -> np.ndarray:
+        return self._term(coords, 1, self.exponents)
 
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad_component(X, a) for a in range(X.shape[-1])],
-                        axis=-1)
-
-    def grad_component(self, X: np.ndarray, axis: int) -> np.ndarray:
+    def grad_component(self, coords, axis: int) -> np.ndarray:
         """One partial derivative, without forming the others."""
         e = self.exponents[axis]
-        if e == 0:
-            return np.zeros(X.shape[:-1])
-        return self._term(X, e, [p - (b == axis) for b, p in enumerate(self.exponents)])
-
-    def audit(self, points: np.ndarray, step: float) -> float:
-        """Max relative gap between the analytic gradient and central
-        differences at the given step."""
-        worst = 0.0
-        g = self.grad(points)
-        scale = float(np.max(np.abs(g))) + 1.0
-        for a in range(points.shape[-1]):
-            hi = points.copy()
-            lo = points.copy()
-            hi[..., a] += step
-            lo[..., a] -= step
-            fd = (self.value(hi) - self.value(lo)) / (2.0 * step)
-            worst = max(worst, float(np.max(np.abs(fd - g[..., a]))) / scale)
-        return worst
+        powers = [p - (b == axis) for b, p in enumerate(self.exponents)] if e else []
+        return self._term(coords, e, powers)  # zeros, coords' shape, for e = 0
 
 
 def default_phi_basis(grid: Grid, degree: int = 2) -> list[TestFunction]:
@@ -299,17 +282,22 @@ def divergence_measure(F: FluxField) -> SignedMeasure:
     """
     grid = F.grid
     area = grid.facet_area
-    balance = np.zeros(grid.extents)
-    for a in range(grid.n):
-        balance += F.plus_face_values(a) - F.minus_face_values(a)
-    cell_weights = np.where(F.set.cells, balance * area, 0.0)
     fminus = [np.zeros(grid.facet_shape(a)) for a in range(grid.n)]
     fplus = [np.zeros(grid.facet_shape(a)) for a in range(grid.n)]
     for a in range(grid.n):
         jump_here = F.topology.interior[a] & (F.vminus[a] != F.vplus[a])
         fminus[a][jump_here] = -F.vminus[a][jump_here] * area
         fplus[a][jump_here] = F.vplus[a][jump_here] * area
-    return SignedMeasure(grid, cell_weights, fminus, fplus)
+    return SignedMeasure(grid, _cell_balance(F), fminus, fplus)
+
+
+def _cell_balance(F: FluxField) -> np.ndarray:
+    """The cell atoms of ``divergence_measure(F)``: each body cell's
+    one-sided flux balance times the facet area."""
+    balance = np.zeros(F.grid.extents)
+    for a in range(F.grid.n):
+        balance += F.plus_face_values(a) - F.minus_face_values(a)
+    return np.where(F.set.cells, balance * F.grid.facet_area, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +307,14 @@ def divergence_measure(F: FluxField) -> SignedMeasure:
 
 def _facet_pairing(grid: Grid, weights: list[np.ndarray], phi: TestFunction) -> float:
     """Sum over facets of the per-axis ``weights`` times phi at the facet
-    center (phi is evaluated on the nonzero weights only)."""
-    live = [w != 0.0 for w in weights]
-    x = FacetArrays(grid, live).centers()
-    return float(np.dot(np.concatenate([w[m] for w, m in zip(weights, live)]),
-                        phi.value(x)))
+    center (phi is evaluated on the nonzero weights only, at the centers
+    of ``FacetArrays.centers()``, gathered per axis from 1-D tables)."""
+    live = [nonzero(w != 0.0) for w in weights]
+    x = [(np.arange(m + 1) + 0.5) * grid.spacing + o for m, o in zip(grid.extents, grid.origin)]
+    coords = [np.concatenate([(x[b] - 0.5 * grid.spacing if a == b else x[b])[idx[b]]
+                              for a, idx in enumerate(live)]) for b in range(grid.n)]
+    return float(np.dot(np.concatenate([w[idx] for w, idx in zip(weights, live)]),
+                        phi.value(coords)))
 
 
 class TraceData:
@@ -501,7 +492,8 @@ class _MidpointPhi:
     """The test-function half of the midpoint pairing, for one topology.
 
     ``cells`` is phi at cell centers; per axis a, ``facet[a]`` is the
-    partial derivative along a at every facet center.  ``lower[a]`` /
+    partial derivative along a at the facet centers of
+    ``topology.interior[a]``, as a 1-D array in C order.  ``lower[a]`` /
     ``upper[a]`` are 1-D arrays over the slots of ``topology.minus[a]`` /
     ``topology.plus[a]`` in C order: the same derivative a quarter cell
     below / above those facet centers, evaluated there only.
@@ -514,16 +506,18 @@ class _MidpointPhi:
 
 
 def _midpoint_phi(grid: Grid, phi: TestFunction, top: FacetTopology) -> _MidpointPhi:
-    Xc = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
     facet, lower, upper = [], [], []
     for a in range(grid.n):
-        Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
-        facet.append(phi.grad_component(Xf, a))
+        mesh = grid.facet_center_mesh(a)
+        facet.append(phi.grad_component(mesh, a)[top.interior[a]])
+        axes = [x.ravel() for x in mesh]
         for out, mask, sign in zip((lower, upper), (top.minus[a], top.plus[a]), (-1.0, 1.0)):
-            off = np.zeros(grid.n)
-            off[a] = sign * 0.25 * grid.spacing  # quarter cell into the side's cell
-            out.append(phi.grad_component(Xf[mask] + off, a))
-    return _MidpointPhi(phi.value(Xc), facet, lower, upper)
+            idx = nonzero(mask)
+            coords = [x[i] for x, i in zip(axes, idx)]
+            # a quarter cell into the side's cell
+            coords[a] = (axes[a] + sign * 0.25 * grid.spacing)[idx[a]]
+            out.append(phi.grad_component(coords, a))
+    return _MidpointPhi(phi.value(grid.cell_center_mesh()), facet, lower, upper)
 
 
 def _midpoint_pairing(F: FluxField, pp: _MidpointPhi, cell_weights: np.ndarray) -> float:
@@ -534,7 +528,7 @@ def _midpoint_pairing(F: FluxField, pp: _MidpointPhi, cell_weights: np.ndarray) 
     top = F.topology
     for a in range(F.grid.n):
         interior = top.interior[a]
-        total += float((F.vminus[a][interior] * pp.facet[a][interior]).sum()) * vol
+        total += float((F.vminus[a][interior] * pp.facet[a]).sum()) * vol
         for mask, vals, dphi_half in ((top.minus[a], F.vminus[a], pp.lower[a]),
                                       (top.plus[a], F.vplus[a], pp.upper[a])):
             if dphi_half.size:
@@ -552,13 +546,14 @@ def normal_trace_pairing(F: FluxField, phi: TestFunction) -> float:
     is affine (the degree-2 ``default_phi_basis``) the pairing equals
     ``trace_measure(F).integrate(phi)`` up to rounding, for every field
     on the set.  The pairing is linear in the field, so it is the field
-    half (``_midpoint_pairing``) applied to the phi half
-    (``_midpoint_phi``, on stacked coordinates, with the half-cell
-    derivatives at the one-sided slots only); callers pairing many fields
-    of one topology against the same phi build the phi half once.
+    half (``_midpoint_pairing``, which needs only the cell balance of the
+    divergence) applied to the phi half (``_midpoint_phi``, evaluated on
+    the grid's per-axis coordinates, the facet derivatives kept on the
+    interior facets and the half-cell ones taken at the one-sided slots
+    only); callers pairing many fields of one topology against the same
+    phi build the phi half once.
     """
-    return _midpoint_pairing(F, _midpoint_phi(F.grid, phi, F.topology),
-                             divergence_measure(F).cell_weights)
+    return _midpoint_pairing(F, _midpoint_phi(F.grid, phi, F.topology), _cell_balance(F))
 
 
 def gauss_green_residual(F: FluxField, phi: TestFunction,
@@ -627,7 +622,7 @@ def trace_weak_convergence(F: FluxField, eps_list=None,
     if len(phi_basis) < 5:
         raise InputError("need >= 5 basis functions (default_phi_basis(grid) has 6)")
     fields = [F] + [mollify_field(F, eps) for eps in eps_list]
-    cell_weights = [divergence_measure(G).cell_weights for G in fields]
+    cell_weights = [_cell_balance(G) for G in fields]
     gaps = [[] for _ in eps_list]
     for phi in phi_basis:
         pp = _midpoint_phi(grid, phi, F.topology)
@@ -848,9 +843,8 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
         gF.vminus[a][minus_side] = (g_lo * F.vminus[a])[minus_side]
         gF.vplus[a][plus_side] = (g_up * F.vplus[a])[plus_side]
 
-    div_gF = divergence_measure(gF)
-    div_F = divergence_measure(F)
-    Xc = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
+    div_gF, div_F = _cell_balance(gF), _cell_balance(F)
+    mesh = grid.cell_center_mesh()
     Fc = F.cell_vector()
     rows = []
     bound_rows = []
@@ -862,9 +856,9 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
         pair_density[~body] = 0.0
         residual = 0.0
         for phi in phi_basis:
-            phi_c = phi.value(Xc)
-            lhs = float((phi_c * div_gF.cell_weights).sum())
-            mid = float((phi_c * g_eps * div_F.cell_weights).sum())
+            phi_c = phi.value(mesh)
+            lhs = float((phi_c * div_gF).sum())
+            mid = float((phi_c * g_eps * div_F).sum())
             rhs = float((phi_c * pair_density).sum()) * grid.cell_volume
             residual = max(residual, abs(lhs - mid - rhs))
         tv_pairing = float(np.abs(pair_density).sum()) * grid.cell_volume

@@ -92,6 +92,11 @@ def touching(masks) -> np.ndarray:
     return out
 
 
+def nonzero(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``np.nonzero(mask)`` by flat positions: several times faster in 2-D."""
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+
+
 def touches_edge(cells: np.ndarray) -> bool:
     """True if a true cell lies in the grid's outer layer of cells, so the
     grid does not strictly contain the set."""
@@ -100,6 +105,16 @@ def touches_edge(cells: np.ndarray) -> bool:
 
 # solve-div peaks at ~550 B per cell, so a grid at the cap fits in 8 GB
 MAX_CELLS = 2**23
+
+
+def lattice_reach(reach: float, n: int, what: str) -> int:
+    """``reach``, a whole number of cells, as an int, once the (2 reach +
+    1)^n lattice it spans is known to stay within ``MAX_CELLS`` points;
+    otherwise ``InputError`` naming ``what``, before any array is built."""
+    if not 2.0 * reach + 1.0 <= MAX_CELLS ** (1.0 / n):
+        raise InputError(f"{what} is too large for the grid: it spans a lattice of "
+                         f"{2.0 * reach + 1.0:.4g}^{n} points, over the cap of {MAX_CELLS}")
+    return int(reach)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import RoughSet
 from .errors import InputError
-from .gridcore import FacetArrays, Grid, box_any, touching, unit_ball_volume
+from .gridcore import FacetArrays, Grid, box_any, lattice_reach, touching, unit_ball_volume
 from .mollify import MollifierKernel, convolve_same
 
 EXTERIOR = 0
@@ -93,7 +93,7 @@ def _density_field(set_: RoughSet, r: float) -> np.ndarray:
     """Per-cell ball-fraction field (out-of-grid counts as exterior)."""
     grid = set_.grid
     radius_cells = r / grid.spacing
-    ticks = int(math.floor(radius_cells + 1e-9))
+    ticks = lattice_reach(np.floor(radius_cells + 1e-9), grid.n, f"density radius {r}")
     axes = [np.arange(-ticks, ticks + 1) for _ in range(grid.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     kernel = (sum(m**2 for m in mesh) <= radius_cells**2 * (1 + 1e-12)).astype(float)

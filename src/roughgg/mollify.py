@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .gridcore import Grid, faces, lift
+from .gridcore import Grid, faces, lattice_reach, lift
 
 
 def _fast_len(n: int) -> int:
@@ -22,28 +22,32 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def convolve_same(values, weights: np.ndarray):
     """Linear convolution with zero padding, cropped to ``values.shape``
     (centered, as ``scipy.signal.fftconvolve(..., mode="same")``).
 
     ``numpy.fft`` real FFTs run over the axes where both sizes exceed 1
     (the others broadcast), padded to ``_fast_len`` of the full size.
+    ``values`` may also be a list of same-shape arrays: the kernel is then
+    transformed once and a list of results comes back, each equal to its
+    own single-array call.
     """
-    values = np.asarray(values, dtype=float)
-    s1, s2 = values.shape, weights.shape
-    axes = [a for a in range(values.ndim) if s1[a] != 1 and s2[a] != 1]
+    batch = [np.asarray(v, dtype=float) for v in
+             (values if isinstance(values, list) else [values])]
+    s1, s2 = batch[0].shape, weights.shape
+    axes = [a for a in range(len(s1)) if s1[a] != 1 and s2[a] != 1]
     full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a])
-            for a in range(values.ndim)]
+            for a in range(len(s1))]
+    crop = tuple(slice((f - k) // 2, (f - k) // 2 + k) for f, k in zip(full, s1))
     if axes:
         fshape = [_fast_len(full[a]) for a in axes]
-        spectrum = (np.fft.rfftn(values, fshape, axes=axes)
-                    * np.fft.rfftn(weights, fshape, axes=axes))
-        out = np.fft.irfftn(spectrum, fshape, axes=axes)
-        out = out[tuple(slice(k) for k in full)]
+        spectrum = np.fft.rfftn(weights, fshape, axes=axes)
+        outs = [np.fft.irfftn(np.fft.rfftn(v, fshape, axes=axes) * spectrum, fshape,
+                              axes=axes)[tuple(slice(k) for k in full)][crop].copy()
+                for v in batch]
     else:
-        out = values * weights
-    start = [(f - k) // 2 for f, k in zip(full, s1)]
-    return out[tuple(slice(b, b + k) for b, k in zip(start, s1))].copy()
+        outs = [(v * weights)[crop].copy() for v in batch]
+    return outs if isinstance(values, list) else outs[0]
 
 
 class MollifierKernel:
@@ -58,7 +62,8 @@ class MollifierKernel:
             raise InputError(f"mollifier width {eps} must be >= 2 spacings")
         self.eps = float(eps)
         self.grid = grid
-        radius = int(np.floor(eps / grid.spacing + 1e-12))
+        radius = lattice_reach(np.floor(eps / grid.spacing + 1e-12), grid.n,
+                               f"mollifier width {eps}")
         axes = [np.arange(-radius, radius + 1) * grid.spacing for _ in range(grid.n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         r2 = sum(m**2 for m in mesh)
@@ -67,8 +72,8 @@ class MollifierKernel:
         self.weights = profile / profile.sum()
         self.radius_cells = radius
 
-    def smooth_cells(self, values: np.ndarray) -> np.ndarray:
-        """Convolve a cell array with the kernel (zero padding outside)."""
+    def smooth_cells(self, values):
+        """Convolve a cell array (or a list) with the kernel, zero padded."""
         return convolve_same(values, self.weights)
 
 
@@ -77,8 +82,7 @@ def smooth_cells_masked(kernel: MollifierKernel, values: np.ndarray,
     """Mollify a cell field defined only on ``mask``: the kernel is
     renormalized over the masked cells, so constants are preserved up to
     the mask boundary (one-sided smoothing)."""
-    num = kernel.smooth_cells(np.where(mask, values, 0.0))
-    den = kernel.smooth_cells(mask.astype(float))
+    num, den = kernel.smooth_cells([np.where(mask, values, 0.0), mask.astype(float)])
     out = np.zeros(values.shape)
     good = mask & (den > 0.0)
     out[good] = num[good] / den[good]

@@ -160,8 +160,8 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     sample = top.interior[axis]
     values = np.where(sample, F.vminus[axis], 0.0)
     # outside the band a sample's kernel window holds only samples
-    smoothed = (convolve_same(values, weights)
-                / np.maximum(convolve_same(sample.astype(float), weights), 1e-300))
+    num, den = convolve_same([values, sample.astype(float)], weights)
+    smoothed = num / np.maximum(den, 1e-300)
     planes = _crack_planes(grid, top.crack)
     # a segment no longer than eps crosses a crack only from a near start
     near = _near_crack_band(grid, axis, planes, eps)

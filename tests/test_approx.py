@@ -12,6 +12,8 @@ from roughgg.approx import (
     STAR_COVER,
     BallCover,
     _facet_cover,
+    _half_density_balls,
+    _remove_balls,
     _stencil,
     approximation_sweep,
     audit_cover,
@@ -20,6 +22,7 @@ from roughgg.approx import (
 )
 from roughgg.domain import RoughSet, make_grid, parse_domain, preset_set, rasterize
 from roughgg.errors import InputError, InvariantViolation
+from roughgg.gridcore import lattice_reach
 from roughgg.measure import boundary_decomposition, classify, density
 
 
@@ -213,3 +216,59 @@ def test_stencil_edge_is_the_slack(n, a, b, offset):
 
     assert kept(dist - 0.5e-12 * dx)
     assert not kept(dist - 1.5e-12 * dx)
+
+
+@pytest.mark.parametrize("n, largest", [(2, 1447), (3, 101)])
+def test_lattice_reach_stops_at_the_cell_cap(n, largest):
+    """(2 r + 1)^n stays within 2^23 points up to ``largest`` and not one
+    cell further; a reach that overflowed to inf is refused too."""
+    assert (2 * largest + 1) ** n <= 2**23 < (2 * largest + 3) ** n
+    assert lattice_reach(float(largest), n, "reach") == largest
+    for reach in (largest + 1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="reach is too large"):
+            lattice_reach(reach, n, "reach")
+
+
+# ---------------------------------------------------------------------------
+# ball removal by cell stencil against a Grid.ball loop
+# ---------------------------------------------------------------------------
+
+
+def _ball_loop_removal(set_, balls):
+    """Every ball's cells through its own ``Grid.ball`` window, with the
+    removal slack."""
+    grid = set_.grid
+    removed = np.zeros(grid.extents, dtype=bool)
+    for center, r, _kind in balls:
+        window, inside = grid.ball(center, (r + 1e-9 * grid.spacing) ** 2)
+        removed[window] |= inside
+    return removed
+
+
+@pytest.mark.parametrize("name", PRESETS + ["slit-cube"])
+def test_remove_balls_matches_ball_loop(name):
+    set_, targets = _cover_case(name)
+    cls = classify(set_)
+    bd = boundary_decomposition(set_, cls)
+    for m in (8, 12, 16):
+        delta = m * set_.grid.spacing
+        balls = (_half_density_balls(set_, bd, cls, delta)
+                 + _facet_cover(set_.grid, targets, delta))
+        assert np.array_equal(_remove_balls(set_, balls), _ball_loop_removal(set_, balls))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_remove_balls_clips_at_the_grid_edge(n):
+    """Balls on the outermost facets, and one of half density, whose
+    stencils and windows the grid cuts off."""
+    set_ = preset_set("square", 1.0 / 8.0) if n == 2 else _cover_case("slit-cube")[0]
+    grid = set_.grid
+    last = np.asarray(grid.extents) - 1
+    rho = 4.0 * grid.spacing
+    balls = [(tuple(float(v) for v in grid.facet_center(a, idx)), rho, STAR_COVER)
+             for a in range(n) for idx in (np.zeros(n, dtype=int), last + np.eye(n, dtype=int)[a])]
+    balls.append((tuple(float(v) for v in grid.cell_center(last)), 3.0 * grid.spacing,
+                  EXTERIOR_HALF_DENSITY))
+    removed = _remove_balls(set_, balls)
+    assert removed.any()
+    assert np.array_equal(removed, _ball_loop_removal(set_, balls))

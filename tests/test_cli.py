@@ -350,3 +350,20 @@ def test_seed_flag_is_gone_and_bare_seed_means_seed_0(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(json.loads(out.read_text()))
     assert outs[0]["rows"] == outs[1]["rows"]
+
+
+@pytest.mark.parametrize("args, scale", [
+    (["perimeter", "--preset", "disk", "--grid", "32", "--eps", "1e300"],
+     "mollifier width 1e+300"),
+    (["approx", "--preset", "cantor-cross", "--k", "2", "--grid", "36", "--delta", "1e300"],
+     "cover ball radius"),
+    (["approx", "--preset", "slit-square", "--grid", "32", "--sweep", "1e300,0.5,0.25"],
+     "cover ball radius"),
+], ids=["perimeter-eps", "approx-delta", "approx-sweep"])
+def test_scale_too_large_for_the_grid_exit_2(args, scale, capsys):
+    # each would ask for a lattice of some 1e603 points
+    from roughgg import cli
+
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert scale in err and f"over the cap of {2**23}" in err

@@ -11,6 +11,7 @@ from roughgg.dmfield import (
     TestFunction,
     TraceData,
     VectorTestFunction,
+    _facet_pairing,
     _midpoint_phi,
     bv_trace_check,
     default_phi_basis,
@@ -35,7 +36,7 @@ from roughgg.fields import (
     separated_smooth_field,
     slit_jump_field,
 )
-from roughgg.gridcore import MINUS, PLUS
+from roughgg.gridcore import MINUS, PLUS, FacetArrays
 
 from conftest import constant_field, cracked_domains, random_facet_noise
 
@@ -52,30 +53,69 @@ def cell_mesh(set_):
 # --- test functions -------------------------------------------------------
 
 
+def _stacked_term(X, coef, powers):
+    """Coefficient, then axis 0, 1, ... on stacked (..., n) coordinates:
+    the arithmetic ``TestFunction`` used before it took per-axis arrays."""
+    out = coef * np.ones(X.shape[:-1])
+    for a, p in enumerate(powers):
+        if p:
+            out = out * X[..., a] ** p
+    return out
+
+
+def _grad(phi, X):
+    """Reference gradient of a monomial on stacked coordinates (..., n)."""
+    g = np.zeros(X.shape)
+    for a, e in enumerate(phi.exponents):
+        if e:
+            g[..., a] = _stacked_term(X, e, [p - (b == a) for b, p in enumerate(phi.exponents)])
+    return g
+
+
+def _audit(phi, X, step):
+    """Max relative gap between the analytic gradient of ``phi`` and
+    central differences at the given step, at stacked points (..., n)."""
+    coords = [X[..., a] for a in range(X.shape[-1])]
+    g = [phi.grad_component(coords, a) for a in range(len(coords))]
+    scale = max(float(np.max(np.abs(ga))) for ga in g) + 1.0
+    worst = 0.0
+    for a in range(len(coords)):
+        hi, lo = list(coords), list(coords)
+        hi[a], lo[a] = coords[a] + step, coords[a] - step
+        fd = (phi.value(hi) - phi.value(lo)) / (2.0 * step)
+        worst = max(worst, float(np.max(np.abs(fd - g[a]))) / scale)
+    return worst
+
+
 def test_phi_gradient_audit(square_32):
     grid = square_32.grid
     pts = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
     for phi in default_phi_basis(grid):
-        assert phi.audit(pts, grid.spacing / 8.0) <= 1e-6
+        assert _audit(phi, pts, grid.spacing / 8.0) <= 1e-6
     # cubic members need a finer step for the same relative bar
     fine = preset_set("square", 1.0 / 128.0, margin_cells=4)
     pts_f = np.stack(np.broadcast_arrays(*fine.grid.cell_center_mesh()), axis=-1)
     for phi in default_phi_basis(fine.grid, degree=3):
-        assert phi.audit(pts_f, fine.grid.spacing / 8.0) <= 1e-6
+        assert _audit(phi, pts_f, fine.grid.spacing / 8.0) <= 1e-6
 
 
 def test_grad_component_matches_grad_exactly():
     grid = preset_set("square", 1.0 / 16.0, margin_cells=4).grid
     rng = np.random.default_rng(7)
     for n in (2, 3):
-        # points inside and well outside the grid box
+        # points inside and well outside the grid box, as equal-shape
+        # per-axis arrays and as 1-D gathers
         X = rng.uniform(-8.0, 8.0, size=(40, 7, n))
         basis = default_phi_basis(grid, degree=3) if n == 2 else [
             TestFunction(e) for e in ((0, 0, 0), (1, 2, 0), (0, 1, 3))]
         for phi in basis:
-            g = phi.grad(X)
-            for a in range(n):
-                assert np.array_equal(phi.grad_component(X, a), g[..., a])
+            g = _grad(phi, X)
+            for pts in (X, X.reshape(-1, n)):
+                coords = [pts[..., a] for a in range(n)]
+                assert np.array_equal(phi.value(coords), _stacked_term(pts, 1, phi.exponents))
+                for a in range(n):
+                    assert np.array_equal(phi.grad_component(coords, a),
+                                          g.reshape(pts.shape)[..., a])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -639,9 +679,9 @@ def test_monomials_match_cutoff_reference(domain):
     for phi in default_phi_basis(grid, degree=3):
         for mesh in meshes:
             X = np.stack(np.broadcast_arrays(*mesh), axis=-1)
-            assert np.array_equal(phi.value(X), _reference_value(phi, grid, X)), phi.name
+            assert np.array_equal(phi.value(mesh), _reference_value(phi, grid, X)), phi.name
             for a in range(grid.n):
-                assert np.array_equal(phi.grad_component(X, a),
+                assert np.array_equal(phi.grad_component(mesh, a),
                                       _reference_grad_component(phi, grid, X, a)), phi.name
 
 
@@ -689,6 +729,28 @@ def test_pairing_matches_full_lattice_reference(domain):
 def test_pairing_matches_reference_on_random_cracked_domains(n, data, seed):
     _assert_pairing_matches_reference(data.draw(cracked_domains(dims=(n,)), label="set_"),
                                       seed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_facet_pairing_matches_stacked_centres(n, data, seed):
+    """Facet centres gathered per axis pair bit for bit as the stacked
+    ``FacetArrays.centers()`` rows did, for sparse weights and for the
+    trace of a rough field."""
+    set_ = data.draw(cracked_domains(dims=(n,)), label="set_")
+    grid = set_.grid
+    rng = np.random.default_rng(seed)
+    sparse = [rng.uniform(-1.0, 1.0, grid.facet_shape(a))
+              * (rng.random(grid.facet_shape(a)) < 0.2) for a in range(n)]
+    tm = trace_measure(random_facet_noise(set_, seed=seed))
+    for weights in (sparse, [tm.net(a) for a in range(n)]):
+        live = [w != 0.0 for w in weights]
+        x = FacetArrays(grid, live).centers()
+        w = np.concatenate([w[m] for w, m in zip(weights, live)])
+        for phi in default_phi_basis(grid, degree=3):
+            want = float(np.dot(w, _stacked_term(x, 1, phi.exponents)))
+            assert _facet_pairing(grid, weights, phi) == want, phi.name
 
 
 @pytest.mark.parametrize("seed", [0, 1])

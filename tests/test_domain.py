@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughgg.domain import (
     cantor_cross_spec,
@@ -253,3 +255,57 @@ def test_three_dimensional_ball_volume():
     grid = make_grid(spec, 1.0 / 32.0, margin_cells=2)
     rs = rasterize(spec, grid)
     assert rs.volume == pytest.approx(4.0 * math.pi / 3.0, rel=0.005)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed domain documents through the CLI
+# ---------------------------------------------------------------------------
+
+_FUZZ_DOCS = [
+    {"shape": {"op": "diff", "args": [
+        {"op": "union", "args": [{"op": "box", "min": [-1, -1], "max": [1, 1]},
+                                 {"op": "disk", "center": [1, 0], "r": 0.5}]},
+        {"op": "disk", "center": [0, 0.5], "r": 0.25}]},
+     "cracks": [{"seg": [[-0.5, -0.5], [0.5, -0.5]]}, {"seg": [[0, -0.75], [0, 0]]}]},
+    {"shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+     "cracks": [{"rect": [[-0.5, -0.5, 0], [0.5, 0.5, 0]]}]},
+    {"preset": "cantor-cross", "k": 1},
+]
+_KEYS = st.sampled_from(["op", "args", "min", "max", "center", "r", "seg", "rect",
+                         "shape", "cracks", "preset", "k"]) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["box", "disk", "union", "diff", "cantor-cross", "slit-square"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12)
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_domain_json_fuzz(data):
+    """Any node of a valid document replaced by any JSON value: ``classify``
+    exits 0 or 2 and raises nothing (a tight cell cap keeps the grids that
+    parse small)."""
+    from roughgg import cli, gridcore
+
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_DOCS))))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    value = data.draw(_JSON)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridcore, "MAX_CELLS", 2**15)
+        assert cli.main(["classify", "--domain", json.dumps(doc), "--grid", "4"]) in (0, 2)

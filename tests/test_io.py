@@ -258,3 +258,55 @@ def test_atomic_write_leaves_no_partial(tmp_path):
     assert not os.path.exists(missing)
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-roughgg")]
     assert leftovers == []
+
+
+@pytest.fixture(scope="module")
+def slit_16_trace_csv(tmp_path_factory):
+    """The lines of a slit-square 1/16 trace CSV (the slit field's trace)
+    and a path to write edited copies to."""
+    from roughgg.dmfield import trace_measure
+
+    set_ = preset_set("slit-square", 1.0 / 16.0, margin_cells=4)
+    tm = trace_measure(sample_field(slit_jump_field(), set_, 1.0))
+    lines = trace_csv_text(tm.side_weights, set_.grid).splitlines()
+    return lines, str(tmp_path_factory.mktemp("fuzz") / "edited.csv")
+
+
+_CSV_FIELD = (st.integers(-3, 40).map(str) | st.floats().map(repr) | st.text(max_size=6)
+              | st.sampled_from(["", "nan", "-inf", "1e999", " 1", "0x1", "1_0", "axis"]))
+_CSV_EDIT = st.one_of(
+    st.tuples(st.just("edit"), st.integers(0, 1 << 16), st.integers(0, 5), _CSV_FIELD),
+    st.tuples(st.just("add"), st.integers(0, 1 << 16), st.lists(_CSV_FIELD, max_size=6)),
+    st.tuples(st.just("drop"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("repeat"), st.integers(0, 1 << 16)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(_CSV_EDIT, min_size=1, max_size=4))
+def test_trace_csv_fuzz(slit_16_trace_csv, edits):
+    """Fields and rows edited, added, dropped or repeated: ``solve-div``
+    exits 0, 2 or 3 and raises nothing."""
+    from roughgg import cli
+
+    base, path = slit_16_trace_csv
+    lines = list(base)
+    for kind, row, *args in edits:
+        if kind == "add":
+            lines.insert(row % (len(lines) + 1), ",".join(args[0]))
+            continue
+        if not lines:
+            continue
+        at = row % len(lines)
+        if kind == "edit":
+            fields = lines[at].split(",")
+            fields[args[0] % len(fields)] = args[1]
+            lines[at] = ",".join(fields)
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    assert cli.main(["solve-div", "--preset", "slit-square", "--grid", "16",
+                     "--trace", path]) in (0, 2, 3)
