@@ -417,13 +417,13 @@ def _snap_crack(grid: Grid, crack, cracks: FacetArrays) -> tuple[int, float]:
         b = _snap_node(grid, crack.b)
         if a == b:
             raise GridTooCoarseError("crack snaps to zero facets")
+        # the walk is monotone, so it stays on the grid's nodes iff both
+        # ends do; checked first, as a far end would make it unbounded
+        for end in (a, b):
+            if any(not 0 <= v <= m for v, m in zip(end, grid.extents)):
+                raise CrackPlacementError(f"crack end node {end} leaves the grid")
         steps = _walk_segment(a, b)
         for axis, base in steps:
-            shape = cracks.masks[axis].shape
-            if any(not 0 <= base[d] < shape[d] for d in range(grid.n)):
-                raise CrackPlacementError(
-                    f"crack facet (axis {axis}, {base}) leaves the grid"
-                )
             cracks.masks[axis][base] = True
         length = math.dist(a, b) * grid.spacing
         return len(steps), length

@@ -139,6 +139,22 @@ def test_crack_outside_body_rejected():
         rasterize(spec, grid)
 
 
+def test_far_crack_end_refused_before_walking(monkeypatch):
+    # a walk to a node 8e12 cells away would build 8e12 facets first
+    import roughgg.domain
+
+    def refuse(a, b):
+        raise AssertionError(f"walked a crack from {a} to {b}")
+
+    monkeypatch.setattr(roughgg.domain, "_walk_segment", refuse)
+    spec = parse_domain(json.dumps({
+        "shape": {"op": "box", "min": [-1, -1], "max": [1, 1]},
+        "cracks": [{"seg": [[0, 0], [1e12, 0]]}],
+    }))
+    with pytest.raises(CrackPlacementError, match="leaves the grid"):
+        rasterize(spec, make_grid(spec, 1.0 / 8.0))
+
+
 def test_crack_snapping_shift_below_half_cell():
     # slit at an off-grid height snaps to the nearest facet line
     doc = json.dumps(
@@ -308,4 +324,5 @@ def test_domain_json_fuzz(data):
         doc = value
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gridcore, "MAX_CELLS", 2**15)
-        assert cli.main(["classify", "--domain", json.dumps(doc), "--grid", "4"]) in (0, 2)
+        # --domain=TEXT: a document such as -1e+16 must not read as a flag
+        assert cli.main(["classify", f"--domain={json.dumps(doc)}", "--grid", "4"]) in (0, 2)
