@@ -74,7 +74,7 @@ class TestFunction:
         """One partial derivative, without forming the others."""
         e = self.exponents[axis]
         powers = [p - (b == axis) for b, p in enumerate(self.exponents)] if e else []
-        return self._term(coords, e, powers)  # zeros, coords' shape, for e = 0
+        return self._term(coords, e, powers)  # e = 0: zeros of the coords' shape
 
 
 def default_phi_basis(grid: Grid, degree: int = 2) -> list[TestFunction]:
