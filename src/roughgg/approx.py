@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, box_any, lattice_reach, touching
+from .gridcore import FacetArrays, Grid, box_any, lattice_reach, nonzero, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -66,11 +66,11 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
     cells: halving radius search, then greedy disjoint selection."""
     grid = set_.grid
     dx = grid.spacing
-    candidates = np.argwhere(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
+    candidates = nonzero(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
     found = []
     glo, ghi = grid.bounds()
-    for idx in candidates:
-        center = grid.cell_center(tuple(int(v) for v in idx))
+    for idx in zip(*(c.tolist() for c in candidates)):
+        center = grid.cell_center(idx)
         r = delta * 0.999  # keep radii strictly below the scale
         # halving search; the floor sits at 4 cells so the window is
         # nonempty even at the smallest admissible scale (delta = 8 cells)
@@ -159,7 +159,7 @@ def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
     reach = rho - dx * math.sqrt(0.25 + (grid.n - 1))
     slot, offsets, shape, _ = _lattice(grid, reach + 1e-12 * dx)
     slots = [(a, s) for a, mask in enumerate(targets.masks)
-             for s in slot(a, np.argwhere(mask)).tolist()]
+             for s in slot(a, np.stack(nonzero(mask), axis=1)).tolist()]
     covered = np.zeros(math.prod(shape), dtype=bool)
     balls = []
     for c, (a, s) in zip(targets.centers(), slots):

@@ -24,6 +24,14 @@ block's own graph edges connect, so no aggregate reaches across a crack
 facet or joins two components.  Coarsening stops at ``COARSE_SIZE``
 nodes, where the coarsest level is factorized; a system already that
 small is solved exactly and CG stops after one iteration.
+
+The matrix is assembled straight from the grid as a sorted int32 CSR:
+each node's row is read off a per-node table of its neighbours in
+increasing id order, masked by the edge masks, with no COO edge lists.
+Each Galerkin product is a sparse ``P^T A P`` of integer entries, so it
+is exact.  The audits read the cell balance (the cell atoms of the
+divergence measure) and, per trace slot, the field's one-sided values
+on the legal sides only; they build no whole measure.
 """
 
 from __future__ import annotations
@@ -35,10 +43,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dmfield import FluxField, TraceData, divergence_measure, trace_measure
+from .dmfield import FluxField, TraceData, cell_balance
 from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
-from .gridcore import MINUS, PLUS, lift, side_orient, touches_edge
+from .gridcore import MINUS, PLUS, faces, lift, side_orient, touches_edge
 
 # Fixed multigrid constants (not tuning knobs): coarsening stops at
 # COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;
@@ -73,18 +81,35 @@ class SolveReport:
     levels: tuple[int, ...] = ()
 
 
-def _aggregate(A: sp.coo_matrix, coords: np.ndarray):
+def _aggregate(A: sp.csr_matrix, coords: np.ndarray):
     """Aggregates of one level: each 2^n block of ``coords`` split into
     the components of its block-internal edges.  Returns the aggregate of
-    every node and the block coordinates of every aggregate."""
+    every node (numbered by smallest node) and the block coordinates of
+    every aggregate."""
     block = coords // 2
-    bid = np.ravel_multi_index(tuple(block.T), tuple(block.max(axis=0) + 1))
-    inner = (A.row != A.col) & (bid[A.row] == bid[A.col])
-    graph = sp.coo_matrix((A.data[inner], (A.row[inner], A.col[inner])), shape=A.shape)
+    dims = tuple(int(m) + 1 for m in block.max(axis=0))
+    bid = np.ravel_multi_index(tuple(block.T), dims).astype(np.int32)
+    # the entries of A within a block; the diagonal is a self loop, which
+    # joins nothing
+    inner = np.repeat(bid, np.diff(A.indptr)) == bid[A.indices]
+    kept = np.zeros(inner.size + 1, dtype=np.int32)
+    np.cumsum(inner, out=kept[1:])
+    graph = sp.csr_matrix((np.ones(kept[-1]), A.indices[inner], kept[A.indptr]), shape=A.shape)
     n_agg, agg = sp.csgraph.connected_components(graph, directed=False)
     coarse = np.empty((n_agg, coords.shape[1]), dtype=coords.dtype)
     coarse[agg] = block
     return agg, coarse
+
+
+def _galerkin(A: sp.csr_matrix, agg: np.ndarray, n_agg: int) -> sp.csr_matrix:
+    """P^T A P for the aggregation P (one unit entry per row, in column
+    ``agg``), with sorted column indices.  Every entry of A is an integer,
+    so every coarse entry is an exact sum whatever order it is formed in."""
+    n = agg.size
+    P = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)), shape=(n, n_agg))
+    coarse = P.T.tocsr() @ (A @ P)
+    coarse.sort_indices()
+    return coarse
 
 
 class _AggregationVCycle:
@@ -96,15 +121,12 @@ class _AggregationVCycle:
     def __init__(self, A: sp.csr_matrix, coords: np.ndarray):
         self.levels = []
         while A.shape[0] > COARSE_SIZE:
-            coo = A.tocoo()
-            agg, coarse_coords = _aggregate(coo, coords)
+            agg, coarse_coords = _aggregate(A, coords)
             n_agg = coarse_coords.shape[0]
             if n_agg > _STALL * A.shape[0]:
                 break
             self.levels.append((A, _OMEGA / A.diagonal(), agg, n_agg))
-            # Galerkin product P^T A P: rows and columns remapped, then summed
-            A = sp.csr_matrix((coo.data, (agg[coo.row], agg[coo.col])),
-                              shape=(n_agg, n_agg))
+            A = _galerkin(A, agg, n_agg)
             coords = coarse_coords
         self.coarse = spla.splu(A.tocsc())
         self.depth = len(self.levels) + 1
@@ -126,30 +148,62 @@ class _AggregationVCycle:
         return x
 
 
+def _laplacian(cells: np.ndarray, edge_masks):
+    """Unit-weight graph Laplacian of the body cells joined by the edges
+    in the facet masks, grounded at one node per component, as CSR.
+
+    Nodes are the body cells in C order (int32 ids).  Row i lists its
+    lower neighbours along axes 0..n-1, itself, then its upper neighbours
+    along axes n-1..0: increasing ids, so the column indices come out
+    sorted.  Returns the matrix, the component count, the component of
+    every node (numbered by smallest node) and the integer coordinates
+    of every node."""
+    n = cells.ndim
+    flat = np.flatnonzero(cells)
+    n_nodes = flat.size
+    if n_nodes == 0:
+        raise InputError("empty body: nothing to solve on")
+    node_id = np.full(cells.shape, -1, dtype=np.int32)
+    node_id.flat[flat] = np.arange(n_nodes, dtype=np.int32)
+    table = np.empty((n_nodes, 2 * n + 1), dtype=np.int32)
+    table[:, n] = np.arange(n_nodes, dtype=np.int32)
+    for a in range(n):
+        lo_ids, up_ids = lift(node_id, a, -1)
+        cut = ~(edge_masks[a] & (lo_ids >= 0) & (up_ids >= 0))
+        lo_ids[cut] = -1
+        up_ids[cut] = -1
+        # a cell's lower face is the facet at its own index, its upper
+        # face the next one
+        table[:, a] = faces(lo_ids, a)[0][cells]
+        table[:, 2 * n - a] = faces(up_ids, a)[1][cells]
+    del node_id, lo_ids, up_ids, cut
+    keep = table >= 0
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    diag_at = indptr[:-1] + keep[:, :n].sum(axis=1, dtype=np.int32)
+    indices = table[keep]
+    del table, keep
+    data = np.full(indices.size, -1.0)
+    data[diag_at] = np.diff(indptr) - 1
+    lap = sp.csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
+    n_comp, comp = sp.csgraph.connected_components(lap, directed=False)
+    # ground each component's first node: shifts the component's
+    # potential by a constant, which the flux (a pure gradient) never sees
+    _, first = np.unique(comp, return_index=True)
+    lap.data[diag_at[first]] += 1.0
+    coords = np.empty((n_nodes, n), dtype=np.int32)
+    for a, c in enumerate(np.unravel_index(flat, cells.shape)):
+        coords[:, a] = c
+    return lap, n_comp, comp, coords
+
+
 def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
     """Solve the unit-weight graph Laplacian L u = b on the cells whose
     edges are the given facet masks; b must be balanced per component.
 
     Returns the potential on the cells, the CG iteration count and the
     depth of the multigrid hierarchy."""
-    n_dims = cells.ndim
-    node_id = -np.ones(cells.shape, dtype=np.int64)
-    idx = np.argwhere(cells)
-    node_id[tuple(idx.T)] = np.arange(idx.shape[0])
-    n_nodes = idx.shape[0]
-    if n_nodes == 0:
-        raise InputError("empty body: nothing to solve on")
-    rows, cols = [], []
-    for a in range(n_dims):
-        lo_ids, up_ids = lift(node_id, a, -1)
-        em = edge_masks[a] & (lo_ids >= 0) & (up_ids >= 0)
-        rows.append(lo_ids[em])
-        cols.append(up_ids[em])
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    ones = np.ones(rows.shape[0])
-    n_comp, comp = sp.csgraph.connected_components(
-        sp.coo_matrix((ones, (rows, cols)), shape=(n_nodes, n_nodes)), directed=False)
+    lap, n_comp, comp, coords = _laplacian(cells, edge_masks)
     bn = b[cells]
     scale = float(np.abs(bn).sum()) + 1.0
     net = np.bincount(comp, weights=bn, minlength=n_comp)
@@ -161,17 +215,9 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
         )
     # remove the roundoff-level mean so the singular system is consistent
     bn = bn - (net / np.bincount(comp, minlength=n_comp))[comp]
-    deg = np.bincount(rows, minlength=n_nodes) + np.bincount(cols, minlength=n_nodes)
-    # ground one node per component: shifts each component by a constant,
-    # which the flux (a pure gradient) never sees
-    _, first = np.unique(comp, return_index=True)
-    deg[first] += 1
-    diag = np.arange(n_nodes)
-    lap = sp.csr_matrix(
-        (np.concatenate([-ones, -ones, deg]),
-         (np.concatenate([rows, cols, diag]), np.concatenate([cols, rows, diag]))),
-        shape=(n_nodes, n_nodes))
-    vcycle = _AggregationVCycle(lap, idx)
+    del comp
+    vcycle = _AggregationVCycle(lap, coords)
+    del coords
     iterations = 0
 
     def count(_xk):
@@ -208,24 +254,32 @@ def _require_finite(td: TraceData) -> None:
 
 
 def _trace_gaps(F: FluxField, td: TraceData):
-    """|trace of F - prescription| per prescribed slot:
-    (axis, side, legal-side mask, gap array)."""
-    tm = trace_measure(F)
-    for (a, side, mask, want), (*_, got) in zip(td.slots(), tm.slots()):
-        yield a, side, mask, np.abs(got - want)
+    """|trace of F - prescription| on the legal sides of each slot:
+    (axis, side, flat facet indices of the legal sides, gaps there).  The
+    trace of F is ``vminus`` on a MINUS side and ``-vplus`` on a PLUS
+    side, as in ``trace_measure``, which also refuses a set touching the
+    grid edge."""
+    if touches_edge(F.set.cells):
+        raise InputError("the grid must strictly contain the set to extend by zero")
+    for a, side, mask, want in td.slots():
+        at = np.flatnonzero(mask)
+        got = F.vminus[a].flat[at] if side == MINUS else -F.vplus[a].flat[at]
+        got -= want.flat[at]
+        yield a, side, at, np.abs(got, out=got)
 
 
 def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats,
            intermediate=None) -> SolveReport:
-    div = divergence_measure(F)
+    balance = cell_balance(F)
     scale = max(1.0, td.sup())
-    residual = float(np.abs(div.cell_weights).max()) / F.grid.facet_area
+    residual = float(np.abs(balance, out=balance).max()) / F.grid.facet_area
+    del balance
     linf = 0.0
     l1 = 0.0
-    for _a, _side, mask, gap in _trace_gaps(F, td):
-        if mask.any():
-            linf = max(linf, float(gap[mask].max()))
-            l1 += float(gap[mask].sum()) * F.grid.facet_area
+    for *_, gap in _trace_gaps(F, td):
+        if gap.size:
+            linf = max(linf, float(gap.max()))
+            l1 += float(gap.sum()) * F.grid.facet_area
     kappa = F.sup_bound / td.sup() if td.sup() > 0.0 else 0.0
     if residual > tol * scale * 10.0 + 1e-300:
         raise InvariantViolation(
@@ -251,14 +305,14 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
     grid = set_.grid
     dx = grid.spacing
     interior = set_.topology.interior
-    b = -dx * td.inflow_per_cell()
-    b[~set_.cells] = 0.0
-    u_cells, iterations, depth = _laplacian_solve(set_.cells, interior, b, tol)
+    u_cells, iterations, depth = _laplacian_solve(
+        set_.cells, interior, -dx * td.inflow_per_cell(), tol)
     fluxes = _gradient_fluxes(grid, interior, u_cells, dx)
+    del u_cells
     F = FluxField(set_, 1.0)
     for a in range(grid.n):
-        F.vminus[a][...] = fluxes[a]
-        F.vplus[a][...] = fluxes[a]
+        F.vminus[a] = fluxes[a]
+        F.vplus[a] = fluxes[a].copy()
         minus, plus = td.topology.minus[a], td.topology.plus[a]
         # side value = orientation * density reproduces the trace exactly
         F.vminus[a][minus] = td.gminus[a][minus] * side_orient(MINUS)
@@ -288,8 +342,8 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
     box_cells = np.ones(grid.extents, dtype=bool)
     box_set = RoughSet(grid, box_cells)
     edge_masks = [box_set.topology.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
-    b = -dx * td.inflow_per_cell()
-    u_cells, iterations, depth = _laplacian_solve(box_cells, edge_masks, b, tol)
+    u_cells, iterations, depth = _laplacian_solve(
+        box_cells, edge_masks, -dx * td.inflow_per_cell(), tol)
     fluxes = _gradient_fluxes(grid, edge_masks, u_cells, dx)
 
     G = FluxField(box_set, 1.0)
@@ -311,6 +365,8 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
         td_hat.gminus[a] = np.where(inside_lower, h, 0.0)
         td_hat.gplus[a] = np.where(inside_lower, 0.0, h)
     G.tighten()
+    # step 1's potential, fluxes and cut masks are not needed past here
+    del u_cells, fluxes, edge_masks, gm, gp, sigma_inside
     h_total = sum(float(h.sum()) for h in h_arrays) * grid.facet_area
     h_scale = sum(float(np.abs(h).sum()) for h in h_arrays) * grid.facet_area + 1.0
     if abs(h_total) > 1e-9 * h_scale:
@@ -335,18 +391,19 @@ def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
     """Independent audit: recompute the interior divergence and the trace
     measure of the returned field and compare against the prescription."""
     F = report.F
-    div = divergence_measure(F)
-    tv_inside = float(np.abs(div.cell_weights[set_.cells]).sum())
+    tv_inside = float(np.abs(cell_balance(F)[set_.cells]).sum())
     scale = max(1.0, td.sup()) * max(1, set_.cell_count)
     div_ok = tv_inside / F.grid.facet_area <= tol * scale * 100.0
     offenders = []
     bar = 1e-8 * max(1.0, td.sup())
-    for a, side, mask, gap in _trace_gaps(F, td):
-        bad = np.flatnonzero(mask & (gap > bar))
+    for a, side, at, gap in _trace_gaps(F, td):
+        over = gap > bar
+        bad, bad_gap = at[over], gap[over]
+        shape = F.grid.facet_shape(a)
         # the three worst of this slot, ties in facet order
-        for f in bad[np.argsort(-gap.flat[bad], kind="stable")[:3]]:
-            idx = tuple(int(v) for v in np.unravel_index(f, gap.shape))
-            offenders.append(((a, idx, side), float(gap.flat[f])))
+        for k in np.argsort(-bad_gap, kind="stable")[:3]:
+            idx = tuple(int(v) for v in np.unravel_index(bad[k], shape))
+            offenders.append(((a, idx, side), float(bad_gap[k])))
     offenders.sort(key=lambda kv: -kv[1])
     ok = div_ok and not offenders
     return {

@@ -288,10 +288,10 @@ def divergence_measure(F: FluxField) -> SignedMeasure:
         jump_here = F.topology.interior[a] & (F.vminus[a] != F.vplus[a])
         fminus[a][jump_here] = -F.vminus[a][jump_here] * area
         fplus[a][jump_here] = F.vplus[a][jump_here] * area
-    return SignedMeasure(grid, _cell_balance(F), fminus, fplus)
+    return SignedMeasure(grid, cell_balance(F), fminus, fplus)
 
 
-def _cell_balance(F: FluxField) -> np.ndarray:
+def cell_balance(F: FluxField) -> np.ndarray:
     """The cell atoms of ``divergence_measure(F)``: each body cell's
     one-sided flux balance times the facet area."""
     balance = np.zeros(F.grid.extents)
@@ -369,8 +369,9 @@ class TraceData:
         """{(axis, facet index, side): density} on the nonzero legal sides."""
         out = {}
         for a, side, mask, arr in self.slots():
-            for i in np.argwhere(mask & (arr != 0.0)):
-                out[(a, tuple(int(v) for v in i), side)] = float(arr[tuple(i)])
+            idx = nonzero(mask & (arr != 0.0))
+            for i, g in zip(zip(*(c.tolist() for c in idx)), arr[idx].tolist()):
+                out[(a, i, side)] = g
         return out
 
     @property
@@ -553,7 +554,7 @@ def normal_trace_pairing(F: FluxField, phi: TestFunction) -> float:
     only); callers pairing many fields of one topology against the same
     phi build the phi half once.
     """
-    return _midpoint_pairing(F, _midpoint_phi(F.grid, phi, F.topology), _cell_balance(F))
+    return _midpoint_pairing(F, _midpoint_phi(F.grid, phi, F.topology), cell_balance(F))
 
 
 def gauss_green_residual(F: FluxField, phi: TestFunction,
@@ -622,7 +623,7 @@ def trace_weak_convergence(F: FluxField, eps_list=None,
     if len(phi_basis) < 5:
         raise InputError("need >= 5 basis functions (default_phi_basis(grid) has 6)")
     fields = [F] + [mollify_field(F, eps) for eps in eps_list]
-    cell_weights = [_cell_balance(G) for G in fields]
+    cell_weights = [cell_balance(G) for G in fields]
     gaps = [[] for _ in eps_list]
     for phi in phi_basis:
         pp = _midpoint_phi(grid, phi, F.topology)
@@ -843,7 +844,7 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
         gF.vminus[a][minus_side] = (g_lo * F.vminus[a])[minus_side]
         gF.vplus[a][plus_side] = (g_up * F.vplus[a])[plus_side]
 
-    div_gF, div_F = _cell_balance(gF), _cell_balance(F)
+    div_gF, div_F = cell_balance(gF), cell_balance(F)
     mesh = grid.cell_center_mesh()
     Fc = F.cell_vector()
     rows = []

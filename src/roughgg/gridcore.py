@@ -237,12 +237,15 @@ class FacetArrays:
     def centers(self) -> np.ndarray:
         """(N, n) facet-center coordinates in lexicographic order."""
         rows = []
+        dx = self.grid.spacing
         for a in range(self.grid.n):
-            idx = np.argwhere(self.masks[a])
-            if idx.size == 0:
+            idx = nonzero(self.masks[a])
+            if idx[0].size == 0:
                 continue
-            x = (idx + 0.5) * self.grid.spacing + np.asarray(self.grid.origin)
-            x[:, a] -= 0.5 * self.grid.spacing
+            x = np.empty((idx[0].size, self.grid.n))
+            for b, (i, o) in enumerate(zip(idx, self.grid.origin)):
+                x[:, b] = (i + 0.5) * dx + o
+            x[:, a] -= 0.5 * dx
             rows.append(x)
         if not rows:
             return np.zeros((0, self.grid.n))

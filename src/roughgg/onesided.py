@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridcore import Grid, box_any
+from .gridcore import Grid, box_any, nonzero
 from .mollify import MollifierKernel, convolve_same
 
 
 def _bounding_box(mask: np.ndarray) -> tuple[slice, ...] | None:
     """Slices of the smallest box holding every true slot, or None."""
-    idx = np.nonzero(mask)
+    idx = nonzero(mask)
     if idx[0].size == 0:
         return None
     return tuple(slice(i.min(), i.max() + 1) for i in idx)
@@ -50,7 +50,7 @@ def _crack_planes(grid: Grid, crack_masks) -> list[tuple]:
     of its crack facets."""
     planes = []
     for b in range(grid.n):
-        for lev in np.unique(np.nonzero(crack_masks[b])[b]):
+        for lev in np.unique(nonzero(crack_masks[b])[b]):
             coord = grid.origin[b] + float(lev) * grid.spacing
             transverse = np.take(crack_masks[b], lev, axis=b)
             planes.append((b, coord, np.pad(transverse, [(0, 1)] * transverse.ndim),
@@ -205,7 +205,7 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     # crack facet
     strides = np.array(vpad.strides) // vpad.itemsize
     vflat, mflat = vpad.ravel(), mpad.ravel()
-    base = (np.argwhere(rest) + R) @ strides
+    base = np.ravel_multi_index(tuple(i + R for i in nonzero(rest)), vpad.shape)
 
     def flat(shift):
         fwd, bwd = base + shift, base - shift

@@ -1,20 +1,28 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import roughgg.divsolve as ds
 from roughgg.divsolve import (
+    SolveReport,
     TraceData,
     is_compatible,
     solve_decomposed,
     solve_direct,
     verify_solution,
 )
-from roughgg.dmfield import divergence_measure, sample_field, trace_measure
-from roughgg.domain import preset_set
+from roughgg.dmfield import FluxField, divergence_measure, sample_field, trace_measure
+from roughgg.domain import PRESET_NAMES, RoughSet, preset_set
 from roughgg.errors import CompatibilityError, InputError
-from roughgg.fields import slit_jump_field
-from roughgg.gridcore import MINUS, PLUS
+from roughgg.fields import separated_smooth_field, slit_jump_field
+from roughgg.gridcore import MINUS, PLUS, lift
 
-from conftest import constant_field, random_facet_noise
+from conftest import constant_field, cracked_domains, random_facet_noise
 
 
 def left_right_data(set_):
@@ -166,8 +174,6 @@ def test_verify_solution_fault_injection(square_32):
     idx = tuple(np.argwhere(interior)[interior.sum() // 2])
     bad.vminus[0][idx] += 1.0
     bad.vplus[0][idx] += 1.0
-    from roughgg.divsolve import SolveReport
-
     bad_rep = SolveReport(F=bad, interior_div_residual=1.0, trace_linf_gap=0.0,
                           trace_l1_gap=0.0, mode="DIRECT", kappa=1.0)
     audit = verify_solution(bad_rep, square_32, td)
@@ -468,3 +474,228 @@ def test_decomposed_solve_where_cracks_enclose_regions(field):
     got = trace_measure(rep.F)
     for (*_, want), (*_, have) in zip(direct.slots(), got.slots()):
         assert np.allclose(have, want, rtol=0, atol=1e-8)
+
+
+# --- the lean assembly and audits against their first forms ---------------
+#
+# The references are the solver's first implementations: the Laplacian
+# assembled from int64 COO edge lists, aggregates found on a COO graph,
+# the Galerkin product as a remapped COO summed by ``tocsr``, and audits
+# read off a whole ``divergence_measure`` and ``trace_measure``.  The
+# solver must reproduce each of them array for array.
+
+
+def ref_laplacian(cells, edge_masks):
+    """Grounded Laplacian, component labels and node coordinates."""
+    node_id = -np.ones(cells.shape, dtype=np.int64)
+    idx = np.argwhere(cells)
+    node_id[tuple(idx.T)] = np.arange(idx.shape[0])
+    n_nodes = idx.shape[0]
+    rows, cols = [], []
+    for a in range(cells.ndim):
+        lo_ids, up_ids = lift(node_id, a, -1)
+        em = edge_masks[a] & (lo_ids >= 0) & (up_ids >= 0)
+        rows.append(lo_ids[em])
+        cols.append(up_ids[em])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    ones = np.ones(rows.shape[0])
+    _, comp = sp.csgraph.connected_components(
+        sp.coo_matrix((ones, (rows, cols)), shape=(n_nodes, n_nodes)), directed=False)
+    deg = np.bincount(rows, minlength=n_nodes) + np.bincount(cols, minlength=n_nodes)
+    _, first = np.unique(comp, return_index=True)
+    deg[first] += 1
+    diag = np.arange(n_nodes)
+    lap = sp.csr_matrix(
+        (np.concatenate([-ones, -ones, deg]),
+         (np.concatenate([rows, cols, diag]), np.concatenate([cols, rows, diag]))),
+        shape=(n_nodes, n_nodes))
+    return lap, comp, idx
+
+
+def ref_aggregate(A, coords):
+    coo = A.tocoo()
+    block = coords // 2
+    bid = np.ravel_multi_index(tuple(block.T), tuple(block.max(axis=0) + 1))
+    inner = (coo.row != coo.col) & (bid[coo.row] == bid[coo.col])
+    graph = sp.coo_matrix((coo.data[inner], (coo.row[inner], coo.col[inner])), shape=A.shape)
+    n_agg, agg = sp.csgraph.connected_components(graph, directed=False)
+    coarse = np.empty((n_agg, coords.shape[1]), dtype=coords.dtype)
+    coarse[agg] = block
+    return agg, coarse
+
+
+def ref_galerkin(A, agg, n_agg):
+    coo = A.tocoo()
+    return sp.csr_matrix((coo.data, (agg[coo.row], agg[coo.col])), shape=(n_agg, n_agg))
+
+
+def ref_hierarchy(A, coords, coarse_size):
+    """[(A, agg, n_agg) per level], coarsest matrix."""
+    levels = []
+    while A.shape[0] > coarse_size:
+        agg, coarse_coords = ref_aggregate(A, coords)
+        n_agg = coarse_coords.shape[0]
+        if n_agg > ds._STALL * A.shape[0]:
+            break
+        levels.append((A, agg, n_agg))
+        A, coords = ref_galerkin(A, agg, n_agg), coarse_coords
+    return levels, A
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_same_hierarchy(cells, edge_masks, coarse_size=16):
+    lap, n_comp, comp, coords = ds._laplacian(cells, edge_masks)
+    want, want_comp, want_coords = ref_laplacian(cells, edge_masks)
+    assert_same_csr(lap, want)
+    assert lap.indices.dtype == np.int32 and lap.indptr.dtype == np.int32
+    assert np.array_equal(comp, want_comp) and n_comp == want_comp.max() + 1
+    assert np.array_equal(coords, want_coords)
+    with patch.object(ds, "COARSE_SIZE", coarse_size):
+        vcycle = ds._AggregationVCycle(lap, coords)
+    want_levels, want_coarse = ref_hierarchy(want, want_coords, coarse_size)
+    assert len(vcycle.levels) == len(want_levels)
+    coarse = lap
+    for (A, wdinv, agg, n_agg), (ref_A, ref_agg, ref_n) in zip(vcycle.levels, want_levels):
+        assert_same_csr(A, ref_A)
+        assert np.array_equal(wdinv, ds._OMEGA / ref_A.diagonal())
+        assert np.array_equal(agg, ref_agg) and n_agg == ref_n
+        coarse = ds._galerkin(A, agg, n_agg)
+    assert_same_csr(coarse, want_coarse)
+
+
+def box_cut_masks(set_):
+    """Edge masks of the decomposed solve's first step: the whole box, cut
+    along the cracks."""
+    box = RoughSet(set_.grid, np.ones(set_.grid.extents, dtype=bool))
+    return box.cells, [box.topology.interior[a] & ~set_.cracks.masks[a]
+                       for a in range(set_.grid.n)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_hierarchy_matches_coo_reference_on_presets(name):
+    set_ = preset_set(name, 1.0 / 32.0, margin_cells=4)
+    assert_same_hierarchy(set_.cells, set_.topology.interior)
+    assert_same_hierarchy(*box_cut_masks(set_))
+    # at the solver's own coarsening threshold as well
+    assert_same_hierarchy(set_.cells, set_.topology.interior, ds.COARSE_SIZE)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hierarchy_matches_coo_reference_on_random_cracked_domains(n, data):
+    set_ = data.draw(cracked_domains(dims=(n,)), label="set_")
+    assert_same_hierarchy(set_.cells, set_.topology.interior)
+    assert_same_hierarchy(*box_cut_masks(set_))
+
+
+def ref_audit(F, td):
+    """(interior residual, trace L-inf gap, trace L1 gap)."""
+    div = divergence_measure(F)
+    residual = float(np.abs(div.cell_weights).max()) / F.grid.facet_area
+    linf = l1 = 0.0
+    for (_a, _side, mask, want), (*_, got) in zip(td.slots(), trace_measure(F).slots()):
+        gap = np.abs(got - want)
+        if mask.any():
+            linf = max(linf, float(gap[mask].max()))
+            l1 += float(gap[mask].sum()) * F.grid.facet_area
+    return residual, linf, l1
+
+
+def ref_verify(report, set_, td, tol=1e-10):
+    F = report.F
+    div = divergence_measure(F)
+    tv_inside = float(np.abs(div.cell_weights[set_.cells]).sum())
+    scale = max(1.0, td.sup()) * max(1, set_.cell_count)
+    div_ok = tv_inside / F.grid.facet_area <= tol * scale * 100.0
+    offenders = []
+    bar = 1e-8 * max(1.0, td.sup())
+    for (a, side, mask, want), (*_, got) in zip(td.slots(), trace_measure(F).slots()):
+        gap = np.abs(got - want)
+        bad = np.flatnonzero(mask & (gap > bar))
+        for f in bad[np.argsort(-gap.flat[bad], kind="stable")[:3]]:
+            idx = tuple(int(v) for v in np.unravel_index(f, gap.shape))
+            offenders.append(((a, idx, side), float(gap.flat[f])))
+    offenders.sort(key=lambda kv: -kv[1])
+    return {"pass": div_ok and not offenders, "interior_tv": tv_inside, "div_ok": div_ok,
+            "trace_ok": not offenders, "worst_offenders": offenders[:3]}
+
+
+def perturb_sides(F, seed):
+    """Shift a few legal sides of every slot, some by equal amounts (ties
+    for the stable ordering of ``worst_offenders``)."""
+    rng = np.random.default_rng(seed)
+    bad = F.copy()
+    top = F.topology
+    for a in range(F.grid.n):
+        for mask, arr in ((top.minus[a], bad.vminus[a]), (top.plus[a], bad.vplus[a])):
+            slots = np.flatnonzero(mask)
+            if slots.size == 0:
+                continue
+            picks = rng.choice(slots, size=min(6, slots.size), replace=False)
+            shift = rng.uniform(-1.0, 1.0, size=picks.size)
+            shift[: picks.size // 2] = 0.5
+            arr.flat[picks] += shift
+    return bad
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_audits_match_measure_reference(name):
+    set_ = preset_set(name, 1.0 / 32.0, margin_cells=4)
+    td = trace_measure(sample_field(separated_smooth_field(), set_, 1.0))
+    for solver in (solve_direct, solve_decomposed):
+        rep = solver(set_, td)
+        assert (rep.interior_div_residual, rep.trace_linf_gap,
+                rep.trace_l1_gap) == ref_audit(rep.F, td)
+        assert verify_solution(rep, set_, td) == ref_verify(rep, set_, td)
+        bad = perturb_sides(rep.F, seed=len(name))
+        got = ds._audit(bad, td, "DIRECT", 1e6, [])
+        assert (got.interior_div_residual, got.trace_linf_gap,
+                got.trace_l1_gap) == ref_audit(bad, td)
+        bad_rep = SolveReport(F=bad, interior_div_residual=0.0, trace_linf_gap=0.0,
+                              trace_l1_gap=0.0, mode="DIRECT", kappa=1.0)
+        want = ref_verify(bad_rep, set_, td)
+        assert len(want["worst_offenders"]) == 3
+        assert verify_solution(bad_rep, set_, td) == want
+
+
+def test_audits_refuse_a_set_touching_the_grid_edge():
+    grid = preset_set("square", 1.0 / 8.0, margin_cells=4).grid
+    set_ = RoughSet(grid, np.ones(grid.extents, dtype=bool))
+    td = TraceData(set_)
+    with pytest.raises(InputError):
+        trace_measure(FluxField(set_, 1.0))
+    with pytest.raises(InputError):
+        solve_direct(set_, td)
+    rep = SolveReport(F=FluxField(set_, 1.0), interior_div_residual=0.0, trace_linf_gap=0.0,
+                      trace_l1_gap=0.0, mode="DIRECT", kappa=0.0)
+    with pytest.raises(InputError):
+        verify_solution(rep, set_, td)
+
+
+@pytest.mark.parametrize("solver, budget", [(solve_direct, 280), (solve_decomposed, 450)],
+                         ids=["direct", "decomposed"])
+def test_solve_memory_per_cell(solver, budget, square_32):
+    # traced bytes at the peak of a solve and its audit, per body cell, on
+    # slit-square 1/128 (65,536 cells); a first small solve keeps lazy
+    # imports and caches out of the count
+    small = left_right_data(square_32)
+    verify_solution(solver(square_32, small), square_32, small)
+    set_ = preset_set("slit-square", 1.0 / 128.0, margin_cells=4)
+    td = trace_measure(sample_field(slit_jump_field(), set_, 1.0))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_solution(solver(set_, td), set_, td)["pass"]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / set_.cell_count <= budget
