@@ -87,8 +87,7 @@ def _aggregate(A: sp.csr_matrix, coords: np.ndarray):
     every node (numbered by smallest node) and the block coordinates of
     every aggregate."""
     block = coords // 2
-    dims = tuple(int(m) + 1 for m in block.max(axis=0))
-    bid = np.ravel_multi_index(tuple(block.T), dims).astype(np.int32)
+    bid = np.ravel_multi_index(tuple(block.T), tuple(block.max(axis=0) + 1)).astype(np.int32)
     # the entries of A within a block; the diagonal is a self loop, which
     # joins nothing
     inner = np.repeat(bid, np.diff(A.indptr)) == bid[A.indices]
