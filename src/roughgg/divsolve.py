@@ -16,6 +16,8 @@ decomposition that first solves a box-wide problem whose divergence is
 the negated trace measure (an explicit facet lift plus a cut-edge box
 Laplacian), reads the exterior flux on the reduced boundary off that
 global field, and then solves the reduced crack-free data on the body.
+Of the first two steps only the box potential outlives them: the global
+field is rebuilt from it one axis at a time and added into the body's.
 
 Every graph-Laplacian solve, of any size and dimension, takes one path:
 conjugate gradients preconditioned by a plain-aggregation multigrid
@@ -75,7 +77,6 @@ class SolveReport:
     trace_l1_gap: float
     mode: str
     kappa: float
-    intermediate: tuple | None = None
     # one entry per graph-Laplacian solve, in the order they ran
     cg_iterations: tuple[int, ...] = ()
     levels: tuple[int, ...] = ()
@@ -233,17 +234,13 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
     return u_cells, iterations, vcycle.depth
 
 
-def _gradient_fluxes(grid, edge_masks, u_cells, dx):
-    """Edge flux (u_lower - u_upper)/dx on the allowed edges, whose two
-    cells are both graph nodes."""
-    out = []
-    for a in range(grid.n):
-        u_lo, u_up = lift(u_cells, a)
-        em = edge_masks[a]
-        v = np.zeros(grid.facet_shape(a))
-        v[em] = (u_lo[em] - u_up[em]) / dx
-        out.append(v)
-    return out
+def _gradient_flux(u_cells, edges, axis, dx):
+    """Axis-``axis`` edge flux (u_lower - u_upper)/dx on the allowed
+    ``edges``, whose two cells are both graph nodes; zero elsewhere."""
+    u_lo, u_up = lift(u_cells, axis)
+    v = np.zeros(edges.shape)
+    v[edges] = (u_lo[edges] - u_up[edges]) / dx
+    return v
 
 
 def _require_finite(td: TraceData) -> None:
@@ -267,10 +264,9 @@ def _trace_gaps(F: FluxField, td: TraceData):
         yield a, side, at, np.abs(got, out=got)
 
 
-def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats,
-           intermediate=None) -> SolveReport:
+def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats) -> SolveReport:
     balance = cell_balance(F)
-    scale = max(1.0, td.sup())
+    sup = td.sup()
     residual = float(np.abs(balance, out=balance).max()) / F.grid.facet_area
     del balance
     linf = 0.0
@@ -279,14 +275,13 @@ def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats,
         if gap.size:
             linf = max(linf, float(gap.max()))
             l1 += float(gap.sum()) * F.grid.facet_area
-    kappa = F.sup_bound / td.sup() if td.sup() > 0.0 else 0.0
-    if residual > tol * scale * 10.0 + 1e-300:
+    kappa = F.sup_bound / sup if sup > 0.0 else 0.0
+    if residual > tol * max(1.0, sup) * 10.0 + 1e-300:
         raise InvariantViolation(
             f"interior divergence residual {residual} above tolerance {tol}"
         )
     return SolveReport(F=F, interior_div_residual=residual, trace_linf_gap=linf,
                        trace_l1_gap=l1, mode=mode, kappa=kappa,
-                       intermediate=intermediate,
                        cg_iterations=tuple(it for it, _ in stats),
                        levels=tuple(depth for _, depth in stats))
 
@@ -302,21 +297,47 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
     """
     _require_finite(td)
     grid = set_.grid
-    dx = grid.spacing
     interior = set_.topology.interior
     u_cells, iterations, depth = _laplacian_solve(
-        set_.cells, interior, -dx * td.inflow_per_cell(), tol)
-    fluxes = _gradient_fluxes(grid, interior, u_cells, dx)
-    del u_cells
+        set_.cells, interior, -grid.spacing * td.inflow_per_cell(), tol)
     F = FluxField(set_, 1.0)
     for a in range(grid.n):
-        F.vminus[a] = fluxes[a]
-        F.vplus[a] = fluxes[a].copy()
+        F.vminus[a] = _gradient_flux(u_cells, interior[a], a, grid.spacing)
+        F.vplus[a] = F.vminus[a].copy()
         minus, plus = td.topology.minus[a], td.topology.plus[a]
         # side value = orientation * density reproduces the trace exactly
         F.vminus[a][minus] = td.gminus[a][minus] * side_orient(MINUS)
         F.vplus[a][plus] = td.gplus[a][plus] * side_orient(PLUS)
     return _audit(F.tighten(), td, "DIRECT", tol, [(iterations, depth)])
+
+
+def _box_edges(set_: RoughSet, axis: int) -> np.ndarray:
+    """The box graph's axis-``axis`` edges: between two cells, off the cracks."""
+    lower, upper = lift(np.ones(set_.grid.extents, dtype=bool), axis, False)
+    return lower & upper & ~set_.cracks.masks[axis]
+
+
+def _lift_and_reduce(set_: RoughSet, td: TraceData, tol: float):
+    """Steps 1 and 2 of ``solve_decomposed``: the potential of G's gradient
+    part on the box cells, the reduced data h on the body sides of the
+    reduced facets, and the box solve's (iterations, depth)."""
+    grid = set_.grid
+    u_cells, iterations, depth = _laplacian_solve(
+        np.ones(grid.extents, dtype=bool), [_box_edges(set_, a) for a in range(grid.n)],
+        -grid.spacing * td.inflow_per_cell(), tol)
+    td_hat = TraceData(set_)
+    for a in range(grid.n):
+        # h: G's outward flux on the lift-free exterior side, its gradient part
+        flux = _gradient_flux(u_cells, _box_edges(set_, a), a, grid.spacing)
+        lower = set_.topology.inside_lower[a]
+        upper = set_.topology.boundary[a] & ~lower
+        td_hat.gminus[a][lower] = -flux[lower]
+        td_hat.gplus[a][upper] = flux[upper]
+    if abs(td_hat.integral) > 1e-9 * (td_hat.abs_integral() + 1.0):
+        raise InvariantViolation(
+            f"derived reduced-boundary data is unbalanced: integral {td_hat.integral}"
+        )
+    return u_cells, td_hat, (iterations, depth)
 
 
 def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveReport:
@@ -327,10 +348,9 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
     compatible on each region the cracks cut out of the box).  Step 2
     reads the exterior flux h on the reduced facets off G; its integral
     vanishes identically (audited).
-    Step 3 solves the crack-free data h on the body and adds the fields.
+    Step 3 solves the crack-free data h on the body, and G is added into
+    that field one axis at a time.
     """
-    grid = set_.grid
-    dx = grid.spacing
     _require_finite(td)
     if touches_edge(set_.cells):
         raise InputError("the grid must strictly contain the set to decompose")
@@ -338,51 +358,19 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
         raise CompatibilityError(
             f"globally incompatible trace data: integral {td.integral}"
         )
-    box_cells = np.ones(grid.extents, dtype=bool)
-    box_set = RoughSet(grid, box_cells)
-    edge_masks = [box_set.topology.interior[a] & ~set_.cracks.masks[a] for a in range(grid.n)]
-    u_cells, iterations, depth = _laplacian_solve(
-        box_cells, edge_masks, -dx * td.inflow_per_cell(), tol)
-    fluxes = _gradient_fluxes(grid, edge_masks, u_cells, dx)
-
-    G = FluxField(box_set, 1.0)
-    topo = set_.topology
-    td_hat = TraceData(set_)
-    h_arrays = []
-    for a in range(grid.n):
-        # facet lift: side value sigma * g concentrates -mu on the facet
-        gm = np.where(td.topology.minus[a], td.gminus[a], 0.0) * side_orient(MINUS)
-        gp = np.where(td.topology.plus[a], td.gplus[a], 0.0) * side_orient(PLUS)
-        G.vminus[a] = fluxes[a] + gm
-        G.vplus[a] = fluxes[a] + gp
-        # exterior one-sided flux on the reduced facets (lift-free side),
-        # prescribed on the body side of each reduced facet
-        inside_lower = topo.inside_lower[a]
-        sigma_inside = np.where(inside_lower, 1.0, -1.0)
-        h = np.where(topo.boundary[a], -sigma_inside * fluxes[a], 0.0)
-        h_arrays.append(h)
-        td_hat.gminus[a] = np.where(inside_lower, h, 0.0)
-        td_hat.gplus[a] = np.where(inside_lower, 0.0, h)
-    G.tighten()
-    # step 1's potential, fluxes and cut masks are not needed past here
-    del u_cells, fluxes, edge_masks, gm, gp, sigma_inside
-    h_total = sum(float(h.sum()) for h in h_arrays) * grid.facet_area
-    h_scale = sum(float(np.abs(h).sum()) for h in h_arrays) * grid.facet_area + 1.0
-    if abs(h_total) > 1e-9 * h_scale:
-        raise InvariantViolation(
-            f"derived reduced-boundary data is unbalanced: integral {h_total}"
-        )
+    u_cells, td_hat, step1 = _lift_and_reduce(set_, td, tol)
     hat_report = solve_direct(set_, td_hat, tol)
-    Fhat = hat_report.F
-
-    F = FluxField(set_, 1.0)
-    for a in range(grid.n):
-        F.vminus[a] = G.vminus[a] + Fhat.vminus[a]
-        F.vplus[a] = G.vplus[a] + Fhat.vplus[a]
+    F = hat_report.F
+    for a in range(set_.grid.n):
+        # G is the flux plus the facet lift, whose side value sigma * g
+        # concentrates -mu on the facet; Fhat + G has the bits of G + Fhat
+        flux = _gradient_flux(u_cells, _box_edges(set_, a), a, set_.grid.spacing)
+        minus, plus = td.topology.minus[a], td.topology.plus[a]
+        F.vminus[a] += flux + np.where(minus, td.gminus[a], 0.0) * side_orient(MINUS)
+        F.vplus[a] += flux + np.where(plus, td.gplus[a], 0.0) * side_orient(PLUS)
     F.restrict().tighten()
-    stats = [(iterations, depth), *zip(hat_report.cg_iterations, hat_report.levels)]
-    return _audit(F, td, "DECOMPOSED", tol, stats,
-                  intermediate=(G, h_arrays, Fhat))
+    stats = [step1, *zip(hat_report.cg_iterations, hat_report.levels)]
+    return _audit(F, td, "DECOMPOSED", tol, stats)
 
 
 def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
@@ -390,13 +378,12 @@ def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
     """Independent audit: recompute the interior divergence and the trace
     measure of the returned field and compare against the prescription."""
     F = report.F
+    sup = max(1.0, td.sup())
     tv_inside = float(np.abs(cell_balance(F)[set_.cells]).sum())
-    scale = max(1.0, td.sup()) * max(1, set_.cell_count)
-    div_ok = tv_inside / F.grid.facet_area <= tol * scale * 100.0
+    div_ok = tv_inside / F.grid.facet_area <= tol * (sup * max(1, set_.cell_count)) * 100.0
     offenders = []
-    bar = 1e-8 * max(1.0, td.sup())
     for a, side, at, gap in _trace_gaps(F, td):
-        over = gap > bar
+        over = gap > 1e-8 * sup
         bad, bad_gap = at[over], gap[over]
         shape = F.grid.facet_shape(a)
         # the three worst of this slot, ties in facet order

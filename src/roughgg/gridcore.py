@@ -103,7 +103,7 @@ def touches_edge(cells: np.ndarray) -> bool:
     return any(np.take(cells, [0, -1], axis=a).any() for a in range(cells.ndim))
 
 
-# solve-div peaks at ~350-400 B per cell, so a grid at the cap fits in about 3 GB
+# solve-div peaks at up to ~345 B per grid cell, so a grid at the cap fits in about 3 GB
 MAX_CELLS = 2**23
 
 
