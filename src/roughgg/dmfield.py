@@ -136,12 +136,6 @@ class FluxField:
         self.vminus = [np.zeros(self.grid.facet_shape(a)) for a in range(self.grid.n)]
         self.vplus = [np.zeros(self.grid.facet_shape(a)) for a in range(self.grid.n)]
 
-    def copy(self) -> "FluxField":
-        out = FluxField(self.set, self.sup_bound)
-        out.vminus = [v.copy() for v in self.vminus]
-        out.vplus = [v.copy() for v in self.vplus]
-        return out
-
     def restrict(self) -> "FluxField":
         """Zero every value off the field's own slots: ``vminus`` lives on
         the interior facets and the MINUS slots, ``vplus`` on the interior
@@ -194,28 +188,42 @@ class FluxField:
         return out
 
 
+def _facet_points(grid: Grid, axis: int, mask: np.ndarray) -> np.ndarray:
+    """(m, n) centres of the masked axis-``axis`` facets, in C order; each
+    coordinate is the same float as in ``grid.facet_center_mesh(axis)``."""
+    idx = nonzero(mask)
+    return np.stack([c.ravel()[i] for c, i in zip(grid.facet_center_mesh(axis), idx)],
+                    axis=-1)
+
+
 def sample_field(f, set_: RoughSet, sup_bound: float) -> FluxField:
     """Sample an analytic vector function onto the facets of a rough set.
 
     Facet values are normal components at facet centers; crack facets
     take one-sided limits at offsets of a quarter cell along the normal.
-    Raises if the sampled magnitude exceeds the declared bound.
+    ``f`` gets an (m, n) array of points and returns their (m, n) values;
+    it must act on each point alone.  Per axis it is called once on the
+    centres of the interior and reduced facets and, on a cracked axis,
+    twice more on the crack facet centres shifted a quarter cell down and
+    up, so it is never called off the slots the field fills.  Raises if
+    the sampled magnitude exceeds the declared bound.
     """
     grid = set_.grid
     F = FluxField(set_, sup_bound)
+    top = F.topology
     for a in range(grid.n):
-        X = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
-        center_vals = np.asarray(f(X))[..., a]
-        F.vminus[a][...] = center_vals
-        F.vplus[a][...] = center_vals
-        crack = F.topology.crack[a]
+        live = top.interior[a] | top.boundary[a]
+        if live.any():
+            vals = np.asarray(f(_facet_points(grid, a, live)))[:, a]
+            F.vminus[a][live] = vals
+            F.vplus[a][live] = vals
+        crack = top.crack[a]
         if crack.any():
+            Xc = _facet_points(grid, a, crack)
             off = np.zeros(grid.n)
             off[a] = 0.25 * grid.spacing
-            lo_vals = np.asarray(f(X - off))[..., a]
-            hi_vals = np.asarray(f(X + off))[..., a]
-            F.vminus[a][crack] = lo_vals[crack]
-            F.vplus[a][crack] = hi_vals[crack]
+            F.vminus[a][crack] = np.asarray(f(Xc - off))[:, a]
+            F.vplus[a][crack] = np.asarray(f(Xc + off))[:, a]
     F.restrict().check_bound()
     return F
 
@@ -357,15 +365,19 @@ class TraceData:
         arr[axis][tuple(fidx)] = g
 
     def fill(self, fn) -> "TraceData":
-        """Prescribe g = fn(x, nu) from facet centers and exterior normals."""
+        """Prescribe g = fn(x, nu) from facet centers and exterior normals.
+
+        ``fn`` gets an (m, n) array of the centres of one slot's legal
+        sides and that slot's exterior unit normal, and returns the (m,)
+        densities; it must act on each point alone, and it is never called
+        off the legal sides.
+        """
         for a, side, mask, arr in self.slots():
-            if side == MINUS:  # the first side of each axis: one facet mesh per axis
-                X = np.stack(np.broadcast_arrays(*self.grid.facet_center_mesh(a)), axis=-1)
             if not mask.any():
                 continue
             nu = np.zeros(self.grid.n)
             nu[a] = side_orient(side)
-            arr[mask] = fn(X, nu)[mask]
+            arr[mask] = fn(_facet_points(self.grid, a, mask), nu)
         return self
 
     def sides(self) -> dict:

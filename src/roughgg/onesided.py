@@ -136,14 +136,20 @@ def _pair_average(pairs, pair_w, center_w: float, centre: np.ndarray) -> np.ndar
     """Kernel average at targets with values ``centre``.  ``pairs`` yields
     each mirror pair's (kept mask, forward values, backward values) in the
     order of ``pair_w``; the pairs are summed first and the centre, always
-    kept, last."""
+    kept, last.  One set of scratch buffers serves every pair; a dropped
+    pair adds +-0 and doubling the half weights once is exact, so the sums
+    equal those of w * (fwd + bwd) and 2 * w over the kept pairs."""
     acc_num = np.zeros(centre.shape)
-    acc_den = np.zeros(centre.shape)
+    acc_half = np.zeros(centre.shape)
+    okw = np.empty(centre.shape)
+    term = np.empty(centre.shape)
     for (ok, fwd, bwd), w in zip(pairs, pair_w):
-        okf = ok.astype(float)
-        acc_num += w * (fwd + bwd) * okf
-        acc_den += 2.0 * w * okf
-    return (acc_num + center_w * centre) / (acc_den + center_w)
+        np.multiply(ok, w, out=okw)
+        np.add(fwd, bwd, out=term)
+        term *= okw
+        acc_num += term
+        acc_half += okw
+    return (acc_num + center_w * centre) / (2.0 * acc_half + center_w)
 
 
 def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarray]:

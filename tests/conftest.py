@@ -60,6 +60,14 @@ def constant_field(vec):
     return f
 
 
+def copy_field(F: FluxField) -> FluxField:
+    """A field on the same set with copies of F's facet arrays."""
+    out = FluxField(F.set, F.sup_bound)
+    out.vminus = [v.copy() for v in F.vminus]
+    out.vplus = [v.copy() for v in F.vplus]
+    return out
+
+
 def random_facet_noise(set_, seed: int, sup_bound: float = 1.0) -> FluxField:
     """Independent uniform values on every live facet side; the roughest
     member of the bounded class, for worst-case property checks."""

@@ -22,7 +22,7 @@ from roughgg.errors import CompatibilityError, InputError
 from roughgg.fields import separated_smooth_field, slit_jump_field
 from roughgg.gridcore import MINUS, PLUS, lift
 
-from conftest import constant_field, cracked_domains, random_facet_noise
+from conftest import constant_field, copy_field, cracked_domains, random_facet_noise
 
 
 def left_right_data(set_):
@@ -179,7 +179,7 @@ def test_verify_solution_fault_injection(square_32):
     rep = solve_direct(square_32, td)
     assert verify_solution(rep, square_32, td)["pass"]
     # perturb one interior facet value: conservation breaks at that cell
-    bad = rep.F.copy()
+    bad = copy_field(rep.F)
     interior = bad.topology.interior[0]
     idx = tuple(np.argwhere(interior)[interior.sum() // 2])
     bad.vminus[0][idx] += 1.0
@@ -640,7 +640,7 @@ def perturb_sides(F, seed):
     """Shift a few legal sides of every slot, some by equal amounts (ties
     for the stable ordering of ``worst_offenders``)."""
     rng = np.random.default_rng(seed)
-    bad = F.copy()
+    bad = copy_field(F)
     top = F.topology
     for a in range(F.grid.n):
         for mask, arr in ((top.minus[a], bad.vminus[a]), (top.plus[a], bad.vplus[a])):

@@ -28,7 +28,7 @@ from roughgg.dmfield import (
     trace_measure,
     trace_weak_convergence,
 )
-from roughgg.domain import RoughSet, preset_set
+from roughgg.domain import PRESET_NAMES, RoughSet, preset_set
 from roughgg.errors import InputError
 from roughgg.fields import (
     linear_field,
@@ -36,9 +36,9 @@ from roughgg.fields import (
     separated_smooth_field,
     slit_jump_field,
 )
-from roughgg.gridcore import MINUS, PLUS, FacetArrays
+from roughgg.gridcore import MINUS, PLUS, FacetArrays, side_orient
 
-from conftest import constant_field, cracked_domains, random_facet_noise
+from conftest import constant_field, copy_field, cracked_domains, random_facet_noise
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,137 @@ def test_sample_rejects_non_finite_values(slit_square_32):
     F.vplus[1][F.topology.crack[1]] = np.inf
     with pytest.raises(InputError, match="non-finite"):
         F.check_bound()
+
+
+def _sample_whole_mesh(f, set_, sup_bound):
+    """Reference sampler: f on every facet centre of each axis, and on a
+    cracked axis on every centre shifted a quarter cell down and up, of
+    which only the crack facets are kept."""
+    grid = set_.grid
+    F = FluxField(set_, sup_bound)
+    for a in range(grid.n):
+        X = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
+        F.vminus[a][...] = np.asarray(f(X))[..., a]
+        F.vplus[a][...] = F.vminus[a]
+        crack = F.topology.crack[a]
+        if crack.any():
+            off = np.zeros(grid.n)
+            off[a] = 0.25 * grid.spacing
+            F.vminus[a][crack] = np.asarray(f(X - off))[..., a][crack]
+            F.vplus[a][crack] = np.asarray(f(X + off))[..., a][crack]
+    F.restrict().check_bound()
+    return F
+
+
+def _fill_whole_mesh(td, fn):
+    """Reference prescription: fn on every facet centre, kept on the legal
+    sides only."""
+    for a, side, mask, arr in td.slots():
+        X = np.stack(np.broadcast_arrays(*td.grid.facet_center_mesh(a)), axis=-1)
+        nu = np.zeros(td.grid.n)
+        nu[a] = side_orient(side)
+        arr[mask] = fn(X, nu)[mask]
+    return td
+
+
+def _sampling_domain(name):
+    return _slit_cube_8() if name == "slit-cube-8" else preset_set(name, 1.0 / 32.0,
+                                                                   margin_cells=4)
+
+
+def _affine_field(n):
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    b = rng.uniform(-1.0, 1.0, size=n)
+    return lambda X: X @ A.T + b
+
+
+SAMPLING_DOMAINS = list(PRESET_NAMES) + ["slit-cube-8"]
+SAMPLED_FIELDS = {
+    "slit-jump": slit_jump_field,
+    "separated-smooth": separated_smooth_field,
+    "linear": linear_field,
+    "seeded-trig": lambda: seeded_trig_field(4),
+}
+
+
+@pytest.mark.parametrize("domain", SAMPLING_DOMAINS)
+def test_sampling_on_slots_matches_the_whole_mesh(domain):
+    set_ = _sampling_domain(domain)
+    fields = {name: make() for name, make in SAMPLED_FIELDS.items()}
+    fields["affine"] = _affine_field(set_.grid.n)
+    for name, f in fields.items():
+        got, want = sample_field(f, set_, 10.0), _sample_whole_mesh(f, set_, 10.0)
+        for a in range(set_.grid.n):
+            for g, w in ((got.vminus[a], want.vminus[a]), (got.vplus[a], want.vplus[a])):
+                assert g.tobytes() == w.tobytes(), (name, a)
+
+        def fn(X, nu):
+            return f(X) @ nu
+
+        got, want = TraceData(set_).fill(fn), _fill_whole_mesh(TraceData(set_), fn)
+        for a in range(set_.grid.n):
+            for g, w in ((got.gminus[a], want.gminus[a]), (got.gplus[a], want.gplus[a])):
+                assert g.tobytes() == w.tobytes(), (name, a)
+
+
+def _facet_index(grid, axis, X):
+    """Integer facet indices of axis-``axis`` facet centres X, or of
+    points a quarter cell off them along the axis."""
+    shift = np.full(grid.n, 0.5)
+    shift[axis] = 0.0
+    idx = np.rint((X - np.asarray(grid.origin)) / grid.spacing - shift).astype(int)
+    return tuple(idx.T)
+
+
+@pytest.mark.parametrize("domain", ["slit-square", "cantor-cross", "l-shape", "slit-cube-8"])
+def test_sample_field_calls_f_on_live_and_crack_points_only(domain):
+    set_ = _sampling_domain(domain)
+    grid, top = set_.grid, set_.topology
+    calls = []
+
+    def f(X):
+        calls.append(X.copy())
+        return np.zeros(X.shape)
+
+    sample_field(f, set_, 1.0)
+    want = []
+    for a in range(grid.n):
+        live = top.interior[a] | top.boundary[a]
+        want.append((a, live, 0.0))
+        if top.crack[a].any():
+            want += [(a, top.crack[a], -0.25), (a, top.crack[a], 0.25)]
+    assert len(calls) == len(want)
+    for X, (a, mask, shift) in zip(calls, want):
+        assert X.ndim == 2 and X.shape == (int(mask.sum()), grid.n)
+        centre = X.copy()
+        centre[:, a] -= shift * grid.spacing
+        hit = np.zeros(mask.shape, dtype=bool)
+        hit[_facet_index(grid, a, centre)] = True
+        assert np.array_equal(hit, mask)
+
+
+@pytest.mark.parametrize("domain", ["slit-square", "cantor-cross", "disk", "slit-cube-8"])
+def test_fill_calls_fn_on_legal_sides_only(domain):
+    set_ = _sampling_domain(domain)
+    grid = set_.grid
+    calls = []
+
+    def fn(X, nu):
+        calls.append((X.copy(), nu.copy()))
+        return np.ones(X.shape[0])
+
+    td = TraceData(set_).fill(fn)
+    slots = [(a, side, mask) for a, side, mask, _ in td.slots() if mask.any()]
+    assert len(calls) == len(slots)
+    for (X, nu), (a, side, mask) in zip(calls, slots):
+        assert X.shape == (int(mask.sum()), grid.n)
+        assert np.array_equal(nu, np.eye(grid.n)[a] * side_orient(side))
+        hit = np.zeros(mask.shape, dtype=bool)
+        hit[_facet_index(grid, a, X)] = True
+        assert np.array_equal(hit, mask)
+    for a, _, mask, arr in td.slots():
+        assert np.array_equal(arr != 0.0, mask)
 
 
 # --- divergence -----------------------------------------------------------
@@ -333,7 +464,7 @@ def test_trace_zero_field_empty(square_32):
 def test_trace_linearity(slit_square_32):
     Fa = random_facet_noise(slit_square_32, seed=11)
     Fb = random_facet_noise(slit_square_32, seed=12)
-    Fc = Fa.copy()
+    Fc = copy_field(Fa)
     for a in range(2):
         Fc.vminus[a] = 2.0 * Fa.vminus[a] - 3.0 * Fb.vminus[a]
         Fc.vplus[a] = 2.0 * Fa.vplus[a] - 3.0 * Fb.vplus[a]
@@ -572,7 +703,6 @@ def test_topology_is_computed_once_per_set(slit_square_32):
     top = slit_square_32.topology
     F = sample_field(seeded_trig_field(0), slit_square_32, 1.0)
     assert F.topology is top
-    assert F.copy().topology is top
     assert TraceData(slit_square_32).topology is top
     assert facet_topology(slit_square_32) is top
 
@@ -588,7 +718,7 @@ def test_restrict_is_the_one_sided_slot_rule(domain, slit_square_32):
     for a in range(set_.grid.n):
         F.vminus[a][...] = rng.uniform(-1.0, 1.0, F.vminus[a].shape)
         F.vplus[a][...] = rng.uniform(-1.0, 1.0, F.vplus[a].shape)
-    want = F.copy()
+    want = copy_field(F)
     top = set_.topology
     for a in range(set_.grid.n):
         outside = ~(top.interior[a] | top.crack[a] | top.boundary[a])
