@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io as rio
-from ._util import atomic_write_text, dumps_json
+from ._util import atomic_write_text, dumps_json, format_float
 from .dmfield import (
     TraceData,
     default_phi_basis,
@@ -91,8 +91,8 @@ def _build_set(args):
 
 
 def _finite_positive(text: str) -> float:
-    """argparse type of widths, scales and tolerances: a finite number
-    above zero; anything else is a usage error (exit 2)."""
+    """argparse type of widths and scales: a finite number above zero;
+    anything else is a usage error (exit 2)."""
     try:
         value = float(text)
     except ValueError:
@@ -176,7 +176,7 @@ def cmd_perimeter(args) -> int:
     }
     if args.out:
         _write_json(args.out, report)
-    print(f"perimeter: {value:.17g}")
+    print(f"perimeter: {format_float(value)}")
     return 0
 
 
@@ -188,16 +188,8 @@ def cmd_approx(args) -> int:
         table = approximation_sweep(set_, args.sweep)
         lines = ["delta,spacing,perimeter,removed,ratio,verdict"]
         for row in table["rows"]:
-            lines.append(
-                ",".join([
-                    format(row["delta"], ".17g"),
-                    format(row["spacing"], ".17g"),
-                    format(row["perimeter"], ".17g"),
-                    format(row["removed"], ".17g"),
-                    format(row["ratio"], ".17g"),
-                    table["verdict"],
-                ])
-            )
+            cols = [row[k] for k in ("delta", "spacing", "perimeter", "removed", "ratio")]
+            lines.append(",".join([*map(format_float, cols), table["verdict"]]))
         if args.out:
             atomic_write_text(args.out, "\n".join(lines) + "\n")
         print(f"approx sweep: verdict {table['verdict']}")
@@ -289,10 +281,10 @@ def cmd_solve_div(args) -> int:
     for key, g in rio.read_trace_csv(args.trace, set_.grid).items():
         td.set_side(*key, g)
     if args.mode == "direct":
-        rep = solve_direct(set_, td, tol=args.tol)
+        rep = solve_direct(set_, td)
     else:
-        rep = solve_decomposed(set_, td, tol=args.tol)
-    audit = verify_solution(rep, set_, td, tol=args.tol)
+        rep = solve_decomposed(set_, td)
+    audit = verify_solution(rep, set_, td)
     report = {
         "mode": rep.mode,
         "interior_div_residual": rep.interior_div_residual,
@@ -386,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     _domain_args(p)
     p.add_argument("--trace", required=True, help="trace CSV (axis,i...,side,g)")
     p.add_argument("--mode", choices=("direct", "decomposed"), default="direct")
-    p.add_argument("--tol", type=_finite_positive, default=1e-10)
     p.add_argument("--out")
     p.add_argument("--flux", help="write the solution field binary")
     p.set_defaults(fn=cmd_solve_div)

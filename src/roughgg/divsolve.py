@@ -27,6 +27,13 @@ facet or joins two components.  Coarsening stops at ``COARSE_SIZE``
 nodes, where the coarsest level is factorized; a system already that
 small is solved exactly and CG stops after one iteration.
 
+The policy is one for every caller and takes no argument: CG stops at
+the relative residual ``_CG_RTOL``, both audits (``_audit`` inside each
+solve, then ``verify_solution``) hold the interior divergence residual
+to ``_AUDIT_TOL`` times a scale of the data, and a prescription is
+refused (``InputError``) where it is not finite or exceeds
+``_MAX_DENSITY`` in magnitude.
+
 The matrix is assembled straight from the grid as a sorted int32 CSR:
 each node's row is read off a per-node table of its neighbours in
 increasing id order, masked by the edge masks, with no COO edge lists.
@@ -61,6 +68,11 @@ _OMEGA = 2.0 / 3.0
 _SWEEPS = 2
 _COARSE_SCALE = 1.8
 _CG_MAXITER = 1_000
+# The solve policy (see the module docstring).  _MAX_DENSITY keeps CG's
+# squared norms finite on any grid up to the 2^23-cell cap.
+_CG_RTOL = 1e-12
+_AUDIT_TOL = 1e-10
+_MAX_DENSITY = 1e100
 
 
 def is_compatible(td: TraceData) -> bool:
@@ -197,7 +209,7 @@ def _laplacian(cells: np.ndarray, edge_masks):
     return lap, n_comp, comp, coords
 
 
-def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
+def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray):
     """Solve the unit-weight graph Laplacian L u = b on the cells whose
     edges are the given facet masks; b must be balanced per component.
 
@@ -224,7 +236,7 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray, tol: float):
         nonlocal iterations
         iterations += 1
 
-    u, info = spla.cg(lap, bn, rtol=min(tol, 1e-12), atol=0.0,
+    u, info = spla.cg(lap, bn, rtol=_CG_RTOL, atol=0.0,
                       M=spla.LinearOperator(lap.shape, matvec=vcycle, dtype=float),
                       maxiter=_CG_MAXITER, callback=count)
     if info != 0:
@@ -245,8 +257,12 @@ def _gradient_flux(u_cells, edges, axis, dx):
 
 def _require_finite(td: TraceData) -> None:
     for a, _side, mask, arr in td.slots():
-        if not np.isfinite(arr[mask]).all():
+        values = arr[mask]
+        if not np.isfinite(values).all():
             raise InputError(f"non-finite prescribed trace density on axis {a}")
+        if (np.abs(values) > _MAX_DENSITY).any():
+            raise InputError(f"prescribed trace density on axis {a} exceeds "
+                             f"{_MAX_DENSITY:g} in magnitude")
 
 
 def _trace_gaps(F: FluxField, td: TraceData):
@@ -264,7 +280,7 @@ def _trace_gaps(F: FluxField, td: TraceData):
         yield a, side, at, np.abs(got, out=got)
 
 
-def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats) -> SolveReport:
+def _audit(F: FluxField, td: TraceData, mode: str, stats) -> SolveReport:
     balance = cell_balance(F)
     sup = td.sup()
     residual = float(np.abs(balance, out=balance).max()) / F.grid.facet_area
@@ -276,9 +292,9 @@ def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats) -> SolveRe
             linf = max(linf, float(gap.max()))
             l1 += float(gap.sum()) * F.grid.facet_area
     kappa = F.sup_bound / sup if sup > 0.0 else 0.0
-    if residual > tol * max(1.0, sup) * 10.0 + 1e-300:
+    if residual > _AUDIT_TOL * max(1.0, sup) * 10.0 + 1e-300:
         raise InvariantViolation(
-            f"interior divergence residual {residual} above tolerance {tol}"
+            f"interior divergence residual {residual} above tolerance {_AUDIT_TOL}"
         )
     return SolveReport(F=F, interior_div_residual=residual, trace_linf_gap=linf,
                        trace_l1_gap=l1, mode=mode, kappa=kappa,
@@ -286,20 +302,21 @@ def _audit(F: FluxField, td: TraceData, mode: str, tol: float, stats) -> SolveRe
                        levels=tuple(depth for _, depth in stats))
 
 
-def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveReport:
+def solve_direct(set_: RoughSet, td: TraceData) -> SolveReport:
     """Divergence-free field with the prescribed trace, built from the
     Neumann problem on the crack-split cell graph.
 
     The prescribed side values are imposed exactly; the graph solve
     distributes them so every cell balance vanishes.  Raises InputError
-    on a non-finite density and CompatibilityError when some component
-    has net prescribed flux.
+    on a density that is not finite or exceeds ``_MAX_DENSITY`` in
+    magnitude, and CompatibilityError when some component has net
+    prescribed flux.
     """
     _require_finite(td)
     grid = set_.grid
     interior = set_.topology.interior
     u_cells, iterations, depth = _laplacian_solve(
-        set_.cells, interior, -grid.spacing * td.inflow_per_cell(), tol)
+        set_.cells, interior, -grid.spacing * td.inflow_per_cell())
     F = FluxField(set_, 1.0)
     for a in range(grid.n):
         F.vminus[a] = _gradient_flux(u_cells, interior[a], a, grid.spacing)
@@ -308,7 +325,7 @@ def solve_direct(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveRepo
         # side value = orientation * density reproduces the trace exactly
         F.vminus[a][minus] = td.gminus[a][minus] * side_orient(MINUS)
         F.vplus[a][plus] = td.gplus[a][plus] * side_orient(PLUS)
-    return _audit(F.tighten(), td, "DIRECT", tol, [(iterations, depth)])
+    return _audit(F.tighten(), td, "DIRECT", [(iterations, depth)])
 
 
 def _box_edges(set_: RoughSet, axis: int) -> np.ndarray:
@@ -317,14 +334,14 @@ def _box_edges(set_: RoughSet, axis: int) -> np.ndarray:
     return lower & upper & ~set_.cracks.masks[axis]
 
 
-def _lift_and_reduce(set_: RoughSet, td: TraceData, tol: float):
+def _lift_and_reduce(set_: RoughSet, td: TraceData):
     """Steps 1 and 2 of ``solve_decomposed``: the potential of G's gradient
     part on the box cells, the reduced data h on the body sides of the
     reduced facets, and the box solve's (iterations, depth)."""
     grid = set_.grid
     u_cells, iterations, depth = _laplacian_solve(
         np.ones(grid.extents, dtype=bool), [_box_edges(set_, a) for a in range(grid.n)],
-        -grid.spacing * td.inflow_per_cell(), tol)
+        -grid.spacing * td.inflow_per_cell())
     td_hat = TraceData(set_)
     for a in range(grid.n):
         # h: G's outward flux on the lift-free exterior side, its gradient part
@@ -340,7 +357,7 @@ def _lift_and_reduce(set_: RoughSet, td: TraceData, tol: float):
     return u_cells, td_hat, (iterations, depth)
 
 
-def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> SolveReport:
+def solve_decomposed(set_: RoughSet, td: TraceData) -> SolveReport:
     """Two-step solve through the reduced-boundary problem.
 
     Step 1 builds a box-wide field G whose divergence is the negated
@@ -358,8 +375,8 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
         raise CompatibilityError(
             f"globally incompatible trace data: integral {td.integral}"
         )
-    u_cells, td_hat, step1 = _lift_and_reduce(set_, td, tol)
-    hat_report = solve_direct(set_, td_hat, tol)
+    u_cells, td_hat, step1 = _lift_and_reduce(set_, td)
+    hat_report = solve_direct(set_, td_hat)
     F = hat_report.F
     for a in range(set_.grid.n):
         # G is the flux plus the facet lift, whose side value sigma * g
@@ -370,17 +387,16 @@ def solve_decomposed(set_: RoughSet, td: TraceData, tol: float = 1e-10) -> Solve
         F.vplus[a] += flux + np.where(plus, td.gplus[a], 0.0) * side_orient(PLUS)
     F.restrict().tighten()
     stats = [step1, *zip(hat_report.cg_iterations, hat_report.levels)]
-    return _audit(F, td, "DECOMPOSED", tol, stats)
+    return _audit(F, td, "DECOMPOSED", stats)
 
 
-def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData,
-                    tol: float = 1e-10) -> dict:
+def verify_solution(report: SolveReport, set_: RoughSet, td: TraceData) -> dict:
     """Independent audit: recompute the interior divergence and the trace
     measure of the returned field and compare against the prescription."""
     F = report.F
     sup = max(1.0, td.sup())
     tv_inside = float(np.abs(cell_balance(F)[set_.cells]).sum())
-    div_ok = tv_inside / F.grid.facet_area <= tol * (sup * max(1, set_.cell_count)) * 100.0
+    div_ok = tv_inside / F.grid.facet_area <= _AUDIT_TOL * (sup * max(1, set_.cell_count)) * 100.0
     offenders = []
     for a, side, at, gap in _trace_gaps(F, td):
         over = gap > 1e-8 * sup

@@ -579,13 +579,10 @@ def normal_trace_pairing(F: FluxField, phi: TestFunction) -> float:
                              F.grid.cell_volume)
 
 
-def gauss_green_residual(F: FluxField, phi: TestFunction,
-                         tm: TraceData | None = None) -> float:
+def gauss_green_residual(F: FluxField, phi: TestFunction, tm: TraceData) -> float:
     """Gap between the trace pairing and the facet-midpoint integral of
-    phi against the trace measure; exact for grid-aligned
+    phi against the trace measure ``tm`` of F; exact for grid-aligned
     piecewise-constant fields, first-order small for smooth data."""
-    if tm is None:
-        tm = trace_measure(F)
     return abs(normal_trace_pairing(F, phi) - tm.integrate(phi))
 
 
@@ -611,23 +608,17 @@ def mollify_field(F: FluxField, eps: float) -> FluxField:
     return out
 
 
-def _widths(grid: Grid, eps_list) -> list[float]:
-    """Mollification widths, widest first (8, 4 and 2 spacings unless
-    given); at least three."""
-    if eps_list is None:
-        eps_list = [8.0 * grid.spacing, 4.0 * grid.spacing, 2.0 * grid.spacing]
-    eps_list = sorted(float(e) for e in eps_list)[::-1]
-    if len(eps_list) < 3:
-        raise InputError("a mollification ladder needs >= 3 widths")
-    return eps_list
+def _widths(grid: Grid) -> list[float]:
+    """The mollification ladder of every audit: 8, 4 and 2 spacings."""
+    return [8.0 * grid.spacing, 4.0 * grid.spacing, 2.0 * grid.spacing]
 
 
-def trace_weak_convergence(F: FluxField, eps_list=None,
-                           phi_basis=None) -> dict:
+def trace_weak_convergence(F: FluxField) -> dict:
     """Mollification ladder for the trace pairing.
 
-    Rows hold the worst midpoint pairing gap over the basis at each
-    width: max over phi of |pairing(mollify_field(F, eps), phi) -
+    Rows hold the worst midpoint pairing gap over the degree-3
+    ``default_phi_basis`` at each width of the 8/4/2 dx ladder: max over
+    phi of |pairing(mollify_field(F, eps), phi) -
     pairing(F, phi)|.  The field half of the pairing is taken once for
     ``F`` and once per width, each mollified field dropped once its half
     is gathered; then each phi's half is built once and paired with every
@@ -640,14 +631,10 @@ def trace_weak_convergence(F: FluxField, eps_list=None,
     a slope means nothing.
     """
     grid = F.grid
-    eps_list = _widths(grid, eps_list)
-    if phi_basis is None:
-        phi_basis = default_phi_basis(grid, degree=3)
-    if len(phi_basis) < 5:
-        raise InputError("need >= 5 basis functions (default_phi_basis(grid) has 6)")
+    eps_list = _widths(grid)
     halves = [_field_half(F)] + [_field_half(mollify_field(F, eps)) for eps in eps_list]
     gaps = [[] for _ in eps_list]
-    for phi in phi_basis:
+    for phi in default_phi_basis(grid, degree=3):
         pp = _midpoint_phi(grid, phi, F.topology)
         base, *paired = (_midpoint_pairing(h, pp, grid.cell_volume) for h in halves)
         for row_gaps, value in zip(gaps, paired):
@@ -699,28 +686,19 @@ def _project_to_targets(atoms: np.ndarray, targets: np.ndarray, axis: int) -> np
     return out
 
 
-def _mollified_chi_pairing(F: FluxField, e_cells: np.ndarray, eps: float,
-                           weight: str) -> list[np.ndarray]:
-    """Per-axis facet atoms of the mollified indicator pairing, projected
-    onto the reduced facets of E.
-
-    ``weight``: 'inside' for chi_E, 'one' for no weight, 'split' for
-    chi_E - chi_complement.
-    """
+def _mollified_chi_pairing(F: FluxField, e_cells: np.ndarray,
+                           eps: float) -> list[np.ndarray]:
+    """Per-axis facet atoms of the mollified indicator pairing weighted by
+    chi_E (the two-cell mean on a facet), projected onto the reduced
+    facets of E."""
     grid = F.grid
-    kernel = MollifierKernel(eps, grid)
-    w = kernel.smooth_cells(e_cells.astype(float))
     e_float = e_cells.astype(float)
+    w = MollifierKernel(eps, grid).smooth_cells(e_float)
     out = []
     for a in range(grid.n):
         w_lo, w_up = lift(w, a)
         e_lo, e_up = lift(e_float, a)
-        if weight == "inside":
-            chi = 0.5 * (e_lo + e_up)
-        elif weight == "one":
-            chi = np.ones(grid.facet_shape(a))
-        else:
-            chi = e_lo + e_up - 1.0
+        chi = 0.5 * (e_lo + e_up)
         atoms = F.vminus[a] * chi * (w_up - w_lo) * grid.facet_area
         # only the mollification layer carries mass
         atoms[np.abs(w_up - w_lo) == 0.0] = 0.0
@@ -732,16 +710,13 @@ def _mollified_chi_pairing(F: FluxField, e_cells: np.ndarray, eps: float,
 @dataclass
 class InteriorTraceReport:
     """Mollified interior-trace construction on the reduced boundary of a
-    compactly contained set, with its consistency audits."""
+    compactly contained set, with its interior Gauss-Green audit."""
 
     weights: list[np.ndarray]   # per axis: finest-width measure on reduced facets of E
-    weights_per_eps: dict       # width -> per-axis weights
     eps_list: list[float]
     gate_passed: bool
     gate_details: list[dict]
     gg_residual: float          # interior Gauss-Green against -2x the measure
-    halving_residual: float     # mean-flux identity at the finest width
-    split_residual: float       # inside-minus-outside pairing vs concentrated part
 
     @property
     def atoms(self) -> dict:
@@ -751,21 +726,19 @@ class InteriorTraceReport:
                 for a, w in enumerate(self.weights) for i in np.argwhere(w != 0.0)}
 
 
-def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
-                          eps_list=None, phi_basis=None) -> InteriorTraceReport:
+def interior_normal_trace(F: FluxField, e_cells: np.ndarray) -> InteriorTraceReport:
     """Interior normal trace of F on the boundary of E (compactly inside
     the body): the vanishing-width limit of the indicator-gradient
-    pairing, realized at three widths.  A gate passes each phi whose
-    pairings m8, m4, m2 have settled (|m4 - m2| <= 1e-10 (1 + |m2|)) or
-    whose steps |m8 - m4|, |m4 - m2| fit an order >= log2(4/3): a step
-    ratio <= 3/4, so the tail past m2 is <= 3 |m4 - m2| and a stalling or
-    growing ladder fails, however fast a converging one goes.
+    pairing, realized on the 8/4/2 dx ladder.  A gate passes each phi of
+    the degree-2 ``default_phi_basis`` whose pairings m8, m4, m2 have
+    settled (|m4 - m2| <= 1e-10 (1 + |m2|)) or whose steps |m8 - m4|,
+    |m4 - m2| fit an order >= log2(4/3): a step ratio <= 3/4, so the tail
+    past m2 is <= 3 |m4 - m2| and a stalling or growing ladder fails,
+    however fast a converging one goes.
 
-    Minus twice the returned measure reproduces the interior Gauss-Green
-    pairing over E against the basis, and two side identities are audited:
-    the unweighted pairing equals the half-sum identity, and the
-    inside-minus-outside pairing collapses to the (here absent)
-    divergence concentrated on the interface.
+    The returned measure is the 2 dx one; ``gg_residual`` is the worst gap
+    over the basis between the Gauss-Green pairing of F over E and minus
+    twice that measure.
     """
     grid = F.grid
     e_cells = np.asarray(e_cells, dtype=bool)
@@ -774,19 +747,14 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
         raise InputError("E must be compactly contained in the body (1-cell margin)")
     if bool(np.any(touching(F.topology.crack) & grown)):
         raise InputError("E must keep clear of crack facets")
-    eps_list = _widths(grid, eps_list)
-    if phi_basis is None:
-        phi_basis = default_phi_basis(grid)
-
-    weights_per_eps = {
-        eps: _mollified_chi_pairing(F, e_cells, eps, "inside") for eps in eps_list
-    }
-    finest = eps_list[-1]
+    eps_list = _widths(grid)
+    phi_basis = default_phi_basis(grid)
+    ladder = [_mollified_chi_pairing(F, e_cells, eps) for eps in eps_list]
 
     gate_details = []
     gate_passed = True
     for phi in phi_basis:
-        m8, m4, m2 = (_facet_pairing(grid, weights_per_eps[eps], phi) for eps in eps_list[:3])
+        m8, m4, m2 = (_facet_pairing(grid, weights, phi) for weights in ladder)
         order = refinement_order(eps_list[:2], [abs(m8 - m4), abs(m4 - m2)])
         ok = (abs(m4 - m2) <= 1e-10 * (1.0 + abs(m2))
               or (order is not None and order >= np.log2(4.0 / 3.0)))
@@ -802,27 +770,16 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
         F_E.vplus[a][...] = F.vminus[a]
     F_E.restrict()
     gg_residual = 0.0
-    halving_residual = 0.0
-    split_residual = 0.0
-    atoms_one = _mollified_chi_pairing(F, e_cells, finest, "one")
-    atoms_split = _mollified_chi_pairing(F, e_cells, finest, "split")
     for phi in phi_basis:
         lhs = normal_trace_pairing(F_E, phi)
-        rhs = -2.0 * _facet_pairing(grid, weights_per_eps[finest], phi)
+        rhs = -2.0 * _facet_pairing(grid, ladder[-1], phi)
         gg_residual = max(gg_residual, abs(lhs - rhs))
-        halving_residual = max(
-            halving_residual, abs(lhs - (-_facet_pairing(grid, atoms_one, phi)))
-        )
-        split_residual = max(split_residual, abs(_facet_pairing(grid, atoms_split, phi)))
     return InteriorTraceReport(
-        weights=weights_per_eps[finest],
-        weights_per_eps=weights_per_eps,
+        weights=ladder[-1],
         eps_list=eps_list,
         gate_passed=gate_passed,
         gate_details=gate_details,
         gg_residual=gg_residual,
-        halving_residual=halving_residual,
-        split_residual=split_residual,
     )
 
 
@@ -831,8 +788,7 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def product_rule_check(F: FluxField, g_cells: np.ndarray,
-                       eps_list=None, phi_basis=None) -> dict:
+def product_rule_check(F: FluxField, g_cells: np.ndarray) -> dict:
     """Audit div(gF) = g* div F + (F . Dg) against the mollified-gradient
     realization of the second term.
 
@@ -841,7 +797,8 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
     one half on indicator interfaces) and one-sidedly on crack/boundary
     sides; the pairing term mollifies g one-sidedly over the body and
     pairs the cell gradient with the cell-averaged field.  Reports the
-    identity residual per width and the variation bound rows.
+    identity residual over the degree-2 ``default_phi_basis`` at each width
+    of the 8/4/2 dx ladder, and the variation bound rows.
     """
     from .mollify import masked_gradient, smooth_cells_masked
 
@@ -849,9 +806,8 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray,
     g_cells = np.asarray(g_cells, dtype=float)
     if not np.all(np.isfinite(g_cells)):
         raise InputError("g must be bounded (finite everywhere)")
-    eps_list = _widths(grid, eps_list)
-    if phi_basis is None:
-        phi_basis = default_phi_basis(grid)
+    eps_list = _widths(grid)
+    phi_basis = default_phi_basis(grid)
     body = F.set.cells
 
     # product field gF: two-cell mean on interior facets, one-sided at sides

@@ -171,39 +171,26 @@ def perimeter(grid: Grid, cells: np.ndarray, eps: float) -> float:
     return float(mag.sum() * grid.cell_volume)
 
 
-def ahlfors_constant(grid: Grid, facets: FacetArrays,
-                     sample_count: int | None = None,
-                     radii=None) -> AhlforsReport:
-    """Best constant C with measure(set within B_r) <= C r^(n-1) over the
-    sampled centers and radii (deterministic lexicographic stride)."""
+def ahlfors_constant(grid: Grid, facets: FacetArrays, radii) -> AhlforsReport:
+    """Best constant C with measure(set within B_r) <= C r^(n-1) over every
+    facet center of the set and the given radii."""
     from scipy.spatial import cKDTree
 
     centers = facets.centers()
     if centers.shape[0] == 0:
         raise InputError("Ahlfors estimation needs a nonempty facet set")
-    if radii is None:
-        r = 4.0 * grid.spacing
-        rmax = max(np.ptp(centers, axis=0).max(), 8.0 * grid.spacing)
-        radii = []
-        while r <= rmax:
-            radii.append(r)
-            r *= 2.0
     radii = [float(r) for r in radii]
     if min(radii) < 4.0 * grid.spacing:
         raise InputError("Ahlfors radii must be >= 4 spacings")
-    stride = 1
-    if sample_count is not None and centers.shape[0] > sample_count:
-        stride = centers.shape[0] // sample_count
-    sampled = centers[::stride]
     tree = cKDTree(centers)
     area = grid.facet_area
     witnesses = []
     best = 0.0
     for r in radii:
-        counts = tree.query_ball_point(sampled, r, return_length=True)
+        counts = tree.query_ball_point(centers, r, return_length=True)
         ratios = counts * area / r ** (grid.n - 1)
         j = int(np.argmax(ratios))
-        witnesses.append((tuple(float(v) for v in sampled[j]), r, float(ratios[j])))
+        witnesses.append((tuple(float(v) for v in centers[j]), r, float(ratios[j])))
         best = max(best, float(ratios[j]))
     return AhlforsReport(constant=best, witnesses=witnesses)
 

@@ -16,6 +16,18 @@ def run(*args, cwd=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd)
 
 
+def main_code(*args):
+    """Exit code of an in-process ``cli.main`` call.  The one exception
+    allowed to escape it is argparse's usage error, ``SystemExit(2)``."""
+    from roughgg import cli
+
+    try:
+        return cli.main(list(args))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return 2
+
+
 def test_gallery_manifest(tmp_path):
     out = tmp_path / "gal"
     proc = run("gallery", "--out-dir", str(out))
@@ -159,14 +171,11 @@ def test_solve_div_repeated_trace_row_exit_2(tmp_path):
     assert "line 2" in proc.stderr
 
 
-def test_bad_input_exit_2(tmp_path):
-    proc = run("classify", "--domain", '{"shape":{"op":"disk","r":-2}}',
-               "--grid", "16")
-    assert proc.returncode == 2
-    proc = run("classify", "--domain", "{not json", "--grid", "16")
-    assert proc.returncode == 2
-    proc = run("classify", "--grid", "16")  # no domain source at all
-    assert proc.returncode == 2
+def test_bad_input_exit_2():
+    assert main_code("classify", "--domain", '{"shape":{"op":"disk","r":-2}}',
+                     "--grid", "16") == 2
+    assert main_code("classify", "--domain", "{not json", "--grid", "16") == 2
+    assert main_code("classify", "--grid", "16") == 2  # no domain source at all
 
 
 @pytest.mark.parametrize("args", [
@@ -176,16 +185,40 @@ def test_bad_input_exit_2(tmp_path):
     ["approx", "--sweep", "0.5,x"],
     ["trace", "--field", "seed:x"],
     ["trace", "--field", "seed:1e3"],
-    ["solve-div", "--trace", "empty.csv", "--tol", "nan"],
-], ids=["delta-nan", "delta-inf", "eps-nan", "sweep-x", "seed-x", "seed-1e3",
-        "tol-nan"])
-def test_bad_flag_values_exit_2(tmp_path, args):
-    empty = tmp_path / "empty.csv"  # a valid, zero prescription
-    empty.write_text("axis,i0,i1,side,g\n")
-    args = [str(empty) if a == "empty.csv" else a for a in args]
-    proc = run(args[0], "--preset", "square", "--grid", "16", *args[1:])
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
+], ids=["delta-nan", "delta-inf", "eps-nan", "sweep-x", "seed-x", "seed-1e3"])
+def test_bad_flag_values_exit_2(args, capsys):
+    code = main_code(args[0], "--preset", "square", "--grid", "16", *args[1:])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+
+
+def test_tol_flag_is_gone(tmp_path, capsys):
+    tr = tmp_path / "tr.csv"
+    grid = ["--preset", "slit-square", "--grid", "64"]
+    assert main_code("trace", *grid, "--csv", str(tr)) == 0
+    capsys.readouterr()
+    assert main_code("solve-div", *grid, "--trace", str(tr), "--tol", "1e-15") == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --tol 1e-15" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["direct", "decomposed"])
+def test_solve_div_huge_density_exit_2(tmp_path, mode, capsys):
+    # finite densities whose squares overflow CG's dot products; 1e100 is
+    # the largest magnitude a prescription may have
+    tr = tmp_path / "huge.csv"
+
+    def solve(g):
+        tr.write_text(f"axis,i0,i1,side,g\n0,36,4,0,{g}\n0,4,4,1,-{g}\n")
+        return main_code("solve-div", "--preset", "square", "--grid", "16",
+                         "--trace", str(tr), "--mode", mode)
+
+    assert solve("1e200") == 2
+    err = capsys.readouterr().err
+    assert err == "error: prescribed trace density on axis 0 exceeds 1e+100 in magnitude\n"
+    assert solve("1e100") == 0
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "file-as-out-dir"])

@@ -118,7 +118,7 @@ def test_decomposed_internals(slit_square_32):
     # G (step 1's gradient flux plus the facet lift) and h as steps 1-2
     # leave them, and the body field of step 3
     grid = slit_square_32.grid
-    u_cells, td_hat, _ = ds._lift_and_reduce(slit_square_32, td, 1e-10)
+    u_cells, td_hat, _ = ds._lift_and_reduce(slit_square_32, td)
     G = FluxField(RoughSet(grid, np.ones(grid.extents, dtype=bool)), 1.0)
     for a in range(2):
         flux = ds._gradient_flux(u_cells, ds._box_edges(slit_square_32, a), a, grid.spacing)
@@ -398,7 +398,7 @@ def test_null_space_constant_shift_invariance(square_32):
     topo = facet_topology(square_32)
     b = -square_32.grid.spacing * td.inflow_per_cell()
     b[~square_32.cells] = 0.0
-    u, _, _ = _laplacian_solve(square_32.cells, topo.interior, b, 1e-10)
+    u, _, _ = _laplacian_solve(square_32.cells, topo.interior, b)
     shifted = u + np.where(square_32.cells, 17.25, 0.0)
     for a in range(2):
         f1 = _gradient_flux(u, topo.interior[a], a, square_32.grid.spacing)
@@ -617,12 +617,12 @@ def ref_audit(F, td):
     return residual, linf, l1
 
 
-def ref_verify(report, set_, td, tol=1e-10):
+def ref_verify(report, set_, td):
     F = report.F
     div = divergence_measure(F)
     tv_inside = float(np.abs(div.cell_weights[set_.cells]).sum())
     scale = max(1.0, td.sup()) * max(1, set_.cell_count)
-    div_ok = tv_inside / F.grid.facet_area <= tol * scale * 100.0
+    div_ok = tv_inside / F.grid.facet_area <= 1e-10 * scale * 100.0
     offenders = []
     bar = 1e-8 * max(1.0, td.sup())
     for (a, side, mask, want), (*_, got) in zip(td.slots(), trace_measure(F).slots()):
@@ -655,7 +655,7 @@ def perturb_sides(F, seed):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_audits_match_measure_reference(name):
+def test_audits_match_measure_reference(name, monkeypatch):
     set_ = preset_set(name, 1.0 / 32.0, margin_cells=4)
     td = trace_measure(sample_field(separated_smooth_field(), set_, 1.0))
     for solver in (solve_direct, solve_decomposed):
@@ -664,7 +664,10 @@ def test_audits_match_measure_reference(name):
                 rep.trace_l1_gap) == ref_audit(rep.F, td)
         assert verify_solution(rep, set_, td) == ref_verify(rep, set_, td)
         bad = perturb_sides(rep.F, seed=len(name))
-        got = ds._audit(bad, td, "DIRECT", 1e6, [])
+        # a tolerance the perturbed balance passes, so _audit reports it
+        with monkeypatch.context() as m:
+            m.setattr(ds, "_AUDIT_TOL", 1e6)
+            got = ds._audit(bad, td, "DIRECT", [])
         assert (got.interior_div_residual, got.trace_linf_gap,
                 got.trace_l1_gap) == ref_audit(bad, td)
         bad_rep = SolveReport(F=bad, interior_div_residual=0.0, trace_linf_gap=0.0,

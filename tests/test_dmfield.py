@@ -677,12 +677,17 @@ def test_mollify_width_precondition(slit_field, slit_square_32):
         mollify_field(slit_field, slit_square_32.grid.spacing)
 
 
-def test_weak_convergence_preconditions(square_32):
+def test_every_audit_runs_the_pinned_ladder(square_32):
+    # the ladder is fixed inside each audit: 8, 4 and 2 spacings, widest first
+    dx = square_32.grid.spacing
+    ladder = [8 * dx, 4 * dx, 2 * dx]
     F = sample_field(separated_smooth_field(), square_32, 1.0)
-    with pytest.raises(InputError):
-        trace_weak_convergence(F, eps_list=[0.25, 0.125])
-    with pytest.raises(InputError):
-        trace_weak_convergence(F, phi_basis=default_phi_basis(square_32.grid)[:3])
+    X = cell_mesh(square_32)
+    E = (np.abs(X[..., 0]) < 0.5) & (np.abs(X[..., 1]) < 0.5)
+    assert [r["eps"] for r in trace_weak_convergence(F)["rows"]] == ladder
+    assert interior_normal_trace(F, E).eps_list == ladder
+    g = np.where(square_32.cells, X[..., 0], 0.0)
+    assert [r["eps"] for r in product_rule_check(F, g)["rows"]] == ladder
 
 
 def _slit_cube_8():
@@ -1037,15 +1042,6 @@ def test_bounds_hold_for_rough_fields():
             assert trace_linfinity_check(tm, F)["ratio"] <= 4.0
             rep = extension_bound_check(F)
             assert rep["extended_tv"] <= rep["bound"]
-
-
-def test_interior_trace_gate_needs_three_widths(square_32):
-    F = sample_field(constant_field([1.0, 0.0]), square_32, 1.0)
-    X = cell_mesh(square_32)
-    E = (np.abs(X[..., 0]) < 0.5) & (np.abs(X[..., 1]) < 0.5)
-    dx = square_32.grid.spacing
-    with pytest.raises(InputError):
-        interior_normal_trace(F, E, eps_list=[8 * dx, 4 * dx])
 
 
 def test_bench_layer_functions_resolve():

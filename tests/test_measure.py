@@ -292,8 +292,7 @@ def test_ahlfors_cantor_growth():
         while r <= 2.0:
             radii.append(r)
             r *= 2.0
-        rep = ahlfors_constant(set_.grid, set_.cracks, sample_count=400,
-                               radii=radii)
+        rep = ahlfors_constant(set_.grid, set_.cracks, radii=radii)
         values.append(rep.constant)
     assert values[0] < values[1] < values[2]
 
