@@ -58,6 +58,8 @@ class MollifierKernel:
     """
 
     def __init__(self, eps: float, grid: Grid):
+        if not np.isfinite(eps):
+            raise InputError(f"mollifier width {eps} is not finite")
         if eps < 2.0 * grid.spacing:
             raise InputError(f"mollifier width {eps} must be >= 2 spacings")
         self.eps = float(eps)

@@ -15,15 +15,25 @@ crack facet are dropped).  The surviving weight set is symmetric, so the
 average is second-order faithful to smooth data and stays a convex
 combination (the recorded field bound never grows).
 
-The band is summed in two regions, with one per-element order and
-arithmetic of the pairs (``_pair_average``):
+The band is summed by one per-element order and arithmetic of the pairs
+(``_pair_average``), in at most two regions:
 
-- the near box, the bounding box of the band's near-crack facets, on
-  dense shifted slices, testing visibility exactly by slabs
-  (``_clear_crossings``);
+- the dense box, on dense shifted slices, testing visibility exactly by
+  slabs (``_clear_crossings``).  When the band fills at least
+  ``_DENSE_FILL`` (one half) of its own bounding box, the dense box is
+  that whole box and no facet is left to the flat gathers; otherwise it
+  is the near box, the bounding box of the band's near-crack facets
+  (``_dense_box``);
 - the rest of the band by flat gathers, testing no visibility: a segment
   no longer than the kernel width cannot reach a crack facet from a start
   that is not near a crack.
+
+Both regions give every facet the same bits, so the choice only moves
+time: the slab test is exact for any start, near a crack or not, and
+each facet's sum runs over the same pairs in the same order either way.
+A band that fills its box pays less for dense slices than for a gather
+per facet pair; a sparse band (a thin shell in a large box) pays more.
+The plain convolution runs only when some sample lies outside the band.
 """
 
 from __future__ import annotations
@@ -33,6 +43,10 @@ import numpy as np
 from .gridcore import Grid, box_any, nonzero
 from .mollify import MollifierKernel, convolve_same
 
+# least share of its bounding box the band must fill to be summed there
+# on dense slices as a whole (see the module docstring)
+_DENSE_FILL = 0.5
+
 
 def _bounding_box(mask: np.ndarray) -> tuple[slice, ...] | None:
     """Slices of the smallest box holding every true slot, or None."""
@@ -40,6 +54,16 @@ def _bounding_box(mask: np.ndarray) -> tuple[slice, ...] | None:
     if idx[0].size == 0:
         return None
     return tuple(slice(i.min(), i.max() + 1) for i in idx)
+
+
+def _dense_box(band: np.ndarray, near: np.ndarray) -> tuple[slice, ...] | None:
+    """The box summed on dense slices: the band's bounding box when the
+    band fills at least ``_DENSE_FILL`` of it, else the bounding box of
+    the band's near-crack facets (None when there are none)."""
+    box = _bounding_box(band)
+    if box is not None and band.sum() >= _DENSE_FILL * band[box].size:
+        return box
+    return _bounding_box(band & near)
 
 
 def _crack_planes(grid: Grid, crack_masks) -> list[tuple]:
@@ -165,13 +189,16 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     weights, R = kernel.weights, kernel.radius_cells
     sample = top.interior[axis]
     values = np.where(sample, F.vminus[axis], 0.0)
-    # outside the band a sample's kernel window holds only samples
-    num, den = convolve_same([values, sample.astype(float)], weights)
-    smoothed = num / np.maximum(den, 1e-300)
     planes = _crack_planes(grid, top.crack)
     # a segment no longer than eps crosses a crack only from a near start
     near = _near_crack_band(grid, axis, planes, eps)
     band = sample & (box_any(~sample, R) | near)
+    if (sample & ~band).any():
+        # outside the band a sample's kernel window holds only samples
+        num, den = convolve_same([values, sample.astype(float)], weights)
+        smoothed = num / np.maximum(den, 1e-300)
+    else:
+        smoothed = np.zeros(values.shape)
 
     # np.argwhere lists the symmetric support in an order that negation
     # reverses: its first half holds one offset of each mirror pair, and
@@ -187,9 +214,9 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     mpad = np.pad(sample, R)
 
     rest = band
-    box = _bounding_box(band & near)
+    box = _dense_box(band, near)
     if box is not None:
-        # dense shifted slices over the near box, visibility by slabs
+        # dense shifted slices over the box, visibility by slabs
         coords = [c.ravel()[s] for c, s in zip(grid.facet_center_mesh(axis), box)]
         cache = {}
 
@@ -207,17 +234,22 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
         rest = band.copy()
         rest[box] = False
 
-    # flat gathers over the rest of the band, where no segment reaches a
-    # crack facet
-    strides = np.array(vpad.strides) // vpad.itemsize
-    vflat, mflat = vpad.ravel(), mpad.ravel()
-    base = np.ravel_multi_index(tuple(i + R for i in nonzero(rest)), vpad.shape)
+    if rest.any():
+        # flat gathers over the rest of the band, where no segment reaches
+        # a crack facet.  A start sits R slots in along each axis of the
+        # padded arrays, M = R * sum(strides) past the flat index ``at`` of
+        # its unpadded position, so the views that begin at M + shift and
+        # M - shift are read at ``at``: no index array per pair.
+        strides = np.array(vpad.strides) // vpad.itemsize
+        M = R * int(strides.sum())
+        vflat, mflat = vpad.ravel(), mpad.ravel()
+        at = np.ravel_multi_index(nonzero(rest), vpad.shape)
 
-    def flat(shift):
-        fwd, bwd = base + shift, base - shift
-        return mflat[fwd] & mflat[bwd], vflat[fwd], vflat[bwd]
+        def flat(shift):
+            fwd, bwd = slice(M + shift, None), slice(M - shift, None)
+            return mflat[fwd][at] & mflat[bwd][at], vflat[fwd][at], vflat[bwd][at]
 
-    smoothed[rest] = _pair_average(map(flat, pair_off @ strides), pair_w,
-                                   center_w, vflat[base])
+        smoothed[rest] = _pair_average(map(flat, pair_off @ strides), pair_w,
+                                       center_w, vflat[M:][at])
     return (np.where(sample, smoothed, F.vminus[axis]),
             np.where(sample, smoothed, F.vplus[axis]))

@@ -7,8 +7,11 @@ from scipy import ndimage
 from scipy.fft import next_fast_len
 from scipy.signal import convolve
 
+from roughgg.dmfield import mollify_field, sample_field
+from roughgg.errors import InputError
+from roughgg.fields import seeded_trig_field
 from roughgg.gridcore import box_any
-from roughgg.mollify import _fast_len, convolve_same
+from roughgg.mollify import MollifierKernel, _fast_len, convolve_same
 
 
 def _numpy_fft_same(values, weights):
@@ -83,3 +86,13 @@ def test_box_any_matches_ndimage(mask, r):
                           ndimage.binary_erosion(mask, structure=box))
     assert np.array_equal(box_any(mask, r),
                           ndimage.maximum_filter(mask.astype(np.uint8), size=2 * r + 1) > 0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_width_is_refused(eps, slit_square_32):
+    """Refused as not finite, not as too large for the grid or too small."""
+    F = sample_field(seeded_trig_field(0), slit_square_32, 1.0)
+    for build in (lambda: MollifierKernel(eps, slit_square_32.grid),
+                  lambda: mollify_field(F, eps)):
+        with pytest.raises(InputError, match=f"^mollifier width {eps} is not finite$"):
+            build()

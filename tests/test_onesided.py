@@ -14,7 +14,8 @@ from roughgg.domain import make_grid, parse_domain, preset_set, rasterize
 from roughgg.fields import seeded_trig_field
 from roughgg.gridcore import box_any
 from roughgg.mollify import MollifierKernel, convolve_same
-from roughgg.onesided import _clear_crossings, _crack_planes, _near_crack_band
+from roughgg.onesided import (_bounding_box, _clear_crossings, _crack_planes, _dense_box,
+                              _near_crack_band)
 
 from conftest import cracked_domains, random_facet_noise
 
@@ -102,13 +103,18 @@ def _slit_cube(half_section: bool, denom: int = 8):
 
 
 # on the 1/8 cubes an 8 dx kernel is wider than the 16-cell body; on the
-# 1/12 half-section cube a 6 dx kernel spans the crack's rim to the side faces
+# 1/12 half-section cube a 6 dx kernel spans the crack's rim to the side
+# faces.  The band fills at least half its bounding box, which is then
+# summed on dense slices as a whole, on slit-square-32 at 8 dx and on the
+# 1/8 and 1/12 cubes; the other cases, the 1/16 cube at 2 dx (fill 0.43)
+# among them, sum the near box densely and the rest by flat gathers.
 @pytest.mark.parametrize("domain, mults", [
     ("slit-square-32", (8, 4, 2)),
     ("cantor-cross-36", (8, 4, 2)),
     ("slit-cube-half-8", (4, 2)),
     ("slit-cube-full-8", (4, 2)),
     ("slit-cube-half-12", (6,)),
+    ("slit-cube-half-16", (2,)),
 ])
 def test_mollify_matches_reference(domain, mults, slit_square_32):
     set_ = {"slit-square-32": lambda: slit_square_32,
@@ -116,7 +122,8 @@ def test_mollify_matches_reference(domain, mults, slit_square_32):
                                                   margin_cells=4),
             "slit-cube-half-8": lambda: _slit_cube(True),
             "slit-cube-full-8": lambda: _slit_cube(False),
-            "slit-cube-half-12": lambda: _slit_cube(True, 12)}[domain]()
+            "slit-cube-half-12": lambda: _slit_cube(True, 12),
+            "slit-cube-half-16": lambda: _slit_cube(True, 16)}[domain]()
     _mollify_as_reference(sample_field(seeded_trig_field(1), set_, 1.0), mults)
 
 
@@ -134,6 +141,26 @@ def test_mollify_matches_reference_on_random_cracked_domains(set_, seed):
             for new, old in ((Fe.vminus[a], F.vminus[a]), (Fe.vplus[a], F.vplus[a])):
                 assert np.abs(new).max() <= np.abs(old).max() * (1.0 + 1e-12)
         assert Fe.sup_bound <= F.sup_bound
+
+
+@pytest.mark.parametrize("domain, mult, whole", [
+    ("slit-cube-half-8", 4, True),   # the band fills 0.98-1.00 of its box
+    ("slit-square-32", 4, False),    # a shell filling 0.37 of its box
+])
+def test_dense_box_is_the_band_box_only_when_the_band_fills_it(domain, mult, whole,
+                                                               slit_square_32):
+    set_ = slit_square_32 if domain == "slit-square-32" else _slit_cube(True)
+    grid, top = set_.grid, set_.topology
+    eps = mult * grid.spacing
+    R = MollifierKernel(eps, grid).radius_cells
+    planes = _crack_planes(grid, top.crack)
+    for a in range(grid.n):
+        near = _near_crack_band(grid, a, planes, eps)
+        band = top.interior[a] & (box_any(~top.interior[a], R) | near)
+        band_box, near_box = _bounding_box(band), _bounding_box(band & near)
+        # the two candidates differ, so the choice is seen
+        assert band_box != near_box
+        assert _dense_box(band, near) == (band_box if whole else near_box)
 
 
 def test_blocked_at_the_edges_of_reach():
