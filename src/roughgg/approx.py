@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, box_any, lattice_reach, nonzero, touching
+from .gridcore import FacetArrays, Grid, box_any, lattice, nonzero, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -93,36 +93,6 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
     return [(c, r, EXTERIOR_HALF_DENSITY) for c, r in accepted]
 
 
-def _stencil(n: int, dx: float, radius: float, shifts=None) -> list:
-    """Index offsets ``o``, per ball facet axis ``a`` and target lattice
-    ``b``, of the targets whose centres lie within ``radius`` of an
-    axis-``a`` facet centre: ``|(o + e_a / 2 - shifts[b]) dx|^2 <=
-    radius^2``.  The targets are the facets of each axis (``shifts[b] =
-    e_b / 2``) unless ``shifts`` is given; the cells are shift 0."""
-    r = lattice_reach(np.ceil(radius / dx) + 1, n, f"cover ball radius {radius}")
-    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * n, indexing="ij"), -1)
-    box = box.reshape(-1, n)
-    half = 0.5 * np.eye(n)
-    return [[box[(((box + half[a] - s) * dx) ** 2).sum(axis=1) <= radius**2]
-             for s in (half if shifts is None else shifts)] for a in range(n)]
-
-
-def _lattice(grid: Grid, radius: float, shifts=None):
-    """Every target lattice's slots (see ``_stencil``) in one flat array,
-    each padded past the stencil in a common box, so an index offset is
-    one flat offset.  Returns ``slot(axes, idx)``, the flat offsets per
-    ball axis of the targets within ``radius``, the array's shape
-    (targets, *box) and the padding."""
-    rows = _stencil(grid.n, grid.spacing, radius, shifts)
-    pad = int(math.ceil(radius / grid.spacing)) + 1
-    shape = (len(rows[0]),) + tuple(m + 1 + 2 * pad for m in grid.extents)
-    size = math.prod(shape[1:])
-    strides = np.array([math.prod(shape[j + 2:]) for j in range(grid.n)])
-    offsets = [np.concatenate([(b - a) * size + o @ strides for b, o in enumerate(row)])
-               for a, row in enumerate(rows)]
-    return (lambda axes, idx: axes * size + (idx + pad) @ strides), offsets, shape, pad
-
-
 def _hits(grid: Grid, radius: float, centers, cells: bool = False) -> list[np.ndarray]:
     """Per target lattice (each axis's facets, or with ``cells`` the cells)
     the slots within ``radius`` of a ball centred on a facet centre in
@@ -136,7 +106,8 @@ def _hits(grid: Grid, radius: float, centers, cells: bool = False) -> list[np.nd
     if (np.abs(u - q).max() > 1e-6 or np.any(odd.sum(axis=1) != 1)
             or np.any(idx < 0) or np.any(idx > np.asarray(grid.extents))):
         raise InvariantViolation("a cover ball is not centred on a facet of the grid")
-    slot, offsets, shape, pad = _lattice(grid, radius, np.zeros((1, grid.n)) if cells else None)
+    slot, offsets, shape, pad = lattice(grid, radius, "cover ball radius",
+                                        np.zeros((1, grid.n)) if cells else None)
     hit = np.zeros(math.prod(shape), dtype=bool)
     for a in range(grid.n):
         base = slot(a, idx[axes == a])
@@ -152,12 +123,12 @@ def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
     """Equal balls greedily marched along the facet set until every facet
     sits fully inside some ball; each ball marks its facets by stencil."""
     dx = grid.spacing
-    rho = max(2.0 * dx, dx * float(np.floor(delta / (2.0 * dx))))  # floor(inf) is inf
+    rho = max(2.0 * dx, dx * float(np.floor(delta / (2.0 * dx))))
     rho = min(rho, delta * 0.999)
     # marking margin: every cell whose closed cube touches a covered facet
     # (corner contact included) must land inside the ball
     reach = rho - dx * math.sqrt(0.25 + (grid.n - 1))
-    slot, offsets, shape, _ = _lattice(grid, reach + 1e-12 * dx)
+    slot, offsets, shape, _ = lattice(grid, reach + 1e-12 * dx, "cover ball radius")
     slots = [(a, s) for a, mask in enumerate(targets.masks)
              for s in slot(a, np.stack(nonzero(mask), axis=1)).tolist()]
     covered = np.zeros(math.prod(shape), dtype=bool)
@@ -230,6 +201,8 @@ def interior_approximation(set_: RoughSet, delta: float,
     """
     grid = set_.grid
     dx = grid.spacing
+    if not math.isfinite(delta):
+        raise InputError(f"approximation scale {delta} is not finite")
     if delta < 8.0 * dx:
         raise InputError(f"approximation scale {delta} must be >= 8 spacings")
     if set_.cell_count == 0:

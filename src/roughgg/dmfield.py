@@ -188,14 +188,6 @@ class FluxField:
         return out
 
 
-def _facet_points(grid: Grid, axis: int, mask: np.ndarray) -> np.ndarray:
-    """(m, n) centres of the masked axis-``axis`` facets, in C order; each
-    coordinate is the same float as in ``grid.facet_center_mesh(axis)``."""
-    idx = nonzero(mask)
-    return np.stack([c.ravel()[i] for c, i in zip(grid.facet_center_mesh(axis), idx)],
-                    axis=-1)
-
-
 def sample_field(f, set_: RoughSet, sup_bound: float) -> FluxField:
     """Sample an analytic vector function onto the facets of a rough set.
 
@@ -214,12 +206,12 @@ def sample_field(f, set_: RoughSet, sup_bound: float) -> FluxField:
     for a in range(grid.n):
         live = top.interior[a] | top.boundary[a]
         if live.any():
-            vals = np.asarray(f(_facet_points(grid, a, live)))[:, a]
+            vals = np.asarray(f(np.stack(grid.facet_centers(a, nonzero(live)), axis=-1)))[:, a]
             F.vminus[a][live] = vals
             F.vplus[a][live] = vals
         crack = top.crack[a]
         if crack.any():
-            Xc = _facet_points(grid, a, crack)
+            Xc = np.stack(grid.facet_centers(a, nonzero(crack)), axis=-1)
             off = np.zeros(grid.n)
             off[a] = 0.25 * grid.spacing
             F.vminus[a][crack] = np.asarray(f(Xc - off))[:, a]
@@ -318,12 +310,11 @@ def cell_balance(F: FluxField) -> np.ndarray:
 
 def _facet_pairing(grid: Grid, weights: list[np.ndarray], phi: TestFunction) -> float:
     """Sum over facets of the per-axis ``weights`` times phi at the facet
-    center (phi is evaluated on the nonzero weights only, at the centers
-    of ``FacetArrays.centers()``, gathered per axis from 1-D tables)."""
+    center (phi is evaluated on the nonzero weights only, at the centres
+    of ``Grid.facet_centers``, concatenated per coordinate axis)."""
     live = [nonzero(w != 0.0) for w in weights]
-    x = [(np.arange(m + 1) + 0.5) * grid.spacing + o for m, o in zip(grid.extents, grid.origin)]
-    coords = [np.concatenate([(x[b] - 0.5 * grid.spacing if a == b else x[b])[idx[b]]
-                              for a, idx in enumerate(live)]) for b in range(grid.n)]
+    coords = [np.concatenate(x) for x in
+              zip(*(grid.facet_centers(a, idx) for a, idx in enumerate(live)))]
     return float(np.dot(np.concatenate([w[idx] for w, idx in zip(weights, live)]),
                         phi.value(coords)))
 
@@ -377,7 +368,7 @@ class TraceData:
                 continue
             nu = np.zeros(self.grid.n)
             nu[a] = side_orient(side)
-            arr[mask] = fn(_facet_points(self.grid, a, mask), nu)
+            arr[mask] = fn(np.stack(self.grid.facet_centers(a, nonzero(mask)), axis=-1), nu)
         return self
 
     def sides(self) -> dict:
@@ -524,14 +515,11 @@ class _MidpointPhi:
 def _midpoint_phi(grid: Grid, phi: TestFunction, top: FacetTopology) -> _MidpointPhi:
     facet, lower, upper = [], [], []
     for a in range(grid.n):
-        mesh = grid.facet_center_mesh(a)
-        facet.append(phi.grad_component(mesh, a)[top.interior[a]])
-        axes = [x.ravel() for x in mesh]
+        facet.append(phi.grad_component(grid.facet_center_mesh(a), a)[top.interior[a]])
         for out, mask, sign in zip((lower, upper), (top.minus[a], top.plus[a]), (-1.0, 1.0)):
-            idx = nonzero(mask)
-            coords = [x[i] for x, i in zip(axes, idx)]
+            coords = grid.facet_centers(a, nonzero(mask))
             # a quarter cell into the side's cell
-            coords[a] = (axes[a] + sign * 0.25 * grid.spacing)[idx[a]]
+            coords[a] = coords[a] + sign * 0.25 * grid.spacing
             out.append(phi.grad_component(coords, a))
     return _MidpointPhi(phi.value(grid.cell_center_mesh()), facet, lower, upper)
 

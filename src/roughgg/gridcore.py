@@ -13,6 +13,11 @@ Conventions used throughout the package:
   lower cell's outgoing face in the +a direction; ``orient(PLUS) = -1``.
   The classical outward flux seen from side ``s`` is therefore
   ``orient(s) * value(s)`` where ``value`` is the stored +a component.
+- A facet centre has one formula, ``Grid.facet_centers``: ``origin[b] +
+  (f[b] + 0.5) * spacing`` across the facet, ``origin[a] + f[a] * spacing``
+  along it; ``facet_center_mesh`` and every facet centre handed out read it.
+- The facets or cells within ``r`` of a facet centre are one stencil
+  (``lattice``), a closed ball: one at distance exactly ``r`` counts.
 - ``box_any`` is the one box filter.  Slots off the array hold False in the
   mask being dilated (``box_any(mask, r)``) or eroded
   (``~box_any(~mask, r, outside=True)``), so an erosion clears the outer layer.
@@ -117,6 +122,37 @@ def lattice_reach(reach: float, n: int, what: str) -> int:
     return int(reach)
 
 
+def _stencil(n: int, dx: float, radius: float, what: str, shifts=None) -> list:
+    """Index offsets ``o``, per ball facet axis ``a`` and target lattice
+    ``b``, of the targets whose centres lie within ``radius`` of an
+    axis-``a`` facet centre: ``|(o + e_a / 2 - shifts[b]) dx|^2 <=
+    radius^2``.  The targets are the facets of each axis (``shifts[b] =
+    e_b / 2``) unless ``shifts`` is given; the cells are shift 0.  The
+    refusal of a lattice past ``MAX_CELLS`` names "{what} {radius}"."""
+    r = lattice_reach(np.ceil(radius / dx) + 1, n, f"{what} {radius}")
+    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * n, indexing="ij"), -1)
+    box = box.reshape(-1, n)
+    half = 0.5 * np.eye(n)
+    return [[box[(((box + half[a] - s) * dx) ** 2).sum(axis=1) <= radius**2]
+             for s in (half if shifts is None else shifts)] for a in range(n)]
+
+
+def lattice(grid: Grid, radius: float, what: str, shifts=None):
+    """Every target lattice's slots (see ``_stencil``) in one flat array,
+    each padded past the stencil in a common box, so an index offset is
+    one flat offset.  Returns ``slot(axes, idx)``, the flat offsets per
+    ball axis of the targets within ``radius``, the array's shape
+    (targets, *box) and the padding."""
+    rows = _stencil(grid.n, grid.spacing, radius, what, shifts)
+    pad = int(math.ceil(radius / grid.spacing)) + 1
+    shape = (len(rows[0]),) + tuple(m + 1 + 2 * pad for m in grid.extents)
+    size = math.prod(shape[1:])
+    strides = np.array([math.prod(shape[j + 2:]) for j in range(grid.n)])
+    offsets = [np.concatenate([(b - a) * size + o @ strides for b, o in enumerate(row)])
+               for a, row in enumerate(rows)]
+    return (lambda axes, idx: axes * size + (idx + pad) @ strides), offsets, shape, pad
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``extents`` cells with edge length ``spacing``.
@@ -157,12 +193,9 @@ class Grid:
         shape[axis] += 1
         return tuple(shape)
 
-    def axis_coords(self, axis: int, *, centered: bool = True) -> np.ndarray:
-        """1D coordinates along ``axis``: cell centers or facet planes."""
-        m = self.extents[axis]
-        if centered:
-            return self.origin[axis] + (np.arange(m) + 0.5) * self.spacing
-        return self.origin[axis] + np.arange(m + 1) * self.spacing
+    def axis_coords(self, axis: int) -> np.ndarray:
+        """1D cell-center coordinates along ``axis``."""
+        return self.origin[axis] + (np.arange(self.extents[axis]) + 0.5) * self.spacing
 
     def cell_center_mesh(self) -> list[np.ndarray]:
         """Broadcastable per-axis coordinate arrays at cell centers."""
@@ -175,21 +208,20 @@ class Grid:
 
     def facet_center_mesh(self, axis: int) -> list[np.ndarray]:
         """Broadcastable coordinate arrays at axis-``axis`` facet centers."""
-        coords = []
-        for a in range(self.n):
-            shape = [1] * self.n
-            shape[a] = self.facet_shape(axis)[a]
-            c = self.axis_coords(a, centered=(a != axis))
-            coords.append(c.reshape(shape))
-        return coords
+        return self.facet_centers(axis, np.ogrid[tuple(slice(m) for m in self.facet_shape(axis))])
+
+    def facet_centers(self, axis: int, idx) -> list[np.ndarray]:
+        """Per-axis coordinates of the axis-``axis`` facets at ``idx`` (index
+        arrays, broadcastable or as from ``nonzero``, or one index tuple):
+        the one facet-centre formula."""
+        return [o + (i + 0.5 * (b != axis)) * self.spacing
+                for b, (o, i) in enumerate(zip(self.origin, idx))]
 
     def cell_center(self, idx) -> np.ndarray:
         return np.asarray(self.origin) + (np.asarray(idx) + 0.5) * self.spacing
 
     def facet_center(self, axis: int, fidx) -> np.ndarray:
-        x = np.asarray(self.origin) + (np.asarray(fidx) + 0.5) * self.spacing
-        x[axis] -= 0.5 * self.spacing
-        return x
+        return np.array(self.facet_centers(axis, tuple(fidx)))
 
     def ball(self, center, r2: float) -> tuple[tuple[slice, ...], np.ndarray]:
         """Cell window around the ball ``|x - center|^2 <= r2`` and the mask
@@ -218,7 +250,7 @@ class Grid:
 class FacetArrays:
     """Per-axis boolean masks over facet slots; a set of facets in bulk form.
 
-    Supports iteration in lexicographic (axis, index) order, which is the
+    ``centers()`` lists facets in lexicographic (axis, index) order, the
     canonical deterministic order everywhere in this package.
     """
 
@@ -236,20 +268,8 @@ class FacetArrays:
 
     def centers(self) -> np.ndarray:
         """(N, n) facet-center coordinates in lexicographic order."""
-        rows = []
-        dx = self.grid.spacing
-        for a in range(self.grid.n):
-            idx = nonzero(self.masks[a])
-            if idx[0].size == 0:
-                continue
-            x = np.empty((idx[0].size, self.grid.n))
-            for b, (i, o) in enumerate(zip(idx, self.grid.origin)):
-                x[:, b] = (i + 0.5) * dx + o
-            x[:, a] -= 0.5 * dx
-            rows.append(x)
-        if not rows:
-            return np.zeros((0, self.grid.n))
-        return np.concatenate(rows, axis=0)
+        return np.concatenate([np.stack(self.grid.facet_centers(a, nonzero(m)), axis=-1)
+                               for a, m in enumerate(self.masks)])
 
     def union(self, other: "FacetArrays") -> "FacetArrays":
         return FacetArrays(

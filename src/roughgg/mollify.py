@@ -85,10 +85,7 @@ def smooth_cells_masked(kernel: MollifierKernel, values: np.ndarray,
     renormalized over the masked cells, so constants are preserved up to
     the mask boundary (one-sided smoothing)."""
     num, den = kernel.smooth_cells([np.where(mask, values, 0.0), mask.astype(float)])
-    out = np.zeros(values.shape)
-    good = mask & (den > 0.0)
-    out[good] = num[good] / den[good]
-    return out
+    return np.divide(num, den, out=np.zeros(values.shape), where=mask & (den > 0.0))
 
 
 def masked_gradient(values: np.ndarray, mask: np.ndarray, spacing: float) -> np.ndarray:

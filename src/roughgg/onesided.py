@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gridcore import Grid, box_any, nonzero
-from .mollify import MollifierKernel, convolve_same
+from .mollify import MollifierKernel, smooth_cells_masked
 
 # least share of its bounding box the band must fill to be summed there
 # on dense slices as a whole (see the module docstring)
@@ -195,8 +195,7 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     band = sample & (box_any(~sample, R) | near)
     if (sample & ~band).any():
         # outside the band a sample's kernel window holds only samples
-        num, den = convolve_same([values, sample.astype(float)], weights)
-        smoothed = num / np.maximum(den, 1e-300)
+        smoothed = smooth_cells_masked(kernel, values, sample)
     else:
         smoothed = np.zeros(values.shape)
 

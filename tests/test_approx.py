@@ -14,7 +14,6 @@ from roughgg.approx import (
     _facet_cover,
     _half_density_balls,
     _remove_balls,
-    _stencil,
     approximation_sweep,
     audit_cover,
     cantor_generation_sweep,
@@ -22,7 +21,7 @@ from roughgg.approx import (
 )
 from roughgg.domain import RoughSet, make_grid, parse_domain, preset_set, rasterize
 from roughgg.errors import InputError, InvariantViolation
-from roughgg.gridcore import lattice_reach
+from roughgg.gridcore import _stencil, lattice_reach
 from roughgg.measure import boundary_decomposition, classify, density
 
 
@@ -101,6 +100,13 @@ def test_scale_and_volume_preconditions():
     empty = RoughSet(set_.grid, np.zeros(set_.grid.extents, bool))
     with pytest.raises(InputError):
         interior_approximation(empty, 1.0 / 2.0)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_interior_approximation_refuses_a_non_finite_scale(delta):
+    set_ = preset_set("slit-square", 1.0 / 32.0)
+    with pytest.raises(InputError, match=f"^approximation scale {delta} is not finite$"):
+        interior_approximation(set_, delta)
 
 
 def test_half_density_balls_on_whisker():
@@ -212,7 +218,7 @@ def test_stencil_edge_is_the_slack(n, a, b, offset):
     dist = dx * math.sqrt(((np.array(offset) + shift) ** 2).sum())
 
     def kept(reach):
-        return offset in map(tuple, _stencil(n, dx, reach + 1e-12 * dx)[a][b].tolist())
+        return offset in map(tuple, _stencil(n, dx, reach + 1e-12 * dx, "reach")[a][b].tolist())
 
     assert kept(dist - 0.5e-12 * dx)
     assert not kept(dist - 1.5e-12 * dx)

@@ -122,7 +122,7 @@ def test_grad_component_matches_grad_exactly():
 @pytest.mark.parametrize("degree", [0, 1, 4, 2.5, "3"])
 def test_phi_basis_degree_is_two_or_three(n, degree):
     grid = (preset_set("square", 1.0 / 16.0, margin_cells=4) if n == 2
-            else _slit_cube_8()).grid
+            else _slit_cube()).grid
     with pytest.raises(InputError):
         default_phi_basis(grid, degree=degree)
     assert len(default_phi_basis(grid, degree=3)) > len(default_phi_basis(grid))
@@ -211,7 +211,7 @@ def _fill_whole_mesh(td, fn):
 
 
 def _sampling_domain(name):
-    return _slit_cube_8() if name == "slit-cube-8" else preset_set(name, 1.0 / 32.0,
+    return _slit_cube() if name == "slit-cube-8" else preset_set(name, 1.0 / 32.0,
                                                                    margin_cells=4)
 
 
@@ -690,7 +690,7 @@ def test_every_audit_runs_the_pinned_ladder(square_32):
     assert [r["eps"] for r in product_rule_check(F, g)["rows"]] == ladder
 
 
-def _slit_cube_8():
+def _slit_cube(denom: int = 8):
     import json
 
     from roughgg.domain import make_grid, parse_domain, rasterize
@@ -699,7 +699,7 @@ def _slit_cube_8():
         "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
         "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
     }))
-    return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    return rasterize(spec, make_grid(spec, 1.0 / denom, margin_cells=4))
 
 
 def test_topology_is_computed_once_per_set(slit_square_32):
@@ -715,7 +715,7 @@ def test_topology_is_computed_once_per_set(slit_square_32):
 @pytest.mark.parametrize("domain", ["slit-square-32", "slit-cube-8", "cantor-36"])
 def test_restrict_is_the_one_sided_slot_rule(domain, slit_square_32):
     set_ = {"slit-square-32": lambda: slit_square_32,
-            "slit-cube-8": _slit_cube_8,
+            "slit-cube-8": _slit_cube,
             "cantor-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2,
                                             margin_cells=4)}[domain]()
     rng = np.random.default_rng(7)
@@ -739,7 +739,7 @@ def test_restrict_is_the_one_sided_slot_rule(domain, slit_square_32):
 
 @pytest.mark.parametrize("domain", ["slit-square-32", "slit-cube-8"])
 def test_weak_convergence_rows_are_public_pairing_gaps(domain, slit_square_32):
-    set_ = slit_square_32 if domain == "slit-square-32" else _slit_cube_8()
+    set_ = slit_square_32 if domain == "slit-square-32" else _slit_cube()
     F = sample_field(seeded_trig_field(3), set_, 1.0)
     table = trace_weak_convergence(F)
     basis = default_phi_basis(set_.grid, degree=3)
@@ -755,7 +755,7 @@ _SIDE_SETS = {
     "slit-disk-64": lambda: preset_set("slit-disk", 1.0 / 64.0, margin_cells=4),
     "l-shape-48": lambda: preset_set("l-shape", 1.0 / 48.0, margin_cells=4),
     "cantor-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4),
-    "slit-cube-8": _slit_cube_8,
+    "slit-cube-8": _slit_cube,
 }
 
 
@@ -886,6 +886,66 @@ def test_facet_pairing_matches_stacked_centres(n, data, seed):
         for phi in default_phi_basis(grid, degree=3):
             want = float(np.dot(w, _stacked_term(x, 1, phi.exponents)))
             assert _facet_pairing(grid, weights, phi) == want, phi.name
+
+
+class _CoordinateProbe:
+    """A test function that records the coordinates it is evaluated at."""
+
+    def __init__(self):
+        self.seen = []
+
+    def value(self, coords):
+        self.seen.append(np.stack(np.broadcast_arrays(*coords), axis=-1))
+        return np.zeros(self.seen[-1].shape[:-1])
+
+    def grad_component(self, coords, axis):
+        return self.value(coords)
+
+
+@pytest.mark.parametrize("domain", ["cantor-36", "slit-square-96", "slit-cube-12"])
+def test_facet_centre_producers_read_the_mesh(domain):
+    """Every producer of facet centres hands out the coordinates of
+    ``facet_center_mesh`` bit for bit, on grids whose spacing is not a
+    power of two."""
+    set_ = {"cantor-36": _SIDE_SETS["cantor-36"],
+            "slit-square-96": lambda: preset_set("slit-square", 1.0 / 96.0, margin_cells=4),
+            "slit-cube-12": lambda: _slit_cube(12)}[domain]()
+    grid, top, n = set_.grid, set_.topology, set_.grid.n
+    full = [np.broadcast_arrays(*grid.facet_center_mesh(a)) for a in range(n)]
+
+    def mesh(a, mask, shift=0.0):
+        return np.stack([c[mask] + shift * (b == a) for b, c in enumerate(full[a])], axis=-1)
+
+    live = [top.interior[a] | top.boundary[a] | top.crack[a] for a in range(n)]
+    want = np.concatenate([mesh(a, m) for a, m in enumerate(live)])
+    assert np.array_equal(FacetArrays(grid, live).centers(), want)
+    for a, m in enumerate(live):
+        for idx in np.argwhere(m)[::37]:
+            assert np.array_equal(grid.facet_center(a, idx), [c[tuple(idx)] for c in full[a]])
+    probe = _CoordinateProbe()
+    _facet_pairing(grid, [m.astype(float) for m in live], probe)
+    assert np.array_equal(probe.seen[0], want)
+
+    quarter = 0.25 * grid.spacing
+    expect = []
+    for a in range(n):
+        expect.append(mesh(a, top.interior[a] | top.boundary[a]))
+        if top.crack[a].any():
+            expect += [mesh(a, top.crack[a], -quarter), mesh(a, top.crack[a], quarter)]
+    seen = []
+    sample_field(lambda X: seen.append(X) or np.zeros(X.shape), set_, 1.0)
+    assert len(seen) == len(expect) and all(map(np.array_equal, seen, expect))
+
+    seen = []
+    TraceData(set_).fill(lambda X, nu: seen.append(X) or np.zeros(len(X)))
+    expect = [mesh(a, mask) for a, _side, mask, _arr in TraceData(set_).slots() if mask.any()]
+    assert len(seen) == len(expect) and all(map(np.array_equal, seen, expect))
+
+    probe = _CoordinateProbe()
+    _midpoint_phi(grid, probe, top)
+    for a in range(n):  # per axis: the whole mesh, then the MINUS and PLUS slots
+        assert np.array_equal(probe.seen[3 * a + 1], mesh(a, top.minus[a], -quarter))
+        assert np.array_equal(probe.seen[3 * a + 2], mesh(a, top.plus[a], quarter))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -197,6 +197,11 @@ def test_solve_div_loads_only_sparse(tmp_path):
     assert _cli_scipy(tmp_path, "solve-div", *SLIT, "--trace", "tr.csv") == {"scipy.sparse"}
 
 
+def test_accept_geometry_oracles_load_only_sparse(tmp_path):
+    # criterion 11's Ahlfors count walks the cover's stencil, not a k-d tree
+    assert _cli_scipy(tmp_path, "accept", "--only", "11") == {"scipy.sparse"}
+
+
 def _scipy_imports(nodes) -> list[str]:
     names = []
     for node in nodes:
@@ -218,13 +223,12 @@ def test_module_level_scipy_imports():
 
 
 def test_scipy_imports_anywhere():
-    """Beyond ``divsolve``, only ``measure.ahlfors_constant`` (cKDTree)
-    imports scipy, in its body; nothing imports ``scipy.fft``."""
+    """Only ``divsolve`` imports scipy, anywhere: nothing imports
+    ``scipy.fft`` or ``scipy.spatial``."""
     found = {p.name: _scipy_imports(ast.walk(ast.parse(p.read_text())))
              for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {
         "divsolve.py": ["scipy.sparse", "scipy.sparse.linalg"],
-        "measure.py": ["scipy.spatial"],
     }
 
 

@@ -67,6 +67,19 @@ def test_density_errors(square_32):
         density(square_32, (1.0, 1.0), 10.0)  # ball exits the grid
 
 
+@pytest.mark.parametrize("center, r", [((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf),
+                                       ((math.nan, 0.0), 0.5)])
+def test_density_refuses_a_non_finite_ball(square_32, center, r):
+    with pytest.raises(InputError, match="is not finite$"):
+        density(square_32, center, r)
+
+
+@pytest.mark.parametrize("r_star", [math.nan, math.inf])
+def test_classify_refuses_a_non_finite_radius(square_32, r_star):
+    with pytest.raises(InputError, match=f"^classification radius {r_star} is not finite$"):
+        classify(square_32, r_star=r_star)
+
+
 def test_classify_full_box_ring(square_32):
     cls = classify(square_32)
     labels = cls.labels
@@ -280,6 +293,50 @@ def test_ahlfors_monotone_in_facets():
     assert c_big >= c_small
     with pytest.raises(InputError):
         ahlfors_constant(set_.grid, FacetArrays(set_.grid), radii=radii)
+
+
+@pytest.mark.parametrize("radii, message", [
+    ([], "^Ahlfors estimation needs at least one radius$"),
+    ([math.nan], r"^Ahlfors radii \[nan\] are not all finite$"),
+    ([0.5, math.inf], r"^Ahlfors radii \[0.5, inf\] are not all finite$"),
+], ids=["empty", "nan", "inf"])
+def test_ahlfors_refuses_empty_or_non_finite_radii(radii, message):
+    set_ = preset_set("slit-square", 1.0 / 32.0)
+    with pytest.raises(InputError, match=message):
+        ahlfors_constant(set_.grid, set_.cracks, radii=radii)
+
+
+def _exact_ahlfors(grid, facets, multiples):
+    """The report of ``ahlfors_constant`` at radii ``m * spacing``, counted
+    exactly: facet centres in doubled integer coordinates, closed balls."""
+    doubled = np.concatenate([2 * np.argwhere(mask) + 1 - np.eye(grid.n, dtype=int)[a]
+                              for a, mask in enumerate(facets.masks)])
+    sq = ((doubled[:, None, :] - doubled[None, :, :]) ** 2).sum(axis=2)
+    centers = facets.centers()
+    witnesses = []
+    for m in multiples:
+        r = m * grid.spacing
+        ratios = (sq <= 4 * m * m).sum(axis=1) * grid.facet_area / r ** (grid.n - 1)
+        j = int(np.argmax(ratios))
+        witnesses.append((tuple(float(v) for v in centers[j]), r, float(ratios[j])))
+    return max(w[2] for w in witnesses), witnesses
+
+
+@pytest.mark.parametrize("name, spacing, k, multiples", [
+    ("square", 1.0 / 64.0, None, [4, 8, 16, 32, 64, 128]),
+    ("slit-disk", 1.0 / 128.0, None, [4, 16, 32, 64]),
+    ("cantor-cross", 1.0 / 12.0, 1, [4, 8, 16]),
+    ("cantor-cross", 1.0 / 36.0, 2, [4, 8, 16, 32, 64]),
+], ids=["square", "slit-disk", "cantor-k1", "cantor-k2"])
+def test_ahlfors_counts_match_an_exact_integer_count(name, spacing, k, multiples):
+    """A facet at distance exactly r counts (cantor-cross k=1 reads 5.375)."""
+    set_ = preset_set(name, spacing, k=k)
+    facets = set_.cracks if set_.cracks.count() else FacetArrays(set_.grid,
+                                                                  set_.topology.boundary)
+    rep = ahlfors_constant(set_.grid, facets, [m * spacing for m in multiples])
+    assert (rep.constant, rep.witnesses) == _exact_ahlfors(set_.grid, facets, multiples)
+    if k == 1:
+        assert rep.constant == 5.375
 
 
 def test_ahlfors_cantor_growth():
