@@ -797,11 +797,12 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray) -> dict:
     eps_list = _widths(grid)
     phi_basis = default_phi_basis(grid)
     body = F.set.cells
+    g_body = np.where(body, g_cells, 0.0)
 
     # product field gF: two-cell mean on interior facets, one-sided at sides
     gF = FluxField(F.set, float(F.sup_bound * np.max(np.abs(g_cells)) or 1.0))
     for a in range(grid.n):
-        g_lo, g_up = lift(np.where(body, g_cells, 0.0), a)
+        g_lo, g_up = lift(g_body, a)
         interior = F.topology.interior[a]
         gmean = 0.5 * (g_lo + g_up)
         gF.vminus[a] = np.where(interior, gmean * F.vminus[a], 0.0)
@@ -817,7 +818,7 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray) -> dict:
     bound_rows = []
     for eps in eps_list:
         kernel = MollifierKernel(eps, grid)
-        g_eps = smooth_cells_masked(kernel, g_cells, body)
+        g_eps = smooth_cells_masked(kernel, g_body, body)
         dg = masked_gradient(g_eps, body, grid.spacing)
         pair_density = np.einsum("...a,...a->...", Fc, dg)
         pair_density[~body] = 0.0

@@ -81,10 +81,10 @@ class MollifierKernel:
 
 def smooth_cells_masked(kernel: MollifierKernel, values: np.ndarray,
                         mask: np.ndarray) -> np.ndarray:
-    """Mollify a cell field defined only on ``mask``: the kernel is
-    renormalized over the masked cells, so constants are preserved up to
-    the mask boundary (one-sided smoothing)."""
-    num, den = kernel.smooth_cells([np.where(mask, values, 0.0), mask.astype(float)])
+    """Mollify a cell field defined only on ``mask``, zero outside it like
+    the result: the kernel is renormalized over the masked cells, so
+    constants are preserved up to the mask boundary (one-sided smoothing)."""
+    num, den = kernel.smooth_cells([values, mask.astype(float)])
     return np.divide(num, den, out=np.zeros(values.shape), where=mask & (den > 0.0))
 
 

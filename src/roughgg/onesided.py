@@ -19,11 +19,12 @@ The band is summed by one per-element order and arithmetic of the pairs
 (``_pair_average``), in at most two regions:
 
 - the dense box, on dense shifted slices, testing visibility exactly by
-  slabs (``_clear_crossings``).  When the band fills at least
-  ``_DENSE_FILL`` (one half) of its own bounding box, the dense box is
-  that whole box and no facet is left to the flat gathers; otherwise it
-  is the near box, the bounding box of the band's near-crack facets
-  (``_dense_box``);
+  slabs (``_clear_crossings``) from tables built once per call in batches
+  that keep the bits of a per-start test (``_crossing_tables``).  When the
+  band fills at least ``_DENSE_FILL`` (one half) of its own bounding box,
+  the dense box is that whole box and no facet is left to the flat
+  gathers; otherwise it is the near box, the bounding box of the band's
+  near-crack facets (``_dense_box``);
 - the rest of the band by flat gathers, testing no visibility: a segment
   no longer than the kernel width cannot reach a crack facet from a start
   that is not near a crack.
@@ -82,59 +83,75 @@ def _crack_planes(grid: Grid, crack_masks) -> list[tuple]:
     return planes
 
 
-def _clear_crossings(ok: np.ndarray, grid: Grid, planes, coords: list[np.ndarray],
-                     delta: np.ndarray, cache: dict) -> None:
-    """Clear the starts in ``ok`` from which the segment to start + delta
-    or to start - delta crosses a crack facet; ``ok`` is laid out as the
-    broadcast of the per-axis 1-D coordinate arrays ``coords``.
+def _spans(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 2-D mask, the first true column and one past the last (0, 0 if none)."""
+    first = mask.argmax(axis=1)
+    return first, np.where(mask.any(axis=1), mask.shape[1] - mask[:, ::-1].argmax(axis=1), 0)
+
+
+def _crossing_tables(grid: Grid, planes, coords: list[np.ndarray],
+                     offsets: np.ndarray) -> list[list[tuple]]:
+    """Per row of ``offsets`` (a mirror pair's offset in cells), the slabs
+    ``_clear_crossings`` applies to a mask over the broadcast of ``coords``.
 
     A segment meets the plane of normal axis b at start + t * delta with
-    0 < |t| < 1, and the -delta half at -t: IEEE rounding is symmetric in
-    sign, so both halves share one crossing point bit for bit.  t depends
-    only on a start's b coordinate, and the crossing's cell along a
-    transverse axis a only on t and the start's a coordinate.  So per
-    plane the crossings fill a slab (the levels that meet the plane, by the
-    rows whose crossings reach the crack's extent), located by 2-D index
-    tables cached per (plane, delta_b, delta_a) that evaluate the same IEEE
-    expressions as a per-start test would.
+    0 < |t| < 1, and the -delta half at -t, the same point bit for bit (IEEE
+    rounding is symmetric in sign).  t depends only on x_b, and the cell
+    along a transverse axis a only on t and x_a, so per plane the crossings
+    fill a slab (levels meeting the plane by rows reaching the crack's
+    extent) indexed by a 2-D table per (delta_b, delta_a).  One numpy pass
+    per plane and transverse axis builds all its tables, levels side by
+    side, from the per-start expressions t = (coord - x_b) / delta_b and
+    floor((x_a + t * delta_a - origin) / h): each entry keeps its bits.
     """
-    for p, (b, coord, transverse, extent) in enumerate(planes):
-        if delta[b] == 0.0:
-            continue
-        key = (p, delta[b])
-        if key not in cache:
-            t = (coord - coords[b]) / delta[b]
-            hit = (t != 0.0) & (np.abs(t) < 1.0)
-            levels = _bounding_box(hit)
-            if levels is not None:
-                shape = [-1 if i == b else 1 for i in range(grid.n)]
-                levels = (levels[0], t[levels], hit[levels].reshape(shape))
-            cache[key] = levels
-        if cache[key] is None:
-            continue
-        levels, t, hit = cache[key]
-        # index arrays broadcast to the slab, in the axis order of ok
-        slab = [levels] * grid.n
-        idx = []
-        for k, a in enumerate(a for a in range(grid.n) if a != b):
-            akey = (p, delta[b], a, delta[a])
-            if akey not in cache:
-                xa = coords[a][:, None] + t * delta[a]
-                ia = np.floor((xa - grid.origin[a]) / grid.spacing).astype(int)
-                lo, hi = extent[k].start, extent[k].stop
-                rows = _bounding_box(((ia >= lo) & (ia < hi)).any(axis=1))
-                if rows is not None:
-                    ia = np.clip(ia[rows], -1, transverse.shape[k] - 1)
-                    shape = [1] * grid.n
-                    shape[a], shape[b] = ia.shape
-                    rows = (rows[0], (ia if a < b else ia.T).reshape(shape))
-                cache[akey] = rows
-            if cache[akey] is None:
-                break
-            slab[a], ia = cache[akey]
-            idx.append(ia)
-        else:
-            ok[tuple(slab)] &= ~(transverse[tuple(idx)] & hit)
+    h, m, tables = grid.spacing, 2 * int(np.abs(offsets).max()) + 1, [[] for _ in offsets]
+    for b, coord, transverse, extent in planes:
+        order = (*(a for a in range(grid.n) if a != b), b)  # the slab's axes
+        live = np.flatnonzero(offsets[:, b])
+        steps, step_of = np.unique(offsets[live, b], return_inverse=True)
+        t = (coord - coords[b]) / (steps * h)[:, None]
+        hit = (t != 0.0) & (np.abs(t) < 1.0)
+        first, stop = _spans(hit)
+        live, step_of = live[stop[step_of] > 0], step_of[stop[step_of] > 0]
+        axes = []
+        for k, a in enumerate(order[:-1]):
+            # table c: step kb[c], delta_a ka[c] - m // 2 cells, ia columns start[c]:+size[c]
+            code, key_of = np.unique(step_of * m + offsets[live, a], return_inverse=True)
+            kb, ka = np.divmod(code + m // 2, m)
+            size = stop[kb] - first[kb]
+            start = np.cumsum(size) - size
+            at = np.arange(size.sum()) + np.repeat(kb * t.shape[1] + first[kb] - start, size)
+            xa = coords[a][:, None] + t.ravel()[at] * np.repeat((ka - m // 2) * h, size)
+            ia = np.floor((xa - grid.origin[a]) / h).astype(np.int32)
+            inside = (ia >= extent[k].start) & (ia < extent[k].stop)
+            r0, r1 = _spans(np.logical_or.reduceat(inside, start, axis=1).T)
+            # flat offsets into the padded mask: -1, past the end and t = 0 read padding
+            np.clip(ia, -1, transverse.shape[k] - 1, out=ia)
+            ia[:, ~hit.ravel()[at]] = -1
+            ia *= transverse.strides[k]  # bytes, one per bool
+            axes.append((key_of.tolist(), r0.tolist(), r1.tolist(), start.tolist(),
+                         ia.reshape(ia.shape[0], *[1] * (grid.n - 2 - k), -1)))
+        first, stop, clear = first.tolist(), stop.tolist(), ~transverse.ravel()
+        for j, (i, s) in enumerate(zip(live.tolist(), step_of.tolist())):
+            slab, idx = [], []
+            for key_of, r0, r1, start, ia in axes:
+                c = key_of[j]
+                if r1[c] == 0:
+                    break
+                slab.append(slice(r0[c], r1[c]))
+                idx.append(ia[r0[c]:r1[c], ..., start[c]:start[c] + stop[s] - first[s]])
+            else:
+                tables[i].append((order, (*slab, slice(first[s], stop[s])), clear, idx))
+    return tables
+
+
+def _clear_crossings(ok: np.ndarray, slabs: list[tuple]) -> None:
+    """Clear the starts in ``ok`` from which the segment to start + delta
+    or to start - delta crosses a crack facet, given the pair's slabs from
+    ``_crossing_tables`` (built once per call for every pair, in batches,
+    with the bits of a per-start test); a slab's axes are in ``order``."""
+    for order, slab, clear, idx in slabs:
+        ok.transpose(order)[slab] &= clear[sum(idx[1:], idx[0])]
 
 
 def _near_crack_band(grid: Grid, axis: int, planes, eps: float) -> np.ndarray:
@@ -217,18 +234,19 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     if box is not None:
         # dense shifted slices over the box, visibility by slabs
         coords = [c.ravel()[s] for c, s in zip(grid.facet_center_mesh(axis), box)]
-        cache = {}
+        tables = _crossing_tables(grid, planes, coords, pair_off)
+        ok = np.empty(tuple(s.stop - s.start for s in box), dtype=bool)
 
-        def dense(off):
+        def dense(off, slabs):
             fwd = tuple(slice(s.start + R + o, s.stop + R + o) for s, o in zip(box, off))
             bwd = tuple(slice(s.start + R - o, s.stop + R - o) for s, o in zip(box, off))
-            ok = mpad[fwd] & mpad[bwd]
-            _clear_crossings(ok, grid, planes, coords, off * grid.spacing, cache)
+            np.logical_and(mpad[fwd], mpad[bwd], out=ok)
+            _clear_crossings(ok, slabs)
             return ok, vpad[fwd], vpad[bwd]
 
         centre = vpad[tuple(slice(s.start + R, s.stop + R) for s in box)]
         inner = band[box]
-        smoothed[box][inner] = _pair_average(map(dense, pair_off), pair_w,
+        smoothed[box][inner] = _pair_average(map(dense, pair_off, tables), pair_w,
                                              center_w, centre)[inner]
         rest = band.copy()
         rest[box] = False
