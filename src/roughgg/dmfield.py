@@ -584,10 +584,10 @@ def mollify_field(F: FluxField, eps: float) -> FluxField:
     (``onesided.smooth_facet_values``).
 
     Interior facets are smoothed, and crack and boundary sides keep their
-    values.  An interior facet averages the interior facets of its axis
-    that it sees (segments crossing a crack are dropped, the kernel is
-    renormalized over what remains).  The recorded sup bound never
-    increases: outputs are convex averages.
+    values.  A facet averages the interior facets of its axis that it sees.
+    The kernel is renormalized only near a crack or a non-sample, over the
+    sample pairs it keeps; elsewhere all its unit mass lies on samples.
+    The recorded sup bound never grows: outputs are convex averages.
     """
     out = FluxField(F.set, F.sup_bound)
     for a in range(F.grid.n):
@@ -792,6 +792,8 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray) -> dict:
 
     grid = F.grid
     g_cells = np.asarray(g_cells, dtype=float)
+    if g_cells.shape != grid.extents:
+        raise InputError(f"g has shape {g_cells.shape}, not the grid's {grid.extents}")
     if not np.all(np.isfinite(g_cells)):
         raise InputError("g must be bounded (finite everywhere)")
     eps_list = _widths(grid)

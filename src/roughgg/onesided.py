@@ -4,14 +4,15 @@ Smoothing must not mix the two sides of a crack, or the very jump the
 trace theory is about would be destroyed.  The rule is one line:
 interior facets are smoothed, and crack and boundary sides keep their
 values.  ``smooth_facet_values`` smooths one facet axis: it builds the
-kernel, the crack planes, the plain normalized convolution of the
-interior values and the band once, then fills the interior facets.  The
-band is the interior facets whose kernel window holds a non-sample or
-that lie near a crack (``_near_crack_band``).  Outside the band a facet
-takes the plain convolution.  Inside it, samples are taken in
-mirror-image pairs about the facet and a pair is kept only when both
-members are interior samples visible from the facet (segments crossing a
-crack facet are dropped).  The surviving weight set is symmetric, so the
+kernel, the crack planes, the plain convolution of the interior values
+and the band once, then fills the interior facets.  The band is the
+interior facets whose kernel window holds a non-sample or that lie near
+a crack (``_near_crack_band``).  Outside it a facet takes the plain
+convolution: its window holds samples only, so the kernel's unit mass
+needs no renormalizing.  Inside it the kernel is renormalized over
+mirror-image pairs about the facet, a pair kept only when both members
+are interior samples visible from the facet (segments crossing a crack
+facet are dropped).  The surviving weight set is symmetric, so the
 average is second-order faithful to smooth data and stays a convex
 combination (the recorded field bound never grows).
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gridcore import Grid, box_any, nonzero
-from .mollify import MollifierKernel, smooth_cells_masked
+from .mollify import MollifierKernel
 
 # least share of its bounding box the band must fill to be summed there
 # on dense slices as a whole (see the module docstring)
@@ -210,11 +211,8 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     # a segment no longer than eps crosses a crack only from a near start
     near = _near_crack_band(grid, axis, planes, eps)
     band = sample & (box_any(~sample, R) | near)
-    if (sample & ~band).any():
-        # outside the band a sample's kernel window holds only samples
-        smoothed = smooth_cells_masked(kernel, values, sample)
-    else:
-        smoothed = np.zeros(values.shape)
+    # outside the band a kernel window holds samples only: no renormalizing
+    smoothed = kernel.smooth_cells(values) if (sample & ~band).any() else np.zeros(values.shape)
 
     # np.argwhere lists the symmetric support in an order that negation
     # reverses: its first half holds one offset of each mirror pair, and

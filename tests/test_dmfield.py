@@ -997,6 +997,19 @@ def test_product_rule_unbounded_rejected(disk_64):
         product_rule_check(F, bad)
 
 
+@pytest.mark.parametrize("shape", ["mesh-expression", "flat"])
+def test_product_rule_refuses_g_not_on_the_grid(shape):
+    # (24, 24, 1) broadcasts through lift and was taken for the whole grid;
+    # (5,) failed deep inside the smoothing with numpy's own ValueError
+    cube = _slit_cube()
+    F = sample_field(seeded_trig_field(0), cube, 1.0)
+    x, y, _ = cube.grid.cell_center_mesh()
+    g = x + y if shape == "mesh-expression" else np.ones(5)
+    assert cube.grid.extents == (24, 24, 24)
+    with pytest.raises(InputError, match=rf"shape \({g.shape[0]},.*\(24, 24, 24\)"):
+        product_rule_check(F, g)
+
+
 def test_product_rule_bound_rows(disk_64):
     F = sample_field(linear_field(), disk_64, 1.2)
     X = cell_mesh(disk_64)

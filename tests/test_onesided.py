@@ -9,13 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from roughgg import mollify, onesided
 from roughgg.dmfield import mollify_field, sample_field
-from roughgg.domain import make_grid, parse_domain, preset_set, rasterize
+from roughgg.domain import PRESET_NAMES, make_grid, parse_domain, preset_set, rasterize
 from roughgg.fields import seeded_trig_field
 from roughgg.gridcore import box_any
-from roughgg.mollify import MollifierKernel, convolve_same
+from roughgg.mollify import MollifierKernel, convolve_same, smooth_cells_masked
 from roughgg.onesided import (_bounding_box, _clear_crossings, _crack_planes,
-                              _crossing_tables, _dense_box, _near_crack_band)
+                              _crossing_tables, _dense_box, _near_crack_band,
+                              smooth_facet_values)
 
 from conftest import cracked_domains, random_facet_noise
 
@@ -48,8 +50,7 @@ def _reference_smooth(F, eps, axis):
     weights, R = kernel.weights, kernel.radius_cells
     sample = top.interior[axis]
     values = np.where(sample, F.vminus[axis], 0.0)
-    smoothed = (convolve_same(values, weights)
-                / np.maximum(convolve_same(sample.astype(float), weights), 1e-300))
+    smoothed = convolve_same(values, weights)
     planes = _crack_planes(grid, top.crack)
     band = sample & (box_any(~sample, R) | _near_crack_band(grid, axis, planes, eps))
     support = np.argwhere(weights > 0.0)
@@ -236,3 +237,82 @@ def test_crossing_tables_match_the_per_start_reference(domain, mult):
             cleared += int(want.sum())
         # the pairs do cross cracks, so the comparison is not vacuous
         assert cleared > 0
+
+
+def _renormalized_plain_path(F, eps, axis):
+    """``smooth_facet_values`` with its plain path divided by the sample
+    mask's convolution, as it was before the plain path dropped it."""
+    sample = F.topology.interior[axis]
+
+    class Renormalized(MollifierKernel):
+        def smooth_cells(self, values):
+            return smooth_cells_masked(MollifierKernel(self.eps, self.grid), values, sample)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(onesided, "MollifierKernel", Renormalized)
+        return smooth_facet_values(F, eps, axis)
+
+
+def _drift_within_rounding(F):
+    """At every ladder width and axis, the band and every non-sample slot
+    keep the renormalized form's bits, and a plain-path value (a sample
+    outside the band) moves by at most 1e-14 of the field bound: there the
+    window holds samples only, so the dropped denominator was 1 up to
+    rounding.  Returns the number of plain-path values compared."""
+    grid, plain_count = F.grid, 0
+    planes = _crack_planes(grid, F.topology.crack)
+    for mult in (8, 4, 2):
+        eps = mult * grid.spacing
+        R = MollifierKernel(eps, grid).radius_cells
+        for a in range(grid.n):
+            sample = F.topology.interior[a]
+            plain = sample & ~box_any(~sample, R) & ~_near_crack_band(grid, a, planes, eps)
+            plain_count += int(plain.sum())
+            for new, old in zip(smooth_facet_values(F, eps, a),
+                                _renormalized_plain_path(F, eps, a)):
+                assert np.array_equal(new[~plain], old[~plain])
+                assert np.abs(new[plain] - old[plain]).max(initial=0.0) <= 1e-14 * F.sup_bound
+    return plain_count
+
+
+@pytest.mark.parametrize("domain", [*PRESET_NAMES, "slit-cube-half-8", "slit-cube-full-8"])
+def test_plain_path_drifts_by_rounding_only(domain):
+    set_ = (_slit_cube(domain == "slit-cube-half-8") if domain.startswith("slit-cube")
+            else preset_set(domain, 1.0 / 32.0, margin_cells=4))
+    plain_count = _drift_within_rounding(sample_field(seeded_trig_field(1), set_, 1.0))
+    # the comparison is not vacuous: some sample takes the plain path
+    assert plain_count > 0
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(set_=cracked_domains(), seed=st.integers(0, 2**16))
+def test_plain_path_drifts_by_rounding_only_on_random_cracked_domains(set_, seed):
+    _drift_within_rounding(random_facet_noise(set_, seed=seed))
+
+
+@pytest.mark.parametrize("domain, mult, plain", [
+    ("slit-square-32", 8, True), ("slit-square-32", 2, True), ("cantor-cross-36", 4, True),
+    ("slit-cube-half-16", 2, True),
+    ("slit-cube-half-8", 8, False),  # the band covers every sample
+])
+def test_one_convolved_array_per_call(domain, mult, plain, slit_square_32):
+    """Each call convolves the interior values alone, or nothing when no
+    sample lies outside the band; a second array (the sample mask) would
+    bring back the transforms the plain path saves."""
+    set_ = {"slit-square-32": lambda: slit_square_32,
+            "cantor-cross-36": lambda: preset_set("cantor-cross", 1.0 / 36.0, k=2,
+                                                  margin_cells=4),
+            "slit-cube-half-8": lambda: _slit_cube(True),
+            "slit-cube-half-16": lambda: _slit_cube(True, 16)}[domain]()
+    F = sample_field(seeded_trig_field(1), set_, 1.0)
+    convolved = []
+
+    def counting(values, weights):
+        convolved.append(len(values) if isinstance(values, list) else 1)
+        return convolve_same(values, weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mollify, "convolve_same", counting)
+        for a in range(set_.grid.n):
+            smooth_facet_values(F, mult * set_.grid.spacing, a)
+    assert convolved == ([1] * set_.grid.n if plain else [])
