@@ -585,8 +585,8 @@ def mollify_field(F: FluxField, eps: float) -> FluxField:
 
     Interior facets are smoothed, and crack and boundary sides keep their
     values.  A facet averages the interior facets of its axis that it sees.
-    The kernel is renormalized only near a crack or a non-sample, over the
-    sample pairs it keeps; elsewhere all its unit mass lies on samples.
+    The kernel is renormalized only near a crack, non-sample or grid edge,
+    over the sample pairs it keeps; elsewhere its unit mass is on samples.
     The recorded sup bound never grows: outputs are convex averages.
     """
     out = FluxField(F.set, F.sup_bound)

@@ -6,15 +6,15 @@ interior facets are smoothed, and crack and boundary sides keep their
 values.  ``smooth_facet_values`` smooths one facet axis: it builds the
 kernel, the crack planes, the plain convolution of the interior values
 and the band once, then fills the interior facets.  The band is the
-interior facets whose kernel window holds a non-sample or that lie near
-a crack (``_near_crack_band``).  Outside it a facet takes the plain
-convolution: its window holds samples only, so the kernel's unit mass
-needs no renormalizing.  Inside it the kernel is renormalized over
-mirror-image pairs about the facet, a pair kept only when both members
-are interior samples visible from the facet (segments crossing a crack
-facet are dropped).  The surviving weight set is symmetric, so the
-average is second-order faithful to smooth data and stays a convex
-combination (the recorded field bound never grows).
+interior facets whose kernel window holds a non-sample (a slot off the
+grid counts as one) or that lie near a crack (``_near_crack_band``).
+Outside it a facet takes the plain convolution: its window holds samples
+only, so the kernel's unit mass needs no renormalizing.  Inside it the
+kernel is renormalized over mirror-image pairs about the facet, a pair
+kept only when both members are interior samples visible from the facet
+(segments crossing a crack facet are dropped).  The surviving weight set
+is symmetric, so the average is second-order faithful to smooth data and
+stays a convex combination (the recorded field bound never grows).
 
 The band is summed by one per-element order and arithmetic of the pairs
 (``_pair_average``), in at most two regions:
@@ -210,8 +210,8 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     planes = _crack_planes(grid, top.crack)
     # a segment no longer than eps crosses a crack only from a near start
     near = _near_crack_band(grid, axis, planes, eps)
-    band = sample & (box_any(~sample, R) | near)
-    # outside the band a kernel window holds samples only: no renormalizing
+    # off-array slots count as non-samples: a window outside the band holds samples only
+    band = sample & (box_any(~sample, R, outside=True) | near)
     smoothed = kernel.smooth_cells(values) if (sample & ~band).any() else np.zeros(values.shape)
 
     # np.argwhere lists the symmetric support in an order that negation

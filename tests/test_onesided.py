@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from roughgg import mollify, onesided
+from roughgg import mollify
 from roughgg.dmfield import mollify_field, sample_field
-from roughgg.domain import PRESET_NAMES, make_grid, parse_domain, preset_set, rasterize
+from roughgg.domain import (PRESET_NAMES, RoughSet, make_grid, parse_domain, preset_set,
+                            rasterize)
 from roughgg.fields import seeded_trig_field
-from roughgg.gridcore import box_any
+from roughgg.gridcore import Grid, box_any
 from roughgg.mollify import MollifierKernel, convolve_same, smooth_cells_masked
 from roughgg.onesided import (_bounding_box, _clear_crossings, _crack_planes,
                               _crossing_tables, _dense_box, _near_crack_band,
@@ -52,7 +53,8 @@ def _reference_smooth(F, eps, axis):
     values = np.where(sample, F.vminus[axis], 0.0)
     smoothed = convolve_same(values, weights)
     planes = _crack_planes(grid, top.crack)
-    band = sample & (box_any(~sample, R) | _near_crack_band(grid, axis, planes, eps))
+    band = sample & (box_any(~sample, R, outside=True)
+                     | _near_crack_band(grid, axis, planes, eps))
     support = np.argwhere(weights > 0.0)
     half = support.shape[0] // 2
     vpad = np.pad(values, R)
@@ -144,6 +146,22 @@ def test_mollify_matches_reference_on_random_cracked_domains(set_, seed):
         assert Fe.sup_bound <= F.sup_bound
 
 
+@pytest.mark.parametrize("extents", [(24, 20), (14, 12, 10)])
+def test_constant_field_stays_constant_on_a_set_reaching_the_grid_edge(extents):
+    """A set whose cells fill the grid, like the box set of
+    ``extend_by_zero``, has interior facets whose window reaches off the
+    array.  Those slots count as non-samples, so such facets lie in the
+    band: a constant field stays constant and every value keeps the
+    reference's bits."""
+    grid = Grid(n=len(extents), spacing=1.0 / 16.0, origin=(0.0,) * len(extents),
+                extents=extents)
+    F = sample_field(np.ones_like, RoughSet(grid, np.ones(extents, dtype=bool)), 1.0)
+    for G in _mollify_as_reference(F, (8, 4, 2)):
+        for a in range(grid.n):
+            inner = F.topology.interior[a]
+            assert np.abs(G.vminus[a][inner] - 1.0).max() <= 1e-14
+
+
 @pytest.mark.parametrize("domain, mult, whole", [
     ("slit-cube-half-8", 4, True),   # the band fills 0.98-1.00 of its box
     ("slit-square-32", 4, False),    # a shell filling 0.37 of its box
@@ -157,7 +175,7 @@ def test_dense_box_is_the_band_box_only_when_the_band_fills_it(domain, mult, who
     planes = _crack_planes(grid, top.crack)
     for a in range(grid.n):
         near = _near_crack_band(grid, a, planes, eps)
-        band = top.interior[a] & (box_any(~top.interior[a], R) | near)
+        band = top.interior[a] & (box_any(~top.interior[a], R, outside=True) | near)
         band_box, near_box = _bounding_box(band), _bounding_box(band & near)
         # the two candidates differ, so the choice is seen
         assert band_box != near_box
@@ -221,7 +239,7 @@ def test_crossing_tables_match_the_per_start_reference(domain, mult):
     pair_off = support[:support.shape[0] // 2] - R
     for axis in range(grid.n):
         near = _near_crack_band(grid, axis, planes, eps)
-        band = top.interior[axis] & (box_any(~top.interior[axis], R) | near)
+        band = top.interior[axis] & (box_any(~top.interior[axis], R, outside=True) | near)
         box = _dense_box(band, near)
         coords = [c.ravel()[s] for c, s in zip(grid.facet_center_mesh(axis), box)]
         starts = [c.ravel() for c in np.meshgrid(*coords, indexing="ij")]
@@ -239,39 +257,26 @@ def test_crossing_tables_match_the_per_start_reference(domain, mult):
         assert cleared > 0
 
 
-def _renormalized_plain_path(F, eps, axis):
-    """``smooth_facet_values`` with its plain path divided by the sample
-    mask's convolution, as it was before the plain path dropped it."""
-    sample = F.topology.interior[axis]
-
-    class Renormalized(MollifierKernel):
-        def smooth_cells(self, values):
-            return smooth_cells_masked(MollifierKernel(self.eps, self.grid), values, sample)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(onesided, "MollifierKernel", Renormalized)
-        return smooth_facet_values(F, eps, axis)
-
-
 def _drift_within_rounding(F):
-    """At every ladder width and axis, the band and every non-sample slot
-    keep the renormalized form's bits, and a plain-path value (a sample
-    outside the band) moves by at most 1e-14 of the field bound: there the
-    window holds samples only, so the dropped denominator was 1 up to
-    rounding.  Returns the number of plain-path values compared."""
+    """At every ladder width and axis, the plain convolution stays within
+    1e-14 of the field bound of the form renormalized by the sample mask's
+    convolution at every plain-path slot (a sample outside the band):
+    there the window holds samples only, so that denominator is 1 up to
+    rounding.  Band values are pinned bit for bit by the reference tests.
+    Returns the number of plain-path values compared."""
     grid, plain_count = F.grid, 0
     planes = _crack_planes(grid, F.topology.crack)
     for mult in (8, 4, 2):
         eps = mult * grid.spacing
-        R = MollifierKernel(eps, grid).radius_cells
+        kernel = MollifierKernel(eps, grid)
         for a in range(grid.n):
             sample = F.topology.interior[a]
-            plain = sample & ~box_any(~sample, R) & ~_near_crack_band(grid, a, planes, eps)
+            values = np.where(sample, F.vminus[a], 0.0)
+            plain = (sample & ~box_any(~sample, kernel.radius_cells, outside=True)
+                     & ~_near_crack_band(grid, a, planes, eps))
             plain_count += int(plain.sum())
-            for new, old in zip(smooth_facet_values(F, eps, a),
-                                _renormalized_plain_path(F, eps, a)):
-                assert np.array_equal(new[~plain], old[~plain])
-                assert np.abs(new[plain] - old[plain]).max(initial=0.0) <= 1e-14 * F.sup_bound
+            drift = kernel.smooth_cells(values) - smooth_cells_masked(kernel, values, sample)
+            assert np.abs(drift[plain]).max(initial=0.0) <= 1e-14 * F.sup_bound
     return plain_count
 
 
