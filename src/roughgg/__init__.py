@@ -16,13 +16,13 @@ import importlib
 _EXPORTS = {
     "approx": ("ApproxReport", "BallCover", "approximation_sweep",
                "cantor_generation_sweep", "interior_approximation"),
-    "divsolve": ("SolveReport", "is_compatible", "solve_decomposed",
-                 "solve_direct", "verify_solution"),
+    "divsolve": ("SolveReport", "solve_decomposed", "solve_direct", "verify_solution"),
     "dmfield": ("FluxField", "SignedMeasure", "TestFunction", "TraceData",
                 "TraceMeasure", "VectorTestFunction", "bv_trace_check",
                 "default_phi_basis", "divergence_measure", "extend_by_zero",
                 "extension_bound_check", "gauss_green_residual",
-                "interior_normal_trace", "mollify_field", "normal_trace_pairing",
+                "interior_normal_trace", "is_compatible", "mollify_field",
+                "normal_trace_pairing",
                 "product_rule_check", "sample_field",
                 "trace_linfinity_check", "trace_measure", "trace_weak_convergence"),
     "domain": ("DomainSpec", "RoughSet", "make_grid", "parse_domain", "preset_set",

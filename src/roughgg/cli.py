@@ -4,6 +4,12 @@ One binary with subcommands; outputs are written atomically and floats
 are printed with 17 significant digits, so identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 invariant violation,
 2 bad input, 3 incompatible trace data.
+
+Each subcommand imports the modules it runs, so a process loads only
+what its subcommand needs: classify, perimeter, approx and gallery load
+neither ``dmfield`` nor the one-sided mollifier, and ``solve-div``
+refuses a bad or globally unbalanced trace CSV before ``divsolve`` (and
+with it scipy) loads.
 """
 
 from __future__ import annotations
@@ -15,15 +21,7 @@ import sys
 
 import numpy as np
 
-from . import io as rio
 from ._util import atomic_write_text, dumps_json, format_float
-from .dmfield import (
-    TraceData,
-    default_phi_basis,
-    normal_trace_pairing,
-    sample_field,
-    trace_measure,
-)
 from .domain import (
     PRESET_NAMES,
     make_grid,
@@ -32,13 +30,6 @@ from .domain import (
     rasterize,
 )
 from .errors import InputError, RoughGGError
-from .fields import (
-    linear_field,
-    seeded_trig_field,
-    separated_smooth_field,
-    slit_jump_field,
-)
-from .measure import boundary_decomposition, classify, perimeter
 
 GALLERY_REFERENCES = {
     "square": {"area": 4.0, "perimeter": 8.0, "star_measure": 8.0,
@@ -57,12 +48,6 @@ GALLERY_REFERENCES = {
                      "star_measure": 4.0 * math.pi + 4.0 * (4.0 / 3.0) ** 2,
                      "crack_length": 4.0 * (4.0 / 3.0) ** 2,
                      "source": "analytic (crack: exact generation count, k=2)"},
-}
-
-FIELDS = {
-    "slit-jump": (slit_jump_field, 1.0),
-    "smooth": (separated_smooth_field, 1.0),
-    "linear": (linear_field, None),  # bound depends on the domain box
 }
 
 
@@ -108,17 +93,25 @@ def _scale_list(text: str) -> list[float]:
 
 
 def _build_field(args, set_):
+    from .dmfield import sample_field
+    from .fields import linear_field, seeded_trig_field, separated_smooth_field, slit_jump_field
+
+    fields = {
+        "slit-jump": (slit_jump_field, 1.0),
+        "smooth": (separated_smooth_field, 1.0),
+        "linear": (linear_field, None),  # bound depends on the domain box
+    }
     name = args.field
     if name == "seed" or name.startswith("seed:"):
         text = "0" if name == "seed" else name[len("seed:"):]
         if not (text.isascii() and text.isdigit()):
             raise InputError(f"field seed must be a non-negative integer, got {text!r}")
         return sample_field(seeded_trig_field(int(text)), set_, 1.0)
-    if name not in FIELDS:
+    if name not in fields:
         raise InputError(
             f"unknown field {name!r} (use slit-jump, smooth, linear, seed, seed:N)"
         )
-    maker, bound = FIELDS[name]
+    maker, bound = fields[name]
     if bound is None:
         lo, hi = set_.grid.bounds()
         bound = float(np.max(np.abs(np.stack([lo, hi]))))
@@ -140,6 +133,9 @@ def _domain_args(p):
 
 
 def cmd_classify(args) -> int:
+    from .io import write_pgm
+    from .measure import boundary_decomposition, classify
+
     _, set_ = _build_set(args)
     cls = classify(set_, tau=args.tau)
     bd = boundary_decomposition(set_, cls)
@@ -158,13 +154,15 @@ def cmd_classify(args) -> int:
     if args.out:
         _write_json(args.out, report)
     if args.png:
-        rio.write_pgm(args.png, cls.to_pgm_levels())
+        write_pgm(args.png, cls.to_pgm_levels())
     print(f"classify: {set_.cell_count} cells, star measure "
           f"{bd.star_measure:.6g}")
     return 0
 
 
 def cmd_perimeter(args) -> int:
+    from .measure import perimeter
+
     _, set_ = _build_set(args)
     eps = args.eps if args.eps else 4.0 * set_.grid.spacing
     value = perimeter(set_.grid, set_.cells, eps)
@@ -182,6 +180,7 @@ def cmd_perimeter(args) -> int:
 
 def cmd_approx(args) -> int:
     from .approx import approximation_sweep, interior_approximation
+    from .io import write_pgm
 
     _, set_ = _build_set(args)
     if args.sweep:
@@ -213,12 +212,15 @@ def cmd_approx(args) -> int:
         _write_json(args.out, report)
     if args.png:
         levels = np.where(rep.e_cells, 255, 0).astype(np.uint8)
-        rio.write_pgm(args.png, levels)
+        write_pgm(args.png, levels)
     print(f"approx: ratio {rep.ratio:.6g}, removed {rep.removed_volume:.6g}")
     return 0
 
 
 def cmd_trace(args) -> int:
+    from .dmfield import trace_measure
+    from .io import trace_strip_levels, write_pgm, write_trace_csv
+
     _, set_ = _build_set(args)
     F = _build_field(args, set_)
     tm = trace_measure(F)
@@ -244,14 +246,16 @@ def cmd_trace(args) -> int:
     if args.out:
         _write_json(args.out, report)
     if args.csv:
-        rio.write_trace_csv(args.csv, tm.side_weights, set_.grid)
+        write_trace_csv(args.csv, tm.side_weights, set_.grid)
     if args.png:
-        rio.write_pgm(args.png, rio.trace_strip_levels(tm.side_weights, set_.grid))
+        write_pgm(args.png, trace_strip_levels(tm.side_weights, set_.grid))
     print(f"trace: |g|_inf {tm.g_infinity:.6g} on {len(per_facet)} facets")
     return 0
 
 
 def cmd_gg_check(args) -> int:
+    from .dmfield import default_phi_basis, normal_trace_pairing, trace_measure
+
     _, set_ = _build_set(args)
     F = _build_field(args, set_)
     tm = trace_measure(F)
@@ -274,12 +278,17 @@ def cmd_gg_check(args) -> int:
 
 
 def cmd_solve_div(args) -> int:
-    from .divsolve import solve_decomposed, solve_direct, verify_solution
+    from .dmfield import TraceData, check_prescription
+    from .io import read_trace_csv, write_flux_field
 
     _, set_ = _build_set(args)
     td = TraceData(set_)
-    for key, g in rio.read_trace_csv(args.trace, set_.grid).items():
+    for key, g in read_trace_csv(args.trace, set_.grid).items():
         td.set_side(*key, g)
+    # refused data (exit 2 or 3) never pays for loading the solver and scipy
+    check_prescription(td)
+    from .divsolve import solve_decomposed, solve_direct, verify_solution
+
     if args.mode == "direct":
         rep = solve_direct(set_, td)
     else:
@@ -296,7 +305,7 @@ def cmd_solve_div(args) -> int:
     if args.out:
         _write_json(args.out, report)
     if args.flux:
-        rio.write_flux_field(args.flux, rep.F)
+        write_flux_field(args.flux, rep.F)
     print(f"solve-div [{rep.mode}]: residual {rep.interior_div_residual:.3e}, "
           f"trace gap {rep.trace_linf_gap:.3e}")
     return 0 if audit["pass"] else 1

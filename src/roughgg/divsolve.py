@@ -30,9 +30,12 @@ small is solved exactly and CG stops after one iteration.
 The policy is one for every caller and takes no argument: CG stops at
 the relative residual ``_CG_RTOL``, both audits (``_audit`` inside each
 solve, then ``verify_solution``) hold the interior divergence residual
-to ``_AUDIT_TOL`` times a scale of the data, and a prescription is
-refused (``InputError``) where it is not finite or exceeds
-``_MAX_DENSITY`` in magnitude.
+to ``_AUDIT_TOL`` times a scale of the data, and both solves first
+refuse what ``dmfield.check_prescription`` refuses: a density that is
+not finite or exceeds ``MAX_DENSITY`` in magnitude (``InputError``), or
+net flux over the whole set (``CompatibilityError``).  Those checks need
+no scipy and live in ``dmfield``, so the command line runs them before
+this module loads; ``is_compatible`` is re-exported from there.
 
 The matrix is assembled straight from the grid as a sorted int32 CSR:
 each node's row is read off a per-node table of its neighbours in
@@ -45,17 +48,19 @@ on the legal sides only; they build no whole measure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dmfield import FluxField, TraceData, cell_balance
+from .dmfield import FluxField, TraceData, cell_balance, check_prescription, is_compatible
 from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
 from .gridcore import MINUS, PLUS, faces, lift, side_orient, touches_edge
+
+__all__ = ["SolveReport", "TraceData", "is_compatible", "solve_decomposed", "solve_direct",
+           "verify_solution"]
 
 # Fixed multigrid constants (not tuning knobs): coarsening stops at
 # COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;
@@ -68,17 +73,9 @@ _OMEGA = 2.0 / 3.0
 _SWEEPS = 2
 _COARSE_SCALE = 1.8
 _CG_MAXITER = 1_000
-# The solve policy (see the module docstring).  _MAX_DENSITY keeps CG's
-# squared norms finite on any grid up to the 2^23-cell cap.
+# The solve policy (see the module docstring).
 _CG_RTOL = 1e-12
 _AUDIT_TOL = 1e-10
-_MAX_DENSITY = 1e100
-
-
-def is_compatible(td: TraceData) -> bool:
-    """Zero net prescribed flux up to roundoff; never for non-finite data."""
-    scale = td.abs_integral()
-    return math.isfinite(scale) and abs(td.integral) <= 1e-10 * (scale + 1.0)
 
 
 @dataclass
@@ -255,16 +252,6 @@ def _gradient_flux(u_cells, edges, axis, dx):
     return v
 
 
-def _require_finite(td: TraceData) -> None:
-    for a, _side, mask, arr in td.slots():
-        values = arr[mask]
-        if not np.isfinite(values).all():
-            raise InputError(f"non-finite prescribed trace density on axis {a}")
-        if (np.abs(values) > _MAX_DENSITY).any():
-            raise InputError(f"prescribed trace density on axis {a} exceeds "
-                             f"{_MAX_DENSITY:g} in magnitude")
-
-
 def _trace_gaps(F: FluxField, td: TraceData):
     """|trace of F - prescription| on the legal sides of each slot:
     (axis, side, flat facet indices of the legal sides, gaps there).  The
@@ -307,12 +294,12 @@ def solve_direct(set_: RoughSet, td: TraceData) -> SolveReport:
     Neumann problem on the crack-split cell graph.
 
     The prescribed side values are imposed exactly; the graph solve
-    distributes them so every cell balance vanishes.  Raises InputError
-    on a density that is not finite or exceeds ``_MAX_DENSITY`` in
-    magnitude, and CompatibilityError when some component has net
-    prescribed flux.
+    distributes them so every cell balance vanishes.  Raises what
+    ``check_prescription`` raises, and CompatibilityError naming the
+    component when the data balance over the set but some component has
+    net prescribed flux.
     """
-    _require_finite(td)
+    check_prescription(td)
     grid = set_.grid
     interior = set_.topology.interior
     u_cells, iterations, depth = _laplacian_solve(
@@ -368,13 +355,9 @@ def solve_decomposed(set_: RoughSet, td: TraceData) -> SolveReport:
     Step 3 solves the crack-free data h on the body, and G is added into
     that field one axis at a time.
     """
-    _require_finite(td)
     if touches_edge(set_.cells):
         raise InputError("the grid must strictly contain the set to decompose")
-    if not is_compatible(td):
-        raise CompatibilityError(
-            f"globally incompatible trace data: integral {td.integral}"
-        )
+    check_prescription(td)
     u_cells, td_hat, step1 = _lift_and_reduce(set_, td)
     hat_report = solve_direct(set_, td_hat)
     F = hat_report.F

@@ -22,12 +22,13 @@ Dicts keyed by (axis, facet index, side) exist only as export views
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import FacetTopology, RoughSet
-from .errors import InputError, InvariantViolation
+from .errors import CompatibilityError, InputError, InvariantViolation
 from .gridcore import (MINUS, PLUS, FacetArrays, Grid, box_any, faces, lift, nonzero,
                        side_orient, touches_edge, touching)
 from .measure import refinement_order
@@ -439,6 +440,33 @@ class TraceData:
 
 
 TraceMeasure = TraceData
+
+# The largest magnitude a prescribed density may have: it keeps the
+# solver's squared norms finite on any grid up to the 2^23-cell cap.
+MAX_DENSITY = 1e100
+
+
+def is_compatible(td: TraceData) -> bool:
+    """Zero net prescribed flux up to roundoff; never for non-finite data."""
+    scale = td.abs_integral()
+    return math.isfinite(scale) and abs(td.integral) <= 1e-10 * (scale + 1.0)
+
+
+def check_prescription(td: TraceData) -> None:
+    """Refuse data no solve accepts: a density on a legal side that is not
+    finite or exceeds ``MAX_DENSITY`` in magnitude (InputError), then net
+    flux over the whole set (CompatibilityError), which Gauss-Green rules
+    out for the trace of any divergence-free field.  Needs no scipy, so a
+    caller can refuse data before the solver loads."""
+    for a, _side, mask, arr in td.slots():
+        values = arr[mask]
+        if not np.isfinite(values).all():
+            raise InputError(f"non-finite prescribed trace density on axis {a}")
+        if (np.abs(values) > MAX_DENSITY).any():
+            raise InputError(f"prescribed trace density on axis {a} exceeds "
+                             f"{MAX_DENSITY:g} in magnitude")
+    if not is_compatible(td):
+        raise CompatibilityError(f"globally incompatible trace data: integral {td.integral}")
 
 
 def trace_measure(F: FluxField) -> TraceData:

@@ -1,18 +1,25 @@
-"""On-disk formats: PGM rasters, the flux-field binary, trace CSV."""
+"""On-disk formats: PGM rasters, the flux-field binary, trace CSV.
+
+``dmfield`` is imported only inside the two readers, so writing a
+raster or a trace CSV does not load it.
+"""
 
 from __future__ import annotations
 
 import io
 import math
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._util import atomic_write_bytes, atomic_write_text, format_float
-from .dmfield import FluxField
 from .domain import RoughSet
 from .errors import InputError
 from .gridcore import MINUS, PLUS, Grid
+
+if TYPE_CHECKING:
+    from .dmfield import FluxField
 
 MAGIC = b"DMF1"
 
@@ -83,6 +90,8 @@ def read_flux_field(path: str, set_: RoughSet) -> FluxField:
     naming no facet side of the grid, a non-finite float, a live value
     above the declared bound or bytes after the last record is an
     InputError."""
+    from .dmfield import FluxField
+
     with open(path, "rb") as handle:
         data = handle.read()
     if data[:4] != MAGIC:
@@ -163,8 +172,11 @@ def read_trace_csv(path: str, grid: Grid) -> dict:
 
     Every row must name an existing facet of ``grid``: the axis lies in
     [0, n) and each index in [0, facet_shape(axis)), so no index wraps.
-    No facet side may be named twice.
+    No facet side may be named twice, and every density is finite and at
+    most ``dmfield.MAX_DENSITY`` in magnitude.
     """
+    from .dmfield import MAX_DENSITY
+
     out, line_of = {}, {}
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -188,6 +200,12 @@ def read_trace_csv(path: str, grid: Grid) -> dict:
                 g = float(parts[2 + grid.n])
             except ValueError as exc:
                 raise InputError(f"trace CSV line {line_no}: {exc}") from exc
+            if not math.isfinite(g):
+                raise InputError(
+                    f"trace CSV line {line_no}: non-finite prescribed trace density {g}")
+            if abs(g) > MAX_DENSITY:
+                raise InputError(f"trace CSV line {line_no}: prescribed trace density "
+                                 f"{g:g} exceeds {MAX_DENSITY:g} in magnitude")
             if side not in (MINUS, PLUS):
                 raise InputError(f"trace CSV line {line_no}: side must be 0 or 1")
             if not 0 <= axis < grid.n:

@@ -217,8 +217,22 @@ def test_solve_div_huge_density_exit_2(tmp_path, mode, capsys):
 
     assert solve("1e200") == 2
     err = capsys.readouterr().err
-    assert err == "error: prescribed trace density on axis 0 exceeds 1e+100 in magnitude\n"
+    assert err == ("error: trace CSV line 2: prescribed trace density 1e+200 "
+                   "exceeds 1e+100 in magnitude\n")
     assert solve("1e100") == 0
+
+
+@pytest.mark.parametrize("value,shown", [
+    ("nan", "non-finite prescribed trace density nan"),
+    ("inf", "non-finite prescribed trace density inf"),
+    ("-1e200", "prescribed trace density -1e+200 exceeds 1e+100 in magnitude"),
+], ids=["nan", "inf", "minus-1e200"])
+def test_solve_div_csv_refusal_names_the_line(tmp_path, capsys, value, shown):
+    tr = tmp_path / "bad.csv"
+    tr.write_text(f"axis,i0,i1,side,g\n0,4,4,1,-1\n0,36,4,0,{value}\n")
+    assert main_code("solve-div", "--preset", "square", "--grid", "16",
+                     "--trace", str(tr)) == 2
+    assert capsys.readouterr().err == f"error: trace CSV line 3: {shown}\n"
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "file-as-out-dir"])

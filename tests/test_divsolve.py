@@ -96,7 +96,9 @@ def test_full_span_slit_disconnects(slit_square_32):
             idx = tuple(int(v) for v in i)
             td.set_side(a, idx, PLUS, 1.0)
             td.set_side(a, idx, MINUS, -1.0)
-    with pytest.raises(CompatibilityError):
+    # balanced over the set, so the refusal names the component
+    assert is_compatible(td)
+    with pytest.raises(CompatibilityError, match="incompatible on component 0: net flux"):
         solve_direct(slit_square_32, td)
 
 
@@ -151,10 +153,13 @@ def test_decomposed_internals(slit_square_32):
 
 def test_incompatible_raises(square_32):
     td = TraceData(square_32).fill(lambda X, nu: np.ones(X.shape[:-1]))
-    with pytest.raises(CompatibilityError):
-        solve_direct(square_32, td)
-    with pytest.raises(CompatibilityError):
-        solve_decomposed(square_32, td)
+    messages = []
+    for solver in (solve_direct, solve_decomposed):
+        with pytest.raises(CompatibilityError) as info:
+            solver(square_32, td)
+        messages.append(str(info.value))
+    # one global balance rule for both modes, checked before any solve
+    assert messages[0] == messages[1] == f"globally incompatible trace data: integral {td.integral}"
 
 
 def test_null_space_and_determinism(square_32):

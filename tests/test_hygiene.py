@@ -2,7 +2,8 @@
 module's private ``_name``, and none imports ``scipy.ndimage`` (box
 filters go through ``gridcore.box_any``).
 Start-up: ``import roughgg`` loads no scipy, each CLI subcommand loads
-only the scipy it calls, and the lazy package exports stay complete."""
+only the scipy and package modules it calls, ``solve-div`` refuses bad
+data before scipy loads, and the lazy package exports stay complete."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import roughgg
@@ -133,13 +135,13 @@ def test_no_cross_module_private_imports(path):
 
 
 # ---------------------------------------------------------------------------
-# start-up: which scipy each process loads
+# start-up: which scipy and package modules each process loads
 # ---------------------------------------------------------------------------
 
 SCIPY_PARTS = ("scipy.fft", "scipy.sparse", "scipy.spatial")
 
 # runs one CLI command in-process and prints, as its last line, the exit
-# code and the scipy modules loaded
+# code, the scipy modules loaded and the roughgg submodules loaded
 PROBE = """
 import json, sys
 from roughgg.cli import main
@@ -148,7 +150,9 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "scipy": sorted(
-    k for k in sys.modules if k == "scipy" or k.startswith("scipy."))}))
+    k for k in sys.modules if k == "scipy" or k.startswith("scipy.")),
+    "roughgg": sorted(k.split(".", 1)[1] for k in sys.modules
+                      if k.startswith("roughgg."))}))
 """
 
 
@@ -175,13 +179,15 @@ def test_import_loads_no_scipy(module):
 
 
 SLIT = ["--preset", "slit-square", "--grid", "16"]
+# subcommands that sample no field: no dmfield, no one-sided mollifier
+FIELDLESS = {"--help", "classify", "perimeter", "approx", "gallery"}
 
 
 @pytest.mark.parametrize("argv", [
     ["--help"],
-    ["classify", *SLIT],
+    ["classify", *SLIT, "--png", "cls.pgm"],
     ["perimeter", *SLIT],
-    ["approx", *SLIT],
+    ["approx", *SLIT, "--png", "approx.pgm"],
     ["approx", "--preset", "slit-square", "--grid", "32", "--sweep", "0.5,0.375,0.25"],
     ["trace", *SLIT, "--csv", "tr.csv"],
     ["gg-check", *SLIT],
@@ -189,7 +195,37 @@ SLIT = ["--preset", "slit-square", "--grid", "16"]
 ], ids=lambda argv: argv[0] + ("-sweep" if "--sweep" in argv else ""))
 def test_subcommand_loads_no_scipy(tmp_path, argv):
     out = _fresh_python(["-c", PROBE, *argv], cwd=tmp_path)
-    assert out == {"code": 0, "scipy": []}
+    assert (out["code"], out["scipy"]) == (0, [])
+    if argv[0] in FIELDLESS:
+        assert not {"dmfield", "onesided"} & set(out["roughgg"])
+
+
+def _refused_csv(path, value=None) -> None:
+    """A slit-square 1/16 trace CSV of unit outward density on every
+    side (net flux 12: the square's perimeter and both slit sides), or,
+    given ``value``, with its first density replaced by that text."""
+    from roughgg.dmfield import TraceData
+    from roughgg.domain import preset_set
+    from roughgg.io import trace_csv_text
+
+    set_ = preset_set("slit-square", 1.0 / 16.0, margin_cells=4)
+    td = TraceData(set_).fill(lambda X, nu: np.ones(X.shape[:-1]))
+    lines = trace_csv_text(td.side_weights, set_.grid).splitlines()
+    if value is not None:
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value,mode,code", [
+    (None, "direct", 3), (None, "decomposed", 3),
+    ("nan", "direct", 2), ("-1e200", "decomposed", 2),
+], ids=["unbalanced-direct", "unbalanced-decomposed", "nan", "huge"])
+def test_solve_div_refuses_before_scipy_loads(tmp_path, value, mode, code):
+    _refused_csv(tmp_path / "bad.csv", value)
+    out = _fresh_python(["-c", PROBE, "solve-div", *SLIT, "--trace", "bad.csv",
+                         "--mode", mode], cwd=tmp_path)
+    assert (out["code"], out["scipy"]) == (code, [])
+    assert "divsolve" not in out["roughgg"]
 
 
 def test_solve_div_loads_only_sparse(tmp_path):
@@ -233,16 +269,25 @@ def test_scipy_imports_anywhere():
 
 
 def test_cli_imports_heavy_modules_in_their_commands():
+    """At module level ``cli`` imports what its parser needs; each
+    subcommand imports the package modules it runs."""
     tree = ast.parse((SRC / "cli.py").read_text())
     top = {node.module for node in tree.body
            if isinstance(node, ast.ImportFrom) and node.level == 1}
-    assert not top & {"approx", "divsolve", "accept"}
+    assert top == {"_util", "domain", "errors"}
     inside = {node.name: {n.module for n in ast.walk(node)
                           if isinstance(n, ast.ImportFrom) and n.level == 1}
               for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert inside["cmd_approx"] == {"approx"}
-    assert inside["cmd_solve_div"] == {"divsolve"}
-    assert inside["cmd_accept"] == {"accept"}
+    assert {name: modules for name, modules in inside.items() if modules} == {
+        "_build_field": {"dmfield", "fields"},
+        "cmd_classify": {"io", "measure"},
+        "cmd_perimeter": {"measure"},
+        "cmd_approx": {"approx", "io"},
+        "cmd_trace": {"dmfield", "io"},
+        "cmd_gg_check": {"dmfield"},
+        "cmd_solve_div": {"dmfield", "io", "divsolve"},
+        "cmd_accept": {"accept"},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +297,13 @@ def test_cli_imports_heavy_modules_in_their_commands():
 EXPORTS = {
     "approx": ["ApproxReport", "BallCover", "approximation_sweep",
                "cantor_generation_sweep", "interior_approximation"],
-    "divsolve": ["SolveReport", "is_compatible", "solve_decomposed", "solve_direct",
-                 "verify_solution"],
+    "divsolve": ["SolveReport", "solve_decomposed", "solve_direct", "verify_solution"],
     "dmfield": ["FluxField", "SignedMeasure", "TestFunction", "TraceData",
                 "TraceMeasure", "VectorTestFunction", "bv_trace_check",
                 "default_phi_basis", "divergence_measure", "extend_by_zero",
                 "extension_bound_check", "gauss_green_residual",
-                "interior_normal_trace", "mollify_field", "normal_trace_pairing",
+                "interior_normal_trace", "is_compatible", "mollify_field",
+                "normal_trace_pairing",
                 "product_rule_check", "sample_field",
                 "trace_linfinity_check", "trace_measure", "trace_weak_convergence"],
     "domain": ["DomainSpec", "RoughSet", "make_grid", "parse_domain", "preset_set",
