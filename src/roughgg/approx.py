@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, box_any, lattice, nonzero, touching
+from .gridcore import FacetArrays, Grid, ball_rows, box_any, lattice, nonzero, touching
 from .measure import (
     EXTERIOR,
     BoundaryDecomposition,
@@ -106,8 +106,7 @@ def _hits(grid: Grid, radius: float, centers, cells: bool = False) -> list[np.nd
     if (np.abs(u - q).max() > 1e-6 or np.any(odd.sum(axis=1) != 1)
             or np.any(idx < 0) or np.any(idx > np.asarray(grid.extents))):
         raise InvariantViolation("a cover ball is not centred on a facet of the grid")
-    slot, offsets, shape, pad = lattice(grid, radius, "cover ball radius",
-                                        np.zeros((1, grid.n)) if cells else None)
+    slot, offsets, shape, pad = lattice(grid, radius, np.zeros((1, grid.n)) if cells else None)
     hit = np.zeros(math.prod(shape), dtype=bool)
     for a in range(grid.n):
         base = slot(a, idx[axes == a])
@@ -128,7 +127,7 @@ def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
     # marking margin: every cell whose closed cube touches a covered facet
     # (corner contact included) must land inside the ball
     reach = rho - dx * math.sqrt(0.25 + (grid.n - 1))
-    slot, offsets, shape, _ = lattice(grid, reach + 1e-12 * dx, "cover ball radius")
+    slot, offsets, shape, _ = lattice(grid, reach + 1e-12 * dx)
     slots = [(a, s) for a, mask in enumerate(targets.masks)
              for s in slot(a, np.stack(nonzero(mask), axis=1)).tolist()]
     covered = np.zeros(math.prod(shape), dtype=bool)
@@ -153,8 +152,11 @@ def _remove_balls(set_: RoughSet, balls) -> np.ndarray:
     removed = np.zeros(grid.extents, dtype=bool)
     for center, r, kind in balls:
         if kind != STAR_COVER:
-            window, inside = grid.ball(center, (r + slack) ** 2)
-            removed[window] |= inside
+            at = (np.asarray(center) - np.asarray(grid.origin)) / grid.spacing - 0.5
+            rows = ball_rows(((r + slack) / grid.spacing) ** 2, [at])
+            for row, lo, stop in zip(*(a[0].tolist() for a in rows)):
+                if all(0 <= i < m for i, m in zip(row, grid.extents)):
+                    removed[tuple(row)][max(lo, 0):max(stop, 0)] = True
     star = [(c, r) for c, r, kind in balls if kind == STAR_COVER]
     if star:  # one radius, as the cover makes them
         removed |= _hits(grid, star[0][1] + slack, [c for c, _ in star], cells=True)[0]

@@ -16,8 +16,11 @@ Conventions used throughout the package:
 - A facet centre has one formula, ``Grid.facet_centers``: ``origin[b] +
   (f[b] + 0.5) * spacing`` across the facet, ``origin[a] + f[a] * spacing``
   along it; ``facet_center_mesh`` and every facet centre handed out read it.
-- The facets or cells within ``r`` of a facet centre are one stencil
-  (``lattice``), a closed ball: one at distance exactly ``r`` counts.
+- A closed ball is counted one way, ``ball_count``: the true slots within
+  ``r`` of a point in lattice units, one at distance exactly ``r`` included,
+  read off a prefix sum at the two ends of each of the ball's rows
+  (``ball_rows``).  The facet cover's equal balls, many and small, are
+  marked instead on one stencil of offsets (``lattice``).
 - ``box_any`` is the one box filter.  Slots off the array hold False in the
   mask being dilated (``box_any(mask, r)``) or eroded
   (``~box_any(~mask, r, outside=True)``), so an erosion clears the outer layer.
@@ -108,6 +111,68 @@ def touches_edge(cells: np.ndarray) -> bool:
     return any(np.take(cells, [0, -1], axis=a).any() for a in range(cells.ndim))
 
 
+def ball_rows(r2: float, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed balls ``|o - c|^2 <= r2`` about ``points`` c ((N, n)
+    lattice coordinates, any reals) as rows along the last axis: per point
+    and row its slot across that axis (N, R, n - 1) and its slice
+    ``lo:stop`` along it (N, R), not clipped to any array."""
+    points = np.asarray(points, dtype=float)
+    base = np.floor(points)
+    t = points - base
+    t = t if t.any() else t[:1]  # centres on slots share one set of rows
+    k, n = int(math.sqrt(r2)) + 1, points.shape[1]
+    across = np.indices((2 * k + 1,) * (n - 1)).reshape(n - 1, -1).T - k
+    rem = r2 - ((across - t[:, None, :-1]) ** 2).sum(axis=-1)
+    # a root rounded up onto a whole number, or a row outside the ball, takes in no slot
+    s = np.sqrt(np.maximum(rem, 0.0))
+    s = np.where(np.floor(s) ** 2 > rem, np.nextafter(s, -1.0), s)
+    lo = np.ceil(t[:, -1:] - s).astype(int)
+    stop = np.maximum(np.floor(t[:, -1:] + s).astype(int) + 1, lo)
+    base = base.astype(int)
+    return base[:, None, :-1] + across, lo + base[:, -1:], stop + base[:, -1:]
+
+
+def ball_count(mask: np.ndarray, r2: float, points=None) -> np.ndarray:
+    """Number of true slots ``o`` of ``mask`` in the closed ball ``|o -
+    c|^2 <= r2`` (lattice units) about every slot ``c``, or about each row
+    of ``points`` (any reals); slots off the array count as false.  One
+    prefix sum along the last axis, read at the two ends of each row of
+    the ball (``ball_rows``), makes every count exact in integers."""
+    k = int(math.sqrt(r2)) + 1  # past every half-width
+    if points is not None:  # sum only the box the balls reach, False off the array
+        points = np.asarray(points, dtype=float)
+        corner = np.floor(points.min(axis=0)).astype(int) - k
+        box = np.zeros(np.floor(points.max(axis=0)).astype(int) + k + 2 - corner, dtype=bool)
+        src = tuple(slice(max(c, 0), max(min(c + b, m), c, 0))
+                    for c, b, m in zip(corner.tolist(), box.shape, mask.shape))
+        box[tuple(slice(sl.start - c, sl.stop - c) for sl, c in zip(src, corner))] = mask[src]
+        mask, points = box, points - corner
+    # the sum up to slot i - 1 sits at k - 1 + i, for -k < i <= m + k
+    m = mask.shape[-1]
+    cum = np.zeros(mask.shape[:-1] + (m + 2 * k,), dtype=np.int32)
+    np.cumsum(mask, axis=-1, out=cum[..., k:k + m])
+    cum[..., k + m:] = cum[..., k + m - 1:k + m]
+    if points is not None:
+        cum, counts = cum.reshape(-1, m + 2 * k)[:, k - 1:], []
+        step = max(1, 2**16 // (2 * k + 1) ** (mask.ndim - 1))
+        for j in range(0, len(points), step):
+            at, lo, stop = ball_rows(r2, points[j:j + step])
+            flat = np.ravel_multi_index(at.T, mask.shape[:-1]).T
+            counts.append((cum[flat, stop] - cum[flat, lo]).sum(axis=-1))
+        return np.concatenate(counts)
+    across, lo, stop = (a[0] for a in ball_rows(r2, np.zeros((1, mask.ndim))))
+    across, half = across[stop > lo], stop[stop > lo] - 1
+    # the ball is symmetric about a slot: its rows, grouped by half-width, add
+    # shifted copies of one run sum each, in the narrowest integers that hold a count
+    out = np.zeros(mask.shape, dtype=np.min_scalar_type(-(2 * k + 1) ** mask.ndim))
+    for h in np.unique(half):
+        runs = (cum[..., k + h:k + h + m] - cum[..., k - 1 - h:k - 1 - h + m]).astype(out.dtype)
+        for o in across[half == h]:
+            out[tuple(slice(max(0, -s), n - max(0, s)) for s, n in zip(o, mask.shape))] += \
+                runs[tuple(slice(max(0, s), n - max(0, -s)) for s, n in zip(o, mask.shape))]
+    return out
+
+
 # solve-div peaks at up to ~345 B per grid cell, so a grid at the cap fits in about 3 GB
 MAX_CELLS = 2**23
 
@@ -122,14 +187,14 @@ def lattice_reach(reach: float, n: int, what: str) -> int:
     return int(reach)
 
 
-def _stencil(n: int, dx: float, radius: float, what: str, shifts=None) -> list:
+def _stencil(n: int, dx: float, radius: float, shifts=None) -> list:
     """Index offsets ``o``, per ball facet axis ``a`` and target lattice
     ``b``, of the targets whose centres lie within ``radius`` of an
     axis-``a`` facet centre: ``|(o + e_a / 2 - shifts[b]) dx|^2 <=
     radius^2``.  The targets are the facets of each axis (``shifts[b] =
     e_b / 2``) unless ``shifts`` is given; the cells are shift 0.  The
-    refusal of a lattice past ``MAX_CELLS`` names "{what} {radius}"."""
-    r = lattice_reach(np.ceil(radius / dx) + 1, n, f"{what} {radius}")
+    refusal of a lattice past ``MAX_CELLS`` names the cover ball radius."""
+    r = lattice_reach(np.ceil(radius / dx) + 1, n, f"cover ball radius {radius}")
     box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * n, indexing="ij"), -1)
     box = box.reshape(-1, n)
     half = 0.5 * np.eye(n)
@@ -137,13 +202,13 @@ def _stencil(n: int, dx: float, radius: float, what: str, shifts=None) -> list:
              for s in (half if shifts is None else shifts)] for a in range(n)]
 
 
-def lattice(grid: Grid, radius: float, what: str, shifts=None):
+def lattice(grid: Grid, radius: float, shifts=None):
     """Every target lattice's slots (see ``_stencil``) in one flat array,
     each padded past the stencil in a common box, so an index offset is
     one flat offset.  Returns ``slot(axes, idx)``, the flat offsets per
     ball axis of the targets within ``radius``, the array's shape
     (targets, *box) and the padding."""
-    rows = _stencil(grid.n, grid.spacing, radius, what, shifts)
+    rows = _stencil(grid.n, grid.spacing, radius, shifts)
     pad = int(math.ceil(radius / grid.spacing)) + 1
     shape = (len(rows[0]),) + tuple(m + 1 + 2 * pad for m in grid.extents)
     size = math.prod(shape[1:])
@@ -222,25 +287,6 @@ class Grid:
 
     def facet_center(self, axis: int, fidx) -> np.ndarray:
         return np.array(self.facet_centers(axis, tuple(fidx)))
-
-    def ball(self, center, r2: float) -> tuple[tuple[slice, ...], np.ndarray]:
-        """Cell window around the ball ``|x - center|^2 <= r2`` and the mask
-        of the window cells whose centers lie in that ball.  Cells left
-        out of the window lie more than one spacing outside the ball."""
-        c = np.asarray(center, dtype=float)
-        r = math.sqrt(r2)
-        origin = np.asarray(self.origin)
-        lo = np.maximum(np.floor((c - r - origin) / self.spacing - 0.5), 0)
-        hi = np.minimum(np.ceil((c + r - origin) / self.spacing + 0.5),
-                        np.asarray(self.extents))
-        window = tuple(slice(int(l), int(h)) for l, h in zip(lo, hi))
-        coords = []
-        for a, sl in enumerate(window):
-            shape = [1] * self.n
-            shape[a] = -1
-            x = self.origin[a] + (np.arange(sl.start, sl.stop) + 0.5) * self.spacing
-            coords.append(((x - c[a]) ** 2).reshape(shape))
-        return window, sum(np.broadcast_arrays(*coords)) <= r2
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.origin)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError
-from .gridcore import (FacetArrays, Grid, box_any, lattice, lattice_reach, nonzero, touching,
+from .gridcore import (FacetArrays, Grid, ball_count, box_any, lattice_reach, nonzero, touching,
                        unit_ball_volume)
-from .mollify import MollifierKernel, convolve_same
+from .mollify import MollifierKernel
 
 EXTERIOR = 0
 ESSBOUNDARY = 1
@@ -72,13 +72,12 @@ class AhlforsReport:
 
 
 def density(set_: RoughSet, center, r: float) -> float:
-    """Volume fraction of the body in the closed ball B_r(center).
-
-    Counts indicator-true cell centers, scaled by the analytic ball
-    volume, clamped to [0, 1].
-    """
+    """Volume fraction of the body in the closed ball B_r(center), counted
+    as ``classify`` counts it about a cell (``_density_field``)."""
     grid = set_.grid
     center = np.asarray(center, dtype=float)
+    if center.shape != (grid.n,):
+        raise InputError(f"density center of shape {center.shape} is not a {grid.n}-D point")
     if not (math.isfinite(r) and np.isfinite(center).all()):
         raise InputError(f"density ball of radius {r} at {center.tolist()} is not finite")
     if r < 2.0 * grid.spacing:
@@ -86,23 +85,16 @@ def density(set_: RoughSet, center, r: float) -> float:
     glo, ghi = grid.bounds()
     if np.any(center - r < glo) or np.any(center + r > ghi):
         raise InputError("density ball exits the grid")
-    window, inside = grid.ball(center, r * r + 1e-12 * r * r)
-    count = int((set_.cells[window] & inside).sum())
-    ratio = count * grid.cell_volume / (unit_ball_volume(grid.n) * r**grid.n)
-    return float(min(1.0, max(0.0, ratio)))
+    return float(_density_field(set_, r, [(center - glo) / grid.spacing - 0.5])[0])
 
 
-def _density_field(set_: RoughSet, r: float) -> np.ndarray:
-    """Per-cell ball-fraction field (out-of-grid counts as exterior)."""
+def _density_field(set_: RoughSet, r: float, points=None) -> np.ndarray:
+    """Volume fraction of the body in the closed ball B_r about every cell,
+    or about ``points`` in cell units: indicator-true cell centres counted
+    by ``ball_count`` (off the grid counts as exterior), scaled by the
+    analytic ball volume, clamped to [0, 1]."""
     grid = set_.grid
-    radius_cells = r / grid.spacing
-    ticks = lattice_reach(np.floor(radius_cells + 1e-9), grid.n, f"density radius {r}")
-    axes = [np.arange(-ticks, ticks + 1) for _ in range(grid.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    kernel = (sum(m**2 for m in mesh) <= radius_cells**2 * (1 + 1e-12)).astype(float)
-    # 0/1 cells under a 0/1 kernel: integer counts, so FFT roundoff
-    # cannot move a density across a threshold
-    counts = np.rint(convolve_same(set_.cells.astype(float), kernel))
+    counts = ball_count(set_.cells, (r / grid.spacing) ** 2 * (1 + 1e-12), points)
     ratio = counts * grid.cell_volume / (unit_ball_volume(grid.n) * r**grid.n)
     return np.clip(ratio, 0.0, 1.0)
 
@@ -126,6 +118,7 @@ def classify(set_: RoughSet, r_star: float | None = None,
         raise InputError("classification radius must be >= 4 spacings")
     if not 0.0 < tau < 0.5:
         raise InputError("tau must lie in (0, 1/2)")
+    lattice_reach(np.floor(r_star / grid.spacing + 1e-9), grid.n, f"density radius {r_star}")
     dens = _density_field(set_, r_star)
     labels = np.full(grid.extents, ESSBOUNDARY, dtype=np.int8)
     labels[dens >= 1.0 - tau] = INTERIOR
@@ -179,7 +172,9 @@ def perimeter(grid: Grid, cells: np.ndarray, eps: float) -> float:
 def ahlfors_constant(grid: Grid, facets: FacetArrays, radii) -> AhlforsReport:
     """Best constant C with measure(set within B_r) <= C r^(n-1) over every
     facet center of the set and the given radii.  Each centre counts the
-    facets of the set on its closed-ball stencil (``gridcore.lattice``)."""
+    facets of the set in its closed ball by ``gridcore.ball_count`` on one
+    occupancy array in doubled coordinates, where the axis-a facet f sits
+    at 2 f + 1 - e_a and the ball has radius 2 r / spacing."""
     radii = [float(r) for r in radii]
     if not radii:
         raise InputError("Ahlfors estimation needs at least one radius")
@@ -189,20 +184,16 @@ def ahlfors_constant(grid: Grid, facets: FacetArrays, radii) -> AhlforsReport:
         raise InputError("Ahlfors estimation needs a nonempty facet set")
     if min(radii) < 4.0 * grid.spacing:
         raise InputError("Ahlfors radii must be >= 4 spacings")
+    points = np.concatenate([2 * np.stack(nonzero(mask), axis=1) + 1 - np.eye(grid.n, dtype=int)[a]
+                             for a, mask in enumerate(facets.masks)])
+    occupied = np.zeros(tuple(2 * m + 1 for m in grid.extents), dtype=bool)
+    occupied[tuple(points.T)] = True
     centers = facets.centers()
     witnesses = []
     for r in radii:
-        slot, offsets, shape, pad = lattice(grid, r, "Ahlfors radius")
-        occupied = np.zeros(shape, dtype=bool)
-        for b, mask in enumerate(facets.masks):
-            occupied[b][tuple(slice(pad, pad + m) for m in mask.shape)] = mask
-        counts = []
-        for a, mask in enumerate(facets.masks):
-            base = slot(a, np.stack(nonzero(mask), axis=1))
-            step = max(1, 2**20 // offsets[a].size)
-            counts += [occupied.ravel()[base[k:k + step, None] + offsets[a]].sum(axis=1)
-                       for k in range(0, base.size, step)]
-        ratios = np.concatenate(counts) * grid.facet_area / r ** (grid.n - 1)
+        lattice_reach(np.ceil(r / grid.spacing) + 1, grid.n, f"Ahlfors radius {r}")
+        counts = ball_count(occupied, (2.0 * r / grid.spacing) ** 2, points)
+        ratios = counts * grid.facet_area / r ** (grid.n - 1)
         j = int(np.argmax(ratios))
         witnesses.append((tuple(float(v) for v in centers[j]), r, float(ratios[j])))
     return AhlforsReport(constant=max(w[2] for w in witnesses), witnesses=witnesses)

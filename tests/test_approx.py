@@ -218,7 +218,7 @@ def test_stencil_edge_is_the_slack(n, a, b, offset):
     dist = dx * math.sqrt(((np.array(offset) + shift) ** 2).sum())
 
     def kept(reach):
-        return offset in map(tuple, _stencil(n, dx, reach + 1e-12 * dx, "reach")[a][b].tolist())
+        return offset in map(tuple, _stencil(n, dx, reach + 1e-12 * dx)[a][b].tolist())
 
     assert kept(dist - 0.5e-12 * dx)
     assert not kept(dist - 1.5e-12 * dx)
@@ -236,18 +236,18 @@ def test_lattice_reach_stops_at_the_cell_cap(n, largest):
 
 
 # ---------------------------------------------------------------------------
-# ball removal by cell stencil against a Grid.ball loop
+# ball removal by cell stencil and ball rows against brute-force distances
 # ---------------------------------------------------------------------------
 
 
 def _ball_loop_removal(set_, balls):
-    """Every ball's cells through its own ``Grid.ball`` window, with the
-    removal slack."""
+    """Every ball's cells by brute-force distances from the cell centres,
+    with the removal slack."""
     grid = set_.grid
     removed = np.zeros(grid.extents, dtype=bool)
     for center, r, _kind in balls:
-        window, inside = grid.ball(center, (r + 1e-9 * grid.spacing) ** 2)
-        removed[window] |= inside
+        d2 = sum((x - c) ** 2 for x, c in zip(grid.cell_center_mesh(), center))
+        removed |= d2 <= (r + 1e-9 * grid.spacing) ** 2
     return removed
 
 
@@ -265,16 +265,17 @@ def test_remove_balls_matches_ball_loop(name):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_remove_balls_clips_at_the_grid_edge(n):
-    """Balls on the outermost facets, and one of half density, whose
-    stencils and windows the grid cuts off."""
+    """Balls on the outermost facets, and two of half density in opposite
+    corners, whose stencils and rows the grid cuts off."""
     set_ = preset_set("square", 1.0 / 8.0) if n == 2 else _cover_case("slit-cube")[0]
     grid = set_.grid
     last = np.asarray(grid.extents) - 1
     rho = 4.0 * grid.spacing
     balls = [(tuple(float(v) for v in grid.facet_center(a, idx)), rho, STAR_COVER)
              for a in range(n) for idx in (np.zeros(n, dtype=int), last + np.eye(n, dtype=int)[a])]
-    balls.append((tuple(float(v) for v in grid.cell_center(last)), 3.0 * grid.spacing,
-                  EXTERIOR_HALF_DENSITY))
-    removed = _remove_balls(set_, balls)
-    assert removed.any()
-    assert np.array_equal(removed, _ball_loop_removal(set_, balls))
+    half = [(tuple(float(v) for v in grid.cell_center(idx)), 3.0 * grid.spacing,
+             EXTERIOR_HALF_DENSITY) for idx in (np.zeros(n, dtype=int), last)]
+    for kept in (balls + half, half):
+        removed = _remove_balls(set_, kept)
+        assert removed.any()
+        assert np.array_equal(removed, _ball_loop_removal(set_, kept))

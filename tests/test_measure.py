@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,22 +24,49 @@ from roughgg.measure import (
 @pytest.mark.parametrize("center, r2", [
     ((0.125, -0.375), 0.5 ** 2),     # a cell center: cells at exactly r
     ((0.0, 0.0), 0.75 ** 2),         # a grid node
-    ((-1.9, 1.3), 0.6 ** 2),         # window clipped by the grid edge
+    ((-1.9, 1.3), 0.6 ** 2),         # ball clipped by the grid edge
     ((0.3, 0.1, -0.2), 0.5 ** 2),
     ((0.125, 0.125, 0.125), 0.25 ** 2),
 ])
 def test_grid_ball_matches_brute_force(center, r2):
-    from roughgg.gridcore import Grid
+    """``ball_count`` about a centre in cell units (off the cell lattice
+    too) counts the cells whose centres lie within the ball."""
+    from roughgg.gridcore import Grid, ball_count
 
     n = len(center)
     grid = Grid(n=n, spacing=0.25, origin=(-2.0,) * n, extents=(16,) * n)
-    window, inside = grid.ball(center, r2)
-    got = np.zeros(grid.extents, dtype=bool)
-    got[window] = inside
     d2 = sum((x - c) ** 2 for x, c in zip(grid.cell_center_mesh(), center))
-    assert np.array_equal(got, d2 <= r2)
+    at = (np.asarray(center) + 2.0) / grid.spacing - 0.5
+    for cells in (np.ones(grid.extents, dtype=bool),
+                  np.random.default_rng(n).random(grid.extents) < 0.5):
+        got = ball_count(cells, r2 / grid.spacing**2, [at])
+        assert got.tolist() == [int((cells & (d2 <= r2)).sum())]
     if n == 2 and center == (0.125, -0.375):
         assert (d2 == r2).sum() == 4  # the exact-distance cells count
+
+
+def _brute_ball_count(mask, r2, points):
+    slots = np.argwhere(mask)
+    return np.array([int((((slots - p) ** 2).sum(axis=1) <= r2).sum()) for p in points])
+
+
+@pytest.mark.parametrize("shape", [(23, 19), (11, 9, 10)], ids=["2d", "3d"])
+@pytest.mark.parametrize("r2", [0.5, 25.0, 50.0, 65.0])
+def test_ball_count_matches_brute_force(shape, r2):
+    """Exact lattice ties (r^2 = 25, 50, 65 are sums of squares) and a
+    radius below one cell, about every slot, about the array corners (where
+    the ball leaves the array) and about centres off the lattice."""
+    from roughgg.gridcore import ball_count
+
+    rng = np.random.default_rng(len(shape) * 100 + int(r2))
+    mask = rng.random(shape) < 0.4
+    every = np.argwhere(np.ones(shape, dtype=bool))
+    corners = np.argwhere(np.ones((2,) * len(shape), dtype=bool)) * (np.array(shape) - 1)
+    off = rng.random((16, len(shape))) * (np.array(shape) + 4) - 2
+    assert np.array_equal(ball_count(mask, r2).ravel(), _brute_ball_count(mask, r2, every))
+    assert np.array_equal(ball_count(mask, r2, every), ball_count(mask, r2).ravel())
+    for points in (corners, off):
+        assert np.array_equal(ball_count(mask, r2, points), _brute_ball_count(mask, r2, points))
 
 
 def test_density_deep_interior(square_32):
@@ -65,6 +93,31 @@ def test_density_errors(square_32):
         density(square_32, (0.0, 0.0), dx)  # radius below two cells
     with pytest.raises(InputError):
         density(square_32, (1.0, 1.0), 10.0)  # ball exits the grid
+
+
+@pytest.mark.parametrize("center", [(0, 0, 0), (0.0,), [[0, 0]]], ids=["3", "1", "1x2"])
+def test_density_refuses_a_center_of_the_wrong_shape(square_32, center):
+    shape = np.shape(center)
+    with pytest.raises(InputError, match="^density center of shape " + re.escape(str(shape))):
+        density(square_32, center, 0.5)
+
+
+@pytest.mark.parametrize("name, spacing, k", [("slit-disk", 1.0 / 64.0, None),
+                                              ("cantor-cross", 1.0 / 36.0, 2)],
+                         ids=["slit-disk", "cantor-k2"])
+@pytest.mark.parametrize("multiple", [5.0, 6.5, 8.0])
+def test_density_at_cell_centres_matches_classify(name, spacing, k, multiple):
+    """``density`` and ``classify`` read one ball rule: at every cell whose
+    ball stays in the grid the two give the same value."""
+    set_ = preset_set(name, spacing, k=k)
+    grid = set_.grid
+    r = multiple * grid.spacing
+    field = classify(set_, r_star=r).density_at_finest
+    lo, hi = grid.bounds()
+    idx = np.argwhere(np.ones(grid.extents, dtype=bool))
+    idx = idx[np.all((grid.cell_center(idx) - r >= lo) & (grid.cell_center(idx) + r <= hi), axis=1)]
+    assert len(idx) > grid.extents[0]
+    assert [density(set_, grid.cell_center(i), r) for i in idx] == field[tuple(idx.T)].tolist()
 
 
 @pytest.mark.parametrize("center, r", [((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf),
@@ -327,7 +380,8 @@ def _exact_ahlfors(grid, facets, multiples):
     ("slit-disk", 1.0 / 128.0, None, [4, 16, 32, 64]),
     ("cantor-cross", 1.0 / 12.0, 1, [4, 8, 16]),
     ("cantor-cross", 1.0 / 36.0, 2, [4, 8, 16, 32, 64]),
-], ids=["square", "slit-disk", "cantor-k1", "cantor-k2"])
+    ("cantor-cross", 1.0 / 108.0, 3, [4, 8, 16, 32, 64, 128]),
+], ids=["square", "slit-disk", "cantor-k1", "cantor-k2", "cantor-k3"])
 def test_ahlfors_counts_match_an_exact_integer_count(name, spacing, k, multiples):
     """A facet at distance exactly r counts (cantor-cross k=1 reads 5.375)."""
     set_ = preset_set(name, spacing, k=k)
