@@ -18,9 +18,8 @@ _EXPORTS = {
                "cantor_generation_sweep", "interior_approximation"),
     "divsolve": ("SolveReport", "solve_decomposed", "solve_direct", "verify_solution"),
     "dmfield": ("FluxField", "SignedMeasure", "TestFunction", "TraceData",
-                "TraceMeasure", "VectorTestFunction", "bv_trace_check",
-                "default_phi_basis", "divergence_measure", "extend_by_zero",
-                "extension_bound_check", "gauss_green_residual",
+                "TraceMeasure", "default_phi_basis", "divergence_measure",
+                "extend_by_zero", "extension_bound_check", "gauss_green_residual",
                 "interior_normal_trace", "is_compatible", "mollify_field",
                 "normal_trace_pairing",
                 "product_rule_check", "sample_field",

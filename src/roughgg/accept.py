@@ -304,25 +304,22 @@ def criterion_10():
     if max(residuals) > 1e-10:
         return False, f"interior residual {max(residuals):.2e} > 1e-10"
     # incompatible data must exit with code 3 through the CLI
-    import subprocess
-    import sys
-    import tempfile
+    import contextlib
     import os
+    import tempfile
+    from io import StringIO
 
-    with tempfile.TemporaryDirectory() as tmp:
+    from .cli import main
+    from .io import write_trace_csv
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(StringIO()):
         bad = os.path.join(tmp, "bad.csv")
-        grid = sq.grid
         td_bad = TraceData(sq).fill(lambda X, nu: np.ones(X.shape[:-1]))
-        from .io import write_trace_csv
-
-        write_trace_csv(bad, td_bad.side_weights, grid)
-        proc = subprocess.run(
-            [sys.executable, "-m", "roughgg.cli", "solve-div", "--preset",
-             "square", "--grid", "32", "--margin", "4", "--trace", bad],
-            capture_output=True,
-        )
-    if proc.returncode != 3:
-        return False, f"incompatible data exited {proc.returncode}, want 3"
+        write_trace_csv(bad, td_bad.side_weights, sq.grid)
+        code = main(["solve-div", "--preset", "square", "--grid", "32", "--margin", "4",
+                     "--trace", bad])
+    if code != 3:
+        return False, f"incompatible data exited {code}, want 3"
     return True, (f"round-trip {max(gaps):.1e}, modes {mode_gap:.1e}, "
                   f"residual {max(residuals):.1e}, exit code 3 ok")
 

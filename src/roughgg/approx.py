@@ -27,7 +27,7 @@ from .measure import (
     Classification,
     boundary_decomposition,
     classify,
-    density,
+    density_field,
     perimeter,
 )
 
@@ -60,28 +60,37 @@ class ApproxReport:
     kappa: float  # cover sphere area over the boundary measure
 
 
+def _densities(set_: RoughSet, centers: np.ndarray, r: float) -> np.ndarray:
+    """``density`` about each row of ``centers`` (balls inside the grid) at
+    one radius, from one ball count."""
+    grid = set_.grid
+    return density_field(set_, r, (centers - grid.bounds()[0]) / grid.spacing - 0.5)
+
+
 def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
                         cls: Classification, delta: float) -> list:
     """Balls of certified density < 1/2 around exterior-density boundary
     cells: halving radius search, then greedy disjoint selection."""
     grid = set_.grid
     dx = grid.spacing
-    candidates = nonzero(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
-    found = []
+    idx = np.stack(nonzero(touching(bd.reduced.masks) & (cls.labels == EXTERIOR)), axis=1)
     glo, ghi = grid.bounds()
-    for idx in zip(*(c.tolist() for c in candidates)):
-        center = grid.cell_center(idx)
-        r = delta * 0.999  # keep radii strictly below the scale
-        # halving search; the floor sits at 4 cells so the window is
-        # nonempty even at the smallest admissible scale (delta = 8 cells)
-        while r >= 4.0 * dx:
-            inside = np.all(center - r >= glo) and np.all(center + r <= ghi)
-            if inside and density(set_, center, r) < 0.5:
-                found.append((tuple(float(c) for c in center), r))
-                break
-            r *= 0.5
-        # cells with no admissible radius are ordinary boundary material;
-        # the facet cover below takes care of them
+    centers = glo + (idx + 0.5) * dx  # as Grid.cell_center
+    found = []
+    r = delta * 0.999  # keep radii strictly below the scale
+    # halving search, one count per radius over the cells still unplaced;
+    # the floor sits at 4 cells so the window is nonempty even at the
+    # smallest admissible scale (delta = 8 cells).  Cells with no
+    # admissible radius are ordinary boundary material: the facet cover
+    # below takes care of them
+    while r >= 4.0 * dx and len(centers):
+        fits = np.all(centers - r >= glo, axis=1) & np.all(centers + r <= ghi, axis=1)
+        low = np.zeros_like(fits)
+        if fits.any():
+            low[fits] = _densities(set_, centers[fits], r) < 0.5
+        found += [(tuple(c), r) for c in centers[low].tolist()]
+        centers = centers[~low]
+        r *= 0.5
     found.sort(key=lambda cr: (-cr[1], cr[0]))
     accepted = []
     for center, r in found:
@@ -168,12 +177,14 @@ def audit_cover(set_: RoughSet, cover: BallCover,
     """Post-hoc exactness audit: low-density balls re-pass the half
     check, and the facet cover, centred on facets, covers every target."""
     grid = set_.grid
-    for center, r, kind in cover.balls:
-        if kind == EXTERIOR_HALF_DENSITY:
-            if not density(set_, center, r) < 0.5:
-                raise InvariantViolation(
-                    f"cover ball at {center} (r={r}) fails the density check"
-                )
+    half = [(c, r) for c, r, kind in cover.balls if kind == EXTERIOR_HALF_DENSITY]
+    for r in sorted({r for _, r in half}, reverse=True):  # in the cover's order
+        centers = [c for c, rc in half if rc == r]
+        low = _densities(set_, np.array(centers), r) < 0.5
+        if not low.all():
+            raise InvariantViolation(
+                f"cover ball at {centers[np.argmin(low)]} (r={r}) fails the density check"
+            )
     star_balls = [(c, r) for c, r, k in cover.balls if k == STAR_COVER]
     if targets.count() == 0:
         return

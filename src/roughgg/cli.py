@@ -278,13 +278,11 @@ def cmd_gg_check(args) -> int:
 
 
 def cmd_solve_div(args) -> int:
-    from .dmfield import TraceData, check_prescription
+    from .dmfield import check_prescription
     from .io import read_trace_csv, write_flux_field
 
     _, set_ = _build_set(args)
-    td = TraceData(set_)
-    for key, g in read_trace_csv(args.trace, set_.grid).items():
-        td.set_side(*key, g)
+    td = read_trace_csv(args.trace, set_)
     # refused data (exit 2 or 3) never pays for loading the solver and scipy
     check_prescription(td)
     from .divsolve import solve_decomposed, solve_direct, verify_solution

@@ -5,8 +5,7 @@ boundary/crack facet-side values reproduce prescribed trace densities.
 A prescription is a ``TraceData`` (defined in ``dmfield``, the same type
 as the trace of a field): per-axis minus/plus density arrays on the
 legal facet sides, so the audits compare the trace of the solution with
-the prescription array against array; dicts keyed by facet side are only
-read and written at the CSV edge.  Crack facets cut the cell graph, so
+the prescription array against array.  Crack facets cut the cell graph, so
 the two sides of a crack take independent prescriptions; compatibility
 (zero net prescribed flux) is enforced per connected component of the
 crack-split graph.
@@ -35,7 +34,7 @@ refuse what ``dmfield.check_prescription`` refuses: a density that is
 not finite or exceeds ``MAX_DENSITY`` in magnitude (``InputError``), or
 net flux over the whole set (``CompatibilityError``).  Those checks need
 no scipy and live in ``dmfield``, so the command line runs them before
-this module loads; ``is_compatible`` is re-exported from there.
+this module loads.
 
 The matrix is assembled straight from the grid as a sorted int32 CSR:
 each node's row is read off a per-node table of its neighbours in
@@ -54,13 +53,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dmfield import FluxField, TraceData, cell_balance, check_prescription, is_compatible
+from .dmfield import FluxField, TraceData, cell_balance, check_prescription
 from .domain import RoughSet
 from .errors import CompatibilityError, InputError, InvariantViolation
 from .gridcore import MINUS, PLUS, faces, lift, side_orient, touches_edge
 
-__all__ = ["SolveReport", "TraceData", "is_compatible", "solve_decomposed", "solve_direct",
-           "verify_solution"]
+__all__ = ["SolveReport", "TraceData", "solve_decomposed", "solve_direct", "verify_solution"]
 
 # Fixed multigrid constants (not tuning knobs): coarsening stops at
 # COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;

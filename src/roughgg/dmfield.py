@@ -93,22 +93,6 @@ def default_phi_basis(grid: Grid, degree: int = 2) -> list[TestFunction]:
     return [TestFunction(e) for e in exps + (cubics if degree == 3 else [])]
 
 
-class VectorTestFunction:
-    """Compactly supported vector field with analytic divergence (for the
-    scalar-trace integration-by-parts check)."""
-
-    def __init__(self, components, divergence, name: str = "phi_vec"):
-        self.components = components  # list of callables X -> scalar array
-        self.divergence = divergence
-        self.name = name
-
-    def component(self, X, axis: int):
-        return self.components[axis](X)
-
-    def div(self, X):
-        return self.divergence(X)
-
-
 # ---------------------------------------------------------------------------
 # flux fields
 # ---------------------------------------------------------------------------
@@ -800,7 +784,7 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray) -> InteriorTraceRep
 
 
 # ---------------------------------------------------------------------------
-# product rule, extension bound, scalar traces
+# product rule and extension bound
 # ---------------------------------------------------------------------------
 
 
@@ -890,42 +874,3 @@ def extension_bound_check(F: FluxField) -> dict:
             f"{F.sup_bound} x {star})"
         )
     return report
-
-
-def bv_trace_check(u_fn, set_: RoughSet, vec_basis: list[VectorTestFunction]) -> dict:
-    """Integration-by-parts audit for bounded scalars on crack-free sets:
-    the one-sided boundary sample acts as the trace on the reduced
-    boundary (interior normal convention)."""
-    grid = set_.grid
-    if set_.cracks.count():
-        raise InputError("scalar trace check requires an empty crack part")
-    Xc = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
-    u = np.where(set_.cells, np.asarray(u_fn(Xc), dtype=float), 0.0)
-    if not np.all(np.isfinite(u)):
-        raise InputError("u must be bounded")
-    top = set_.topology
-    worst = 0.0
-    per_phi = []
-    for phi in vec_basis:
-        # volume terms: sum phi . dDu (facet jumps) + sum u div phi
-        vol = float((u[set_.cells] * phi.div(Xc)[set_.cells]).sum()) * grid.cell_volume
-        jump_term = 0.0
-        boundary_term = 0.0
-        for a in range(grid.n):
-            Xf = np.stack(np.broadcast_arrays(*grid.facet_center_mesh(a)), axis=-1)
-            phi_a = phi.component(Xf, a)
-            u_lo, u_up = lift(u, a)
-            jump_term += float(
-                ((u_up - u_lo) * phi_a)[top.interior[a]].sum()
-            ) * grid.facet_area
-            bmask = top.boundary[a]
-            ins_low = top.inside_lower[a]
-            u_star = np.where(ins_low, u_lo, u_up)
-            nu_interior = np.where(ins_low, -1.0, 1.0)  # interior unit normal
-            boundary_term += float(
-                (u_star * phi_a * nu_interior)[bmask].sum()
-            ) * grid.facet_area
-        residual = abs((jump_term + vol) - (-boundary_term))
-        per_phi.append({"phi": phi.name, "residual": residual})
-        worst = max(worst, residual)
-    return {"residual": worst, "per_phi": per_phi}

@@ -321,6 +321,3 @@ class FacetArrays:
         return FacetArrays(
             self.grid, [a | b for a, b in zip(self.masks, other.masks)]
         )
-
-    def intersection_count(self, other: "FacetArrays") -> int:
-        return int(sum(int((a & b).sum()) for a, b in zip(self.masks, other.masks)))

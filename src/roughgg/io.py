@@ -19,7 +19,7 @@ from .errors import InputError
 from .gridcore import MINUS, PLUS, Grid
 
 if TYPE_CHECKING:
-    from .dmfield import FluxField
+    from .dmfield import FluxField, TraceData
 
 MAGIC = b"DMF1"
 
@@ -167,17 +167,21 @@ def write_trace_csv(path: str, side_weights: dict, grid: Grid) -> None:
     atomic_write_text(path, trace_csv_text(side_weights, grid))
 
 
-def read_trace_csv(path: str, grid: Grid) -> dict:
-    """Parse (axis, facet index, side) -> g rows back into a dict.
+def read_trace_csv(path: str, set_: RoughSet) -> TraceData:
+    """Read (axis, facet index, side, g) rows into a ``TraceData`` on ``set_``.
 
-    Every row must name an existing facet of ``grid``: the axis lies in
+    Every row must name an existing facet of the grid: the axis lies in
     [0, n) and each index in [0, facet_shape(axis)), so no index wraps.
-    No facet side may be named twice, and every density is finite and at
-    most ``dmfield.MAX_DENSITY`` in magnitude.
+    No facet side may be named twice, each side must be a trace side of
+    ``set_`` (both sides of a crack facet, the body side of a reduced
+    facet), and every density is finite and at most
+    ``dmfield.MAX_DENSITY`` in magnitude.  Each refusal names its line.
     """
-    from .dmfield import MAX_DENSITY
+    from .dmfield import MAX_DENSITY, TraceData
 
-    out, line_of = {}, {}
+    grid = set_.grid
+    td = TraceData(set_)
+    line_of = [np.zeros((2,) + grid.facet_shape(a), dtype=np.int64) for a in range(grid.n)]
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -216,9 +220,13 @@ def read_trace_csv(path: str, grid: Grid) -> dict:
                 raise InputError(
                     f"trace CSV line {line_no}: facet index {idx} outside "
                     f"the axis-{axis} facet grid {shape}")
-            key = (axis, idx, side)
-            if key in line_of:
-                raise InputError(f"trace CSV line {line_no}: facet side {key} "
-                                 f"already given on line {line_of[key]}")
-            out[key], line_of[key] = g, line_no
-    return out
+            seen = line_of[axis][(side, *idx)]
+            if seen:
+                raise InputError(f"trace CSV line {line_no}: facet side {(axis, idx, side)} "
+                                 f"already given on line {seen}")
+            try:
+                td.set_side(axis, idx, side, g)
+            except InputError as exc:
+                raise InputError(f"trace CSV line {line_no}: {exc}") from exc
+            line_of[axis][(side, *idx)] = line_no
+    return td

@@ -73,7 +73,7 @@ class AhlforsReport:
 
 def density(set_: RoughSet, center, r: float) -> float:
     """Volume fraction of the body in the closed ball B_r(center), counted
-    as ``classify`` counts it about a cell (``_density_field``)."""
+    as ``classify`` counts it about a cell (``density_field``)."""
     grid = set_.grid
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.n,):
@@ -85,10 +85,10 @@ def density(set_: RoughSet, center, r: float) -> float:
     glo, ghi = grid.bounds()
     if np.any(center - r < glo) or np.any(center + r > ghi):
         raise InputError("density ball exits the grid")
-    return float(_density_field(set_, r, [(center - glo) / grid.spacing - 0.5])[0])
+    return float(density_field(set_, r, [(center - glo) / grid.spacing - 0.5])[0])
 
 
-def _density_field(set_: RoughSet, r: float, points=None) -> np.ndarray:
+def density_field(set_: RoughSet, r: float, points=None) -> np.ndarray:
     """Volume fraction of the body in the closed ball B_r about every cell,
     or about ``points`` in cell units: indicator-true cell centres counted
     by ``ball_count`` (off the grid counts as exterior), scaled by the
@@ -119,7 +119,7 @@ def classify(set_: RoughSet, r_star: float | None = None,
     if not 0.0 < tau < 0.5:
         raise InputError("tau must lie in (0, 1/2)")
     lattice_reach(np.floor(r_star / grid.spacing + 1e-9), grid.n, f"density radius {r_star}")
-    dens = _density_field(set_, r_star)
+    dens = density_field(set_, r_star)
     labels = np.full(grid.extents, ESSBOUNDARY, dtype=np.int8)
     labels[dens >= 1.0 - tau] = INTERIOR
     labels[dens <= tau] = EXTERIOR
@@ -135,9 +135,6 @@ def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecom
     """Split the discrete boundary into the reduced part, the crack part,
     and exterior-density boundary cells, with the combined measure."""
     reduced = FacetArrays(set_.grid, list(set_.topology.boundary))
-    overlap = reduced.intersection_count(set_.cracks)
-    if overlap:
-        raise InputError("crack facets may not coincide with reduced facets")
     exterior_part = touching(reduced.masks) & ~set_.cells & (cls.labels == EXTERIOR)
     return BoundaryDecomposition(
         reduced=reduced,

@@ -22,32 +22,25 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def convolve_same(values, weights: np.ndarray):
+def convolve_same(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Linear convolution with zero padding, cropped to ``values.shape``
     (centered, as ``scipy.signal.fftconvolve(..., mode="same")``).
 
     ``numpy.fft`` real FFTs run over the axes where both sizes exceed 1
     (the others broadcast), padded to ``_fast_len`` of the full size.
-    ``values`` may also be a list of same-shape arrays: the kernel is then
-    transformed once and a list of results comes back, each equal to its
-    own single-array call.
     """
-    batch = [np.asarray(v, dtype=float) for v in
-             (values if isinstance(values, list) else [values])]
-    s1, s2 = batch[0].shape, weights.shape
+    values = np.asarray(values, dtype=float)
+    s1, s2 = values.shape, weights.shape
     axes = [a for a in range(len(s1)) if s1[a] != 1 and s2[a] != 1]
     full = [s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a])
             for a in range(len(s1))]
     crop = tuple(slice((f - k) // 2, (f - k) // 2 + k) for f, k in zip(full, s1))
-    if axes:
-        fshape = [_fast_len(full[a]) for a in axes]
-        spectrum = np.fft.rfftn(weights, fshape, axes=axes)
-        outs = [np.fft.irfftn(np.fft.rfftn(v, fshape, axes=axes) * spectrum, fshape,
-                              axes=axes)[tuple(slice(k) for k in full)][crop].copy()
-                for v in batch]
-    else:
-        outs = [(v * weights)[crop].copy() for v in batch]
-    return outs if isinstance(values, list) else outs[0]
+    if not axes:
+        return (values * weights)[crop].copy()
+    fshape = [_fast_len(full[a]) for a in axes]
+    out = np.fft.irfftn(np.fft.rfftn(values, fshape, axes=axes)
+                        * np.fft.rfftn(weights, fshape, axes=axes), fshape, axes=axes)
+    return out[tuple(slice(k) for k in full)][crop].copy()
 
 
 class MollifierKernel:
@@ -74,8 +67,8 @@ class MollifierKernel:
         self.weights = profile / profile.sum()
         self.radius_cells = radius
 
-    def smooth_cells(self, values):
-        """Convolve a cell array (or a list) with the kernel, zero padded."""
+    def smooth_cells(self, values: np.ndarray) -> np.ndarray:
+        """Convolve a cell array with the kernel, zero padded."""
         return convolve_same(values, self.weights)
 
 
@@ -84,7 +77,7 @@ def smooth_cells_masked(kernel: MollifierKernel, values: np.ndarray,
     """Mollify a cell field defined only on ``mask``, zero outside it like
     the result: the kernel is renormalized over the masked cells, so
     constants are preserved up to the mask boundary (one-sided smoothing)."""
-    num, den = kernel.smooth_cells([values, mask.astype(float)])
+    num, den = kernel.smooth_cells(values), kernel.smooth_cells(mask)
     return np.divide(num, den, out=np.zeros(values.shape), where=mask & (den > 0.0))
 
 

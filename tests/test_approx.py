@@ -21,8 +21,8 @@ from roughgg.approx import (
 )
 from roughgg.domain import RoughSet, make_grid, parse_domain, preset_set, rasterize
 from roughgg.errors import InputError, InvariantViolation
-from roughgg.gridcore import _stencil, lattice_reach
-from roughgg.measure import boundary_decomposition, classify, density
+from roughgg.gridcore import FacetArrays, Grid, _stencil, lattice_reach, touching
+from roughgg.measure import EXTERIOR, boundary_decomposition, classify, density
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,47 @@ def test_half_density_balls_on_whisker():
     X = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
     whisker = rs.cells & (X[..., 0] > 1.0)
     assert not (rep.e_cells & whisker).any()
+
+
+def _half_density_loop(set_, bd, cls, delta):
+    """The halving search one centre and one ``density`` call at a time."""
+    grid = set_.grid
+    glo, ghi = grid.bounds()
+    candidates = np.argwhere(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
+    found = []
+    for idx in candidates:
+        center = grid.cell_center(idx)
+        r = delta * 0.999
+        while r >= 4.0 * grid.spacing:
+            if (np.all(center - r >= glo) and np.all(center + r <= ghi)
+                    and density(set_, center, r) < 0.5):
+                found.append((tuple(float(c) for c in center), r))
+                break
+            r *= 0.5
+    found.sort(key=lambda cr: (-cr[1], cr[0]))
+    accepted = []
+    for center, r in found:
+        if all(np.linalg.norm(np.subtract(center, c2)) >= r + r2 for c2, r2 in accepted):
+            accepted.append((center, r))
+    return [(c, r, EXTERIOR_HALF_DENSITY) for c, r in accepted]
+
+
+@pytest.mark.parametrize("n, extent, dust", [(2, 96, 0.02), (3, 48, 0.01)])
+def test_half_density_balls_match_a_per_centre_loop(n, extent, dust):
+    """A core box in dust: hundreds of exterior-density candidates, many
+    of whose balls leave the grid at the larger scales."""
+    grid = Grid(n=n, spacing=1.0 / 32.0, origin=(-1.0,) * n, extents=(extent,) * n)
+    cells = np.random.default_rng(n).random(grid.extents) < dust
+    cells[(slice(extent // 4, 3 * extent // 4),) * n] = True
+    set_ = RoughSet(grid, cells)
+    cls = classify(set_)
+    bd = boundary_decomposition(set_, cls)
+    assert (touching(bd.reduced.masks) & (cls.labels == EXTERIOR)).sum() > 300
+    for m in (8, 16, 32):
+        balls = _half_density_balls(set_, bd, cls, m * grid.spacing)
+        assert balls == _half_density_loop(set_, bd, cls, m * grid.spacing)
+        assert balls
+        audit_cover(set_, BallCover(balls=balls, totals={}), FacetArrays(grid))
 
 
 def test_interior_approximation_deterministic(slit_256):

@@ -222,14 +222,16 @@ def test_solve_div_huge_density_exit_2(tmp_path, mode, capsys):
     assert solve("1e100") == 0
 
 
-@pytest.mark.parametrize("value,shown", [
-    ("nan", "non-finite prescribed trace density nan"),
-    ("inf", "non-finite prescribed trace density inf"),
-    ("-1e200", "prescribed trace density -1e+200 exceeds 1e+100 in magnitude"),
-], ids=["nan", "inf", "minus-1e200"])
-def test_solve_div_csv_refusal_names_the_line(tmp_path, capsys, value, shown):
+@pytest.mark.parametrize("row,shown", [
+    ("0,36,4,0,nan", "non-finite prescribed trace density nan"),
+    ("0,36,4,0,inf", "non-finite prescribed trace density inf"),
+    ("0,36,4,0,-1e200", "prescribed trace density -1e+200 exceeds 1e+100 in magnitude"),
+    # the exterior side of the reduced facet whose body side is on line 2
+    ("0,4,4,0,1", "(axis 0, (4, 4), side 0) is not a trace side"),
+], ids=["nan", "inf", "minus-1e200", "exterior-side"])
+def test_solve_div_csv_refusal_names_the_line(tmp_path, capsys, row, shown):
     tr = tmp_path / "bad.csv"
-    tr.write_text(f"axis,i0,i1,side,g\n0,4,4,1,-1\n0,36,4,0,{value}\n")
+    tr.write_text(f"axis,i0,i1,side,g\n0,4,4,1,-1\n{row}\n")
     assert main_code("solve-div", "--preset", "square", "--grid", "16",
                      "--trace", str(tr)) == 2
     assert capsys.readouterr().err == f"error: trace CSV line 3: {shown}\n"

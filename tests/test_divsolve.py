@@ -11,12 +11,12 @@ import roughgg.divsolve as ds
 from roughgg.divsolve import (
     SolveReport,
     TraceData,
-    is_compatible,
     solve_decomposed,
     solve_direct,
     verify_solution,
 )
-from roughgg.dmfield import FluxField, divergence_measure, sample_field, trace_measure
+from roughgg.dmfield import (FluxField, divergence_measure, is_compatible, sample_field,
+                             trace_measure)
 from roughgg.domain import PRESET_NAMES, RoughSet, preset_set
 from roughgg.errors import CompatibilityError, InputError
 from roughgg.fields import separated_smooth_field, slit_jump_field

@@ -10,10 +10,8 @@ from roughgg.dmfield import (
     FluxField,
     TestFunction,
     TraceData,
-    VectorTestFunction,
     _facet_pairing,
     _midpoint_phi,
-    bv_trace_check,
     default_phi_basis,
     divergence_measure,
     extend_by_zero,
@@ -1032,46 +1030,6 @@ def test_extension_bound_smooth_margin(disk_64):
     F = sample_field(separated_smooth_field(), disk_64, 1.0)
     rep = extension_bound_check(F)
     assert rep["extended_tv"] <= rep["bound"] / 2.0  # margin of at least one
-
-
-def test_bv_trace_constant_and_linear(square_32):
-    def u1(X):
-        return np.ones(X.shape[:-1])
-
-    def ux(X):
-        return X[..., 0]
-
-    def make(a):
-        comps = [
-            (lambda X, aa=b: np.ones(X.shape[:-1]) if aa == a else np.zeros(X.shape[:-1]))
-            for b in range(2)
-        ]
-        return VectorTestFunction(comps, lambda X: np.zeros(X.shape[:-1]), name=f"e{a}")
-
-    def quad(a):
-        comps = [
-            (lambda X, aa=b: X[..., 0] * X[..., 1] if aa == a else np.zeros(X.shape[:-1]))
-            for b in range(2)
-        ]
-        div = (lambda X: X[..., 1]) if a == 0 else (lambda X: X[..., 0])
-        return VectorTestFunction(comps, div, name=f"xy e{a}")
-
-    basis = [make(0), make(1), quad(0), quad(1)]
-    res1 = bv_trace_check(u1, square_32, basis)
-    assert res1["residual"] <= 0.2 * square_32.grid.spacing * 8.0
-    residuals = []
-    for denom in (32, 64):
-        set_ = preset_set("square", 1.0 / denom, margin_cells=4)
-        residuals.append(bv_trace_check(ux, set_, basis)["residual"])
-    assert residuals[1] <= 0.6 * residuals[0]
-
-
-def test_bv_trace_rejects_cracks(slit_square_32):
-    def u1(X):
-        return np.ones(X.shape[:-1])
-
-    with pytest.raises(InputError):
-        bv_trace_check(u1, slit_square_32, [])
 
 
 def test_three_dimensional_trace_and_divergence():

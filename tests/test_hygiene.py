@@ -10,6 +10,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -299,9 +300,8 @@ EXPORTS = {
                "cantor_generation_sweep", "interior_approximation"],
     "divsolve": ["SolveReport", "solve_decomposed", "solve_direct", "verify_solution"],
     "dmfield": ["FluxField", "SignedMeasure", "TestFunction", "TraceData",
-                "TraceMeasure", "VectorTestFunction", "bv_trace_check",
-                "default_phi_basis", "divergence_measure", "extend_by_zero",
-                "extension_bound_check", "gauss_green_residual",
+                "TraceMeasure", "default_phi_basis", "divergence_measure",
+                "extend_by_zero", "extension_bound_check", "gauss_green_residual",
                 "interior_normal_trace", "is_compatible", "mollify_field",
                 "normal_trace_pairing",
                 "product_rule_check", "sample_field",
@@ -321,8 +321,42 @@ EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in name
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTED) == 59
+    assert len(EXPORTED) == 57
     assert sorted(roughgg.__all__) == sorted(name for _, name in EXPORTED)
+
+
+# every file that may use an export: the package's modules, the demos and
+# the benchmark harness (tests do not count)
+USERS = MODULES + sorted((SRC.parents[1] / "demos").glob("*.py")) + sorted(
+    (SRC.parents[1] / "perfbench").glob("*.py"))
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """``_references`` outside type annotations, plus the parts of the
+    string constants that are dotted paths such as ``"Class.method"``
+    (``perfbench`` rebinds its timed functions by name)."""
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            node.annotation = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+    strings = [node.value for node in nodes
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return _references(tree).union(*(s.split(".") for s in strings
+                                     if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)+", s)))
+
+
+@pytest.fixture(scope="module")
+def used_outside_tests() -> set[str]:
+    return set().union(*(_uses(ast.parse(p.read_text())) for p in USERS))
+
+
+@pytest.mark.parametrize("module,name", EXPORTED, ids=[n for _, n in EXPORTED])
+def test_export_has_a_user_outside_the_tests(module, name, used_outside_tests):
+    """Public API that only the tests reach is deleted, not exported; a
+    definition or the ``__init__`` table does not count as a use."""
+    assert name in used_outside_tests
 
 
 @pytest.mark.parametrize("module,name", EXPORTED, ids=[n for _, n in EXPORTED])

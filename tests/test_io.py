@@ -213,11 +213,10 @@ def test_trace_csv_round_trip(tmp_path, slit_square_32):
     tm = trace_measure(F)
     path = os.path.join(tmp_path, "tr.csv")
     write_trace_csv(path, tm.side_weights, slit_square_32.grid)
-    back = read_trace_csv(path, slit_square_32.grid)
-    area = slit_square_32.grid.facet_area
-    assert set(back) == set(tm.side_weights)
-    for key, g in back.items():
-        assert g == pytest.approx(tm.side_weights[key] / area)
+    back = read_trace_csv(path, slit_square_32)
+    for (_, _, mask, arr), (*_, expected) in zip(back.slots(), tm.slots()):
+        assert not arr[~mask].any()
+        assert arr == pytest.approx(np.where(mask, expected, 0.0))
 
 
 def test_trace_csv_malformed(tmp_path, square_32):
@@ -225,25 +224,26 @@ def test_trace_csv_malformed(tmp_path, square_32):
     with open(path, "w") as handle:
         handle.write("axis,i0,i1,side,g\n0,1\n")
     with pytest.raises(InputError):
-        read_trace_csv(path, square_32.grid)
+        read_trace_csv(path, square_32)
     with open(path, "w") as handle:
         handle.write("nope\n")
     with pytest.raises(InputError):
-        read_trace_csv(path, square_32.grid)
+        read_trace_csv(path, square_32)
     with open(path, "w") as handle:
         handle.write("axis,i0,i1,side,g\n0,1,1,7,0.5\n")
     with pytest.raises(InputError):
-        read_trace_csv(path, square_32.grid)
+        read_trace_csv(path, square_32)
 
 
-@pytest.mark.parametrize("repeat", ["0,1,1,0,0.5", "0,1,1,0,-0.5"],
-                         ids=["same-value", "conflicting-value"])
+@pytest.mark.parametrize("repeat", ["0.5", "-0.5"], ids=["same-value", "conflicting-value"])
 def test_trace_csv_repeated_side(tmp_path, square_32, repeat):
+    # two legal sides: the MINUS (lower-cell) sides of reduced axis-0 facets
+    first, second = (f"0,{i},{j},0" for i, j in np.argwhere(square_32.topology.minus[0])[:2])
     path = os.path.join(tmp_path, "dup.csv")
     with open(path, "w") as handle:
-        handle.write("axis,i0,i1,side,g\n0,1,1,0,0.5\n0,2,1,0,0.5\n" + repeat + "\n")
+        handle.write(f"axis,i0,i1,side,g\n{first},0.5\n{second},0.5\n{first},{repeat}\n")
     with pytest.raises(InputError, match="line 4.*line 2"):
-        read_trace_csv(path, square_32.grid)
+        read_trace_csv(path, square_32)
 
 
 def test_atomic_write_leaves_no_partial(tmp_path):

@@ -33,7 +33,9 @@ def _numpy_fft_same(values, weights):
     ((32, 21), (5, 5)),
     ((4, 30), (11, 11)),      # kernel wider than the array along one axis
     ((1, 17), (3, 3)),        # a size-1 axis is broadcast, not transformed
+    ((9, 9), (1, 5)),         # likewise a size-1 axis of the kernel
     ((17, 12, 9), (5, 5, 5)),
+    ((12, 1, 9), (5, 5, 5)),
     ((16, 11, 10), (7, 7, 7)),
 ])
 def test_convolve_same_equals_fftconvolve(values_shape, weights_shape):
@@ -49,26 +51,6 @@ def test_convolve_same_equals_fftconvolve(values_shape, weights_shape):
         assert np.array_equal(got, expected)
         direct = convolve(v, weights, mode="same", method="direct")
         assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
-
-
-@pytest.mark.parametrize("values_shape, weights_shape", [
-    ((33, 20), (9, 9)),
-    ((1, 17), (3, 3)),        # a size-1 axis of the values
-    ((9, 9), (1, 5)),         # a size-1 axis of the kernel
-    ((17, 12, 9), (5, 5, 5)),
-    ((12, 1, 9), (5, 5, 5)),
-])
-def test_convolve_same_list_equals_separate_calls(values_shape, weights_shape):
-    """A list shares one kernel spectrum; each result is its own call's."""
-    rng = np.random.default_rng(len(values_shape) + sum(values_shape))
-    batch = [rng.standard_normal(values_shape),
-             (rng.random(values_shape) > 0.5).astype(float),
-             rng.integers(-3, 4, values_shape)]
-    weights = rng.random(weights_shape)
-    got = convolve_same(batch, weights)
-    assert isinstance(got, list) and len(got) == len(batch)
-    for out, values in zip(got, batch):
-        assert np.array_equal(out, convolve_same(values, weights))
 
 
 def test_fast_len_matches_scipy():
