@@ -13,6 +13,7 @@ linear in the scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,13 +93,21 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
         centers = centers[~low]
         r *= 0.5
     found.sort(key=lambda cr: (-cr[1], cr[0]))
-    accepted = []
-    for center, r in found:
+    if not found:
+        return []
+    # buckets just wider than the largest diameter: an accepted ball is filed
+    # under the 3^n buckets about its own, and a found ball is tested exactly
+    # against those filed under its bucket (the rest are provably apart)
+    side = 2.0 * found[0][1] * (1.0 + 1e-9)
+    keys = np.floor((np.array([c for c, _ in found]) - glo) / side).astype(int).tolist()
+    block = np.array(list(itertools.product((-1, 0, 1), repeat=grid.n)))
+    near, accepted = {}, []
+    for (center, r), key in zip(found, keys):
         c = np.asarray(center)
-        if all(
-            np.linalg.norm(c - np.asarray(c2)) >= r + r2 for c2, r2 in accepted
-        ):
+        if all(np.linalg.norm(c - c2) >= r + r2 for c2, r2 in near.get(tuple(key), ())):
             accepted.append((center, r))
+            for k in (block + key).tolist():
+                near.setdefault(tuple(k), []).append((c, r))
     return [(c, r, EXTERIOR_HALF_DENSITY) for c, r in accepted]
 
 

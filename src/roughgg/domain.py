@@ -165,7 +165,9 @@ class DomainSpec:
 # parsing
 # ---------------------------------------------------------------------------
 
-_SHAPE_OPS = {"disk", "ball", "box", "polygon", "union", "inter", "diff"}
+# the keys each shape op's node takes besides "op"
+_SHAPE_KEYS = {"disk": ("center", "r"), "ball": ("center", "r"), "box": ("min", "max"),
+               "polygon": ("pts",), **dict.fromkeys(("union", "inter", "diff"), ("args",))}
 
 
 def _numbers(value, path: str, shape: tuple = ()):
@@ -192,12 +194,19 @@ def _array(value, path: str) -> list:
     return value
 
 
+def _known_keys(node: dict, keys: tuple, path: str) -> None:
+    for key in node:
+        if key not in keys:
+            raise DomainSemanticError(f"{path}: unknown key {key!r}; it takes {', '.join(keys)}")
+
+
 def _parse_shape(node, path: str) -> Shape:
     if not isinstance(node, dict) or "op" not in node:
         raise DomainSemanticError(f"{path}: shape node must be an object with 'op'")
     op = node["op"]
-    if not isinstance(op, str) or op not in _SHAPE_OPS:
+    if not isinstance(op, str) or op not in _SHAPE_KEYS:
         raise DomainSemanticError(f"{path}: unknown shape op {op!r}")
+    _known_keys(node, ("op", *_SHAPE_KEYS[op]), path)
     if op in ("disk", "ball"):
         center = _numbers(node.get("center", [0.0, 0.0]), f"{path}.center", (None,))
         r = _numbers(node.get("r", 0.0), f"{path}.r")
@@ -229,6 +238,7 @@ def _parse_shape(node, path: str) -> Shape:
 def _parse_crack(node, path: str):
     if not isinstance(node, dict):
         raise DomainSemanticError(f"{path}: crack must be an object")
+    _known_keys(node, ("seg", "rect"), path)
     if "seg" in node:
         seg = Segment(*_numbers(node["seg"], f"{path}.seg", (2, 2)))
         if seg.length() <= 0.0:
@@ -244,8 +254,8 @@ def _parse_crack(node, path: str):
 def parse_domain(text: str) -> DomainSpec:
     """Parse a UTF-8 domain document into a DomainSpec.
 
-    Syntax errors report line/column; semantic errors name the offending
-    node path.  Parsing is total and deterministic.
+    Syntax errors report line/column; semantic errors, an unknown key among
+    them, name the offending node path.  Parsing is total and deterministic.
     """
     try:
         doc = json.loads(text)
@@ -253,9 +263,10 @@ def parse_domain(text: str) -> DomainSpec:
         raise DomainSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict):
         raise DomainSemanticError("top level must be an object")
+    if "preset" in doc and "shape" in doc:
+        raise DomainSemanticError("'preset' and 'shape' are mutually exclusive")
+    _known_keys(doc, ("preset", "k") if "preset" in doc else ("shape", "cracks"), "top level")
     if "preset" in doc:
-        if "shape" in doc:
-            raise DomainSemanticError("'preset' and 'shape' are mutually exclusive")
         k = doc.get("k")
         if k is not None and _numbers(k, "k") != int(k):
             raise DomainSemanticError(f"k: generation must be an integer, got {k!r}")

@@ -1,6 +1,6 @@
 """On-disk formats: PGM rasters, the flux-field binary, trace CSV.
 
-``dmfield`` is imported only inside the two readers, so writing a
+``dmfield`` is imported only inside the trace-CSV reader, so writing a
 raster or a trace CSV does not load it.
 """
 
@@ -82,74 +82,6 @@ def flux_field_bytes(F: FluxField) -> bytes:
 
 def write_flux_field(path: str, F: FluxField) -> None:
     atomic_write_bytes(path, flux_field_bytes(F))
-
-
-def read_flux_field(path: str, set_: RoughSet) -> FluxField:
-    """Rebuild a flux field over an existing rough set (the binary does
-    not carry the domain; grids must agree).  A truncated file, a record
-    naming no facet side of the grid, a non-finite float, a live value
-    above the declared bound or bytes after the last record is an
-    InputError."""
-    from .dmfield import FluxField
-
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if data[:4] != MAGIC:
-        raise InputError("not a flux-field file (bad magic)")
-    off = 4
-
-    def take(fmt: str) -> tuple:
-        nonlocal off
-        try:
-            values = struct.unpack_from("<" + fmt, data, off)
-        except struct.error as exc:
-            raise InputError(f"truncated flux-field file at byte {off}") from exc
-        off += struct.calcsize("<" + fmt)
-        return values
-
-    (n,) = take("B")
-    extents = take(f"{n}Q")
-    (spacing,) = take("d")
-    origin = take(f"{n}d")
-    (sup_bound,) = take("d")
-    if not all(map(math.isfinite, (spacing, *origin, sup_bound))):
-        raise InputError("non-finite float in the flux-field header")
-    grid = set_.grid
-    if (n, extents, spacing, origin) != (
-        grid.n,
-        tuple(grid.extents),
-        grid.spacing,
-        tuple(grid.origin),
-    ):
-        raise InputError("flux-field grid does not match the rough set")
-    F = FluxField(set_, sup_bound)
-    for a in range(n):
-        shape = grid.facet_shape(a)
-        count = int(np.prod(shape))
-        if off + 8 * count > len(data):
-            raise InputError(f"truncated flux-field file in the axis-{a} array")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise InputError(f"non-finite value in the axis-{a} flux-field array")
-        off += 8 * count
-        F.vminus[a][...] = arr
-        F.vplus[a][...] = arr
-    (records,) = take("Q")
-    for _ in range(records):
-        (a,) = take("B")
-        idx = take(f"{n}Q")
-        side, value = take("Bd")
-        if not (a < n and side in (MINUS, PLUS)
-                and all(i < k for i, k in zip(idx, grid.facet_shape(a)))):
-            raise InputError(
-                f"flux-field record (axis {a}, {idx}, side {side}) names no facet side")
-        if not math.isfinite(value):
-            raise InputError(f"non-finite value in flux-field record (axis {a}, {idx})")
-        (F.vminus if side == MINUS else F.vplus)[a][idx] = value
-    if off != len(data):
-        raise InputError(f"{len(data) - off} bytes after the last flux-field record")
-    F.check_bound()
-    return F
 
 
 def trace_csv_text(side_weights: dict, grid: Grid) -> str:

@@ -239,6 +239,23 @@ def test_solver_stats_reported(square_32):
     assert all(lv >= 2 for lv in rep.levels)
 
 
+@pytest.mark.parametrize("m,direct,decomposed", [
+    (32, ((13,), (2,)), ((13, 13), (2, 2))),
+    (64, ((14,), (3,)), ((14, 14), (3, 3))),
+    (128, ((16,), (4,)), ((15, 16), (4, 4))),
+], ids=["1/32", "1/64", "1/128"])
+def test_solver_work_counts(m, direct, decomposed):
+    """CG iterations and hierarchy depth per solve on slit-square with the
+    slit field's trace, pinned exactly: a weaker smoother or coarsening
+    moves them.  A change that moves a count updates this table."""
+    set_ = preset_set("slit-square", 1.0 / m, margin_cells=4)
+    td = trace_measure(sample_field(slit_jump_field(), set_, 1.0))
+    rep = solve_direct(set_, td)
+    assert (rep.cg_iterations, rep.levels) == direct
+    rep = solve_decomposed(set_, td)
+    assert (rep.cg_iterations, rep.levels) == decomposed
+
+
 def test_aggregates_never_span_a_crack_facet(slit_square_32, monkeypatch):
     import roughgg.divsolve as ds
 

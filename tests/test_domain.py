@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,24 @@ def test_parse_syntax_error_reports_position():
 def test_parse_preset_and_shape_exclusive():
     with pytest.raises(DomainSemanticError):
         parse_domain('{"preset":"disk","shape":{"op":"disk","r":1}}')
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"shape":{"op":"box","min":[-1,-1],"max":[1,1]},"crack":[{"seg":[[-1,0],[1,0]]}]}',
+     "top level: unknown key 'crack'; it takes shape, cracks"),
+    ('{"shape":{"op":"disk","center":[0,0],"radius":1}}',
+     "shape: unknown key 'radius'; it takes op, center, r"),
+    ('{"shape":{"op":"union","args":[{"op":"box","min":[0,0],"max":[1,1]},'
+     '{"op":"polygon","pts":[[0,0],[2,0],[0,2]],"closed":true}]}}',
+     "shape.args[1]: unknown key 'closed'; it takes op, pts"),
+    ('{"shape":{"op":"box","min":[-1,-1],"max":[1,1]},'
+     '"cracks":[{"seg":[[-1,0],[1,0]],"rec":[[0,0,0],[1,1,0]]}]}',
+     "cracks[0]: unknown key 'rec'; it takes seg, rect"),
+    ('{"preset":"cantor-cross","gen":2}', "top level: unknown key 'gen'; it takes preset, k"),
+], ids=["crack", "radius", "closed", "rec", "gen"])
+def test_parse_refuses_unknown_keys(doc, message):
+    with pytest.raises(DomainSemanticError, match=f"^{re.escape(message)}$"):
+        parse_domain(doc)
 
 
 def test_rasterize_unit_square_exact_cover():

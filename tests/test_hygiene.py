@@ -359,6 +359,21 @@ def test_export_has_a_user_outside_the_tests(module, name, used_outside_tests):
     assert name in used_outside_tests
 
 
+def test_no_public_definition_only_tests_use():
+    """A public module-level function or class must be read, as a name, an
+    attribute or an imported name, somewhere in the package, the demos or
+    the benchmark harness other than its own definition: what only the
+    tests reach is deleted."""
+    bodies = {p: ast.parse(p.read_text()).body for p in USERS}
+    refs = [(p, i, _references(node)) for p, body in bodies.items() for i, node in enumerate(body)]
+    orphans = [f"{path.name}:{node.lineno} {node.name}"
+               for path in MODULES for i, node in enumerate(bodies[path])
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")
+               and not any(node.name in used for p, j, used in refs if (p, j) != (path, i))]
+    assert orphans == []
+
+
 @pytest.mark.parametrize("module,name", EXPORTED, ids=[n for _, n in EXPORTED])
 def test_export_is_the_module_object(module, name):
     exec_ns = {}
