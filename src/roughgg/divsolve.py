@@ -24,7 +24,10 @@ V-cycle.  An aggregate is the part of a 2^n block of nodes that the
 block's own graph edges connect, so no aggregate reaches across a crack
 facet or joins two components.  Coarsening stops at ``COARSE_SIZE``
 nodes, where the coarsest level is factorized; a system already that
-small is solved exactly and CG stops after one iteration.
+small is solved exactly and CG stops after one iteration.  CG is a short
+loop (``_pcg``) in the recurrence of ``scipy.sparse.linalg.cg`` whose
+inner products are numpy's fixed-order reductions, not BLAS calls, so a
+solve's bits do not follow the BLAS thread count.
 
 The policy is one for every caller and takes no argument: CG stops at
 the relative residual ``_CG_RTOL``, both audits (``_audit`` inside each
@@ -204,6 +207,42 @@ def _laplacian(cells: np.ndarray, edge_masks):
     return lap, n_comp, comp, coords
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v by numpy's own fixed-order reduction: BLAS ``ddot`` blocks
+    its sum by the thread count, so its bits follow the host."""
+    return float(np.einsum("i,i->", u, v))
+
+
+def _pcg(A: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients from x = 0, in the recurrence of
+    ``scipy.sparse.linalg.cg``: stop when ||r|| < ``_CG_RTOL`` ||b||,
+    checked before each iteration, and count the iterations run (none for
+    b = 0, whose solution is 0).  Every inner product is ``_dot``, so the
+    result does not depend on the BLAS thread count."""
+    x = np.zeros(b.shape)
+    b_norm = np.sqrt(_dot(b, b))
+    if b_norm == 0.0:
+        return x, 0
+    r = b.copy()
+    p, rho_prev = None, 0.0
+    for iteration in range(_CG_MAXITER):
+        if np.sqrt(_dot(r, r)) < _CG_RTOL * b_norm:
+            return x, iteration
+        z = precondition(r)
+        rho = _dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = A @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise InvariantViolation(f"conjugate gradient did not converge ({_CG_MAXITER})")
+
+
 def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray):
     """Solve the unit-weight graph Laplacian L u = b on the cells whose
     edges are the given facet masks; b must be balanced per component.
@@ -225,17 +264,7 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray):
     del comp
     vcycle = _AggregationVCycle(lap, coords)
     del coords
-    iterations = 0
-
-    def count(_xk):
-        nonlocal iterations
-        iterations += 1
-
-    u, info = spla.cg(lap, bn, rtol=_CG_RTOL, atol=0.0,
-                      M=spla.LinearOperator(lap.shape, matvec=vcycle, dtype=float),
-                      maxiter=_CG_MAXITER, callback=count)
-    if info != 0:
-        raise InvariantViolation(f"conjugate gradient did not converge ({info})")
+    u, iterations = _pcg(lap, bn, vcycle)
     u_cells = np.zeros(cells.shape)
     u_cells[cells] = u
     return u_cells, iterations, vcycle.depth

@@ -239,6 +239,8 @@ def _parse_crack(node, path: str):
     if not isinstance(node, dict):
         raise DomainSemanticError(f"{path}: crack must be an object")
     _known_keys(node, ("seg", "rect"), path)
+    if "seg" in node and "rect" in node:
+        raise DomainSemanticError(f"{path}: crack takes one of 'seg' and 'rect', not both")
     if "seg" in node:
         seg = Segment(*_numbers(node["seg"], f"{path}.seg", (2, 2)))
         if seg.length() <= 0.0:

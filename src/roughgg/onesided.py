@@ -17,7 +17,11 @@ is symmetric, so the average is second-order faithful to smooth data and
 stays a convex combination (the recorded field bound never grows).
 
 The band is summed by one per-element order and arithmetic of the pairs
-(``_pair_average``), in at most two regions:
+(``_pair_average``): the pairs are grouped by exact kernel weight
+(``_weight_classes``), the classes taken in increasing weight and the
+pairs of a class in ``np.argwhere`` order; each class's kept pair sums
+and its kept-pair count take the class weight once, and the centre comes
+last.  The sum runs in at most two regions:
 
 - the dense box, on dense shifted slices, testing visibility exactly by
   slabs (``_clear_crossings``) from tables built once per call in batches
@@ -174,23 +178,44 @@ def _near_crack_band(grid: Grid, axis: int, planes, eps: float) -> np.ndarray:
     return band
 
 
-def _pair_average(pairs, pair_w, center_w: float, centre: np.ndarray) -> np.ndarray:
-    """Kernel average at targets with values ``centre``.  ``pairs`` yields
-    each mirror pair's (kept mask, forward values, backward values) in the
-    order of ``pair_w``; the pairs are summed first and the centre, always
-    kept, last.  One set of scratch buffers serves every pair; a dropped
-    pair adds +-0 and doubling the half weights once is exact, so the sums
-    equal those of w * (fwd + bwd) and 2 * w over the kept pairs."""
+def _weight_classes(pair_w: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """The mirror pairs grouped by exact weight: (weight, pair indices) per
+    distinct value of ``pair_w``, in increasing weight, the pairs of a
+    class in their order in ``pair_w``.  The kernel is radial, so few
+    weights serve many pairs (53 for the 1,051 pairs of a 3D kernel 8
+    cells wide on a power-of-two grid)."""
+    order = np.argsort(pair_w, kind="stable")
+    weights, first = np.unique(pair_w[order], return_index=True)
+    return list(zip(weights.tolist(), np.split(order, first[1:])))
+
+
+def _pair_average(pair, classes, center_w: float, centre: np.ndarray) -> np.ndarray:
+    """Kernel average at targets with values ``centre``.  ``pair(i)`` gives
+    mirror pair i's (kept mask, forward values, backward values) and
+    ``classes`` the pairs by weight (``_weight_classes``).  Class by class,
+    in increasing weight, the kept pairs' fwd + bwd are summed and counted
+    in pair order, and the class weight multiplies the sum into the
+    numerator and the count into the half-weight total once; the centre,
+    always kept, comes last.  One set of scratch buffers serves every
+    pair; a dropped pair adds +-0 and the count is exact."""
     acc_num = np.zeros(centre.shape)
     acc_half = np.zeros(centre.shape)
-    okw = np.empty(centre.shape)
+    total = np.empty(centre.shape)
     term = np.empty(centre.shape)
-    for (ok, fwd, bwd), w in zip(pairs, pair_w):
-        np.multiply(ok, w, out=okw)
-        np.add(fwd, bwd, out=term)
-        term *= okw
-        acc_num += term
-        acc_half += okw
+    count = np.empty(centre.shape, dtype=np.min_scalar_type(max(i.size for _, i in classes)))
+    for w, members in classes:
+        total.fill(0.0)
+        count.fill(0)
+        for i in members:
+            ok, fwd, bwd = pair(i)
+            np.add(fwd, bwd, out=term)
+            term *= ok
+            total += term
+            count += ok
+        total *= w
+        acc_num += total
+        np.multiply(count, w, out=term)
+        acc_half += term
     return (acc_num + center_w * centre) / (2.0 * acc_half + center_w)
 
 
@@ -219,7 +244,7 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
     # the centre comes next.  Pairs are accumulated first, the centre last.
     support = np.argwhere(weights > 0.0)
     half = support.shape[0] // 2
-    pair_w = weights[tuple(support[:half].T)]
+    classes = _weight_classes(weights[tuple(support[:half].T)])
     center_w = weights[(R,) * grid.n]
     pair_off = support[:half] - R
     # reads from arrays padded by R: every offset stays in bounds and a
@@ -235,17 +260,17 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
         tables = _crossing_tables(grid, planes, coords, pair_off)
         ok = np.empty(tuple(s.stop - s.start for s in box), dtype=bool)
 
-        def dense(off, slabs):
+        def dense(i):
+            off = pair_off[i]
             fwd = tuple(slice(s.start + R + o, s.stop + R + o) for s, o in zip(box, off))
             bwd = tuple(slice(s.start + R - o, s.stop + R - o) for s, o in zip(box, off))
             np.logical_and(mpad[fwd], mpad[bwd], out=ok)
-            _clear_crossings(ok, slabs)
+            _clear_crossings(ok, tables[i])
             return ok, vpad[fwd], vpad[bwd]
 
         centre = vpad[tuple(slice(s.start + R, s.stop + R) for s in box)]
         inner = band[box]
-        smoothed[box][inner] = _pair_average(map(dense, pair_off, tables), pair_w,
-                                             center_w, centre)[inner]
+        smoothed[box][inner] = _pair_average(dense, classes, center_w, centre)[inner]
         rest = band.copy()
         rest[box] = False
 
@@ -259,12 +284,13 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
         M = R * int(strides.sum())
         vflat, mflat = vpad.ravel(), mpad.ravel()
         at = np.ravel_multi_index(nonzero(rest), vpad.shape)
+        shifts = (pair_off @ strides).tolist()
 
-        def flat(shift):
+        def flat(i):
+            shift = shifts[i]
             fwd, bwd = slice(M + shift, None), slice(M - shift, None)
             return mflat[fwd][at] & mflat[bwd][at], vflat[fwd][at], vflat[bwd][at]
 
-        smoothed[rest] = _pair_average(map(flat, pair_off @ strides), pair_w,
-                                       center_w, vflat[M:][at])
+        smoothed[rest] = _pair_average(flat, classes, center_w, vflat[M:][at])
     return (np.where(sample, smoothed, F.vminus[axis]),
             np.where(sample, smoothed, F.vplus[axis]))

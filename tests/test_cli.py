@@ -130,6 +130,23 @@ def test_solve_div_round_trip(tmp_path):
     assert json.loads(out.read_text())["mode"] == "DECOMPOSED"
 
 
+def test_solve_div_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    """One solve-div at 1/64 per BLAS thread count writes the same bytes."""
+    grid = ["--preset", "slit-square", "--grid", "64"]
+    tr = tmp_path / "tr.csv"
+    assert run("trace", *grid, "--csv", str(tr)).returncode == 0
+    written = []
+    for threads in ("1", "2"):
+        out, flux = tmp_path / f"solve{threads}.json", tmp_path / f"f{threads}.dmf"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(CLI + ["solve-div", *grid, "--trace", str(tr),
+                                     "--out", str(out), "--flux", str(flux)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out.read_bytes(), flux.read_bytes()))
+    assert written[0] == written[1]
+
+
 def test_solve_div_incompatible_exit_3(tmp_path):
     tr = tmp_path / "tr.csv"
     proc = run("trace", "--preset", "square", "--grid", "16", "--csv", str(tr))
@@ -281,6 +298,15 @@ def test_bad_domain_json_exit_2(doc):
     assert "Traceback" not in proc.stderr
     # names the node
     assert any(node in proc.stderr for node in ("shape", "cracks[0]", "cracks:", "k:"))
+
+
+def test_crack_with_both_seg_and_rect_exit_2():
+    doc = ('{"shape": {"op": "box", "min": [-1, -1], "max": [1, 1]},'
+           ' "cracks": [{"seg": [[-1, 0], [1, 0]], "rect": [[0, 0, 0], [1, 1, 0]]}]}')
+    proc = run("classify", "--domain", doc, "--grid", "16")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cracks[0]: crack takes one of 'seg' and 'rect', not both" in proc.stderr
 
 
 @pytest.mark.parametrize("op", ["[0]", '{"op": "disk"}'], ids=["list", "object"])

@@ -85,6 +85,14 @@ def test_parse_refuses_unknown_keys(doc, message):
         parse_domain(doc)
 
 
+def test_parse_refuses_a_crack_with_both_seg_and_rect():
+    doc = ('{"shape":{"op":"box","min":[-1,-1],"max":[1,1]},"cracks":[{"seg":[[-1,0],[1,0]]},'
+           '{"seg":[[0,-1],[0,1]],"rect":[[0,0,0],[1,1,0]]}]}')
+    with pytest.raises(DomainSemanticError,
+                       match=r"^cracks\[1\]: crack takes one of 'seg' and 'rect', not both$"):
+        parse_domain(doc)
+
+
 def test_rasterize_unit_square_exact_cover():
     spec = parse_domain('{"shape":{"op":"box","min":[0,0],"max":[1,1]}}')
     grid = make_grid(spec, 0.25)

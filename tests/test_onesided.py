@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from roughgg import mollify
+from roughgg import mollify, onesided
 from roughgg.dmfield import mollify_field, sample_field
 from roughgg.domain import (PRESET_NAMES, RoughSet, make_grid, parse_domain, preset_set,
                             rasterize)
@@ -18,7 +18,7 @@ from roughgg.gridcore import Grid, box_any
 from roughgg.mollify import MollifierKernel, convolve_same, smooth_cells_masked
 from roughgg.onesided import (_bounding_box, _clear_crossings, _crack_planes,
                               _crossing_tables, _dense_box, _near_crack_band,
-                              smooth_facet_values)
+                              _weight_classes, smooth_facet_values)
 
 from conftest import cracked_domains, random_facet_noise
 
@@ -57,6 +57,8 @@ def _reference_smooth(F, eps, axis):
                      | _near_crack_band(grid, axis, planes, eps))
     support = np.argwhere(weights > 0.0)
     half = support.shape[0] // 2
+    pair_off = support[:half] - R
+    pair_w = weights[tuple(support[:half].T)]
     vpad = np.pad(values, R)
     strides = np.array(vpad.strides) // vpad.itemsize
     vpad = vpad.ravel()
@@ -64,18 +66,23 @@ def _reference_smooth(F, eps, axis):
     base = (np.argwhere(band) + R) @ strides
     points = [np.broadcast_to(c, values.shape)[band] for c in grid.facet_center_mesh(axis)]
     acc_num = np.zeros(base.shape[0])
-    acc_den = np.zeros(base.shape[0])
-    for off in support[:half] - R:
-        shift = off @ strides
-        w = weights[tuple(off + R)]
-        ok = mpad[base + shift] & mpad[base - shift]
-        for d in (off * grid.spacing, -off * grid.spacing):
-            ok &= ~_reference_blocked(grid, planes, points, d)
-        okf = ok.astype(float)
-        acc_num += w * (vpad[base + shift] + vpad[base - shift]) * okf
-        acc_den += 2.0 * w * okf
+    acc_half = np.zeros(base.shape[0])
+    # per weight class in increasing weight, its pairs in np.argwhere order
+    for w in np.unique(pair_w):
+        total = np.zeros(base.shape[0])
+        count = np.zeros(base.shape[0])
+        for off in pair_off[pair_w == w]:
+            shift = off @ strides
+            ok = mpad[base + shift] & mpad[base - shift]
+            for d in (off * grid.spacing, -off * grid.spacing):
+                ok &= ~_reference_blocked(grid, planes, points, d)
+            okf = ok.astype(float)
+            total += (vpad[base + shift] + vpad[base - shift]) * okf
+            count += okf
+        acc_num += w * total
+        acc_half += w * count
     center_w = weights[(R,) * grid.n]
-    smoothed[band] = (acc_num + center_w * vpad[base]) / (acc_den + center_w)
+    smoothed[band] = (acc_num + center_w * vpad[base]) / (2.0 * acc_half + center_w)
     return (np.where(sample, smoothed, F.vminus[axis]),
             np.where(sample, smoothed, F.vplus[axis]))
 
@@ -144,6 +151,57 @@ def test_mollify_matches_reference_on_random_cracked_domains(set_, seed):
             for new, old in ((Fe.vminus[a], F.vminus[a]), (Fe.vplus[a], F.vplus[a])):
                 assert np.abs(new).max() <= np.abs(old).max() * (1.0 + 1e-12)
         assert Fe.sup_bound <= F.sup_bound
+
+
+def _per_pair_average(pair, classes, center_w, centre):
+    """The pair sum before weight classes: pairs in np.argwhere order,
+    each weighted by its own w * ok, the half weights summed per pair."""
+    acc_num = np.zeros(centre.shape)
+    acc_half = np.zeros(centre.shape)
+    for i, w in sorted((int(i), w) for w, members in classes for i in members):
+        ok, fwd, bwd = pair(i)
+        okw = ok * w
+        acc_num += (fwd + bwd) * okw
+        acc_half += okw
+    return (acc_num + center_w * centre) / (2.0 * acc_half + center_w)
+
+
+@pytest.mark.parametrize("domain, mults", [
+    ("slit-cube-half-16", (8,)),
+    ("slit-square-64", (8, 4, 2)),
+], ids=["slit-cube-half-16", "slit-square-64"])
+def test_class_sums_drift_by_rounding_only(domain, mults, slit_square_64):
+    """Summing per weight class moves each mollified value from the
+    per-pair sum by rounding alone, on both sides of every axis."""
+    set_ = slit_square_64 if domain == "slit-square-64" else _slit_cube(True, 16)
+    F = sample_field(seeded_trig_field(1), set_, 1.0)
+    for mult in mults:
+        eps = mult * set_.grid.spacing
+        got = mollify_field(F, eps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(onesided, "_pair_average", _per_pair_average)
+            want = mollify_field(F, eps)
+        drift = max(np.abs(g - w).max() for side in ("vminus", "vplus")
+                    for g, w in zip(getattr(got, side), getattr(want, side)))
+        assert drift <= 1e-14 * F.sup_bound
+
+
+@pytest.mark.parametrize("n, spacing, pairs, classes", [
+    (2, 1.0 / 64.0, (96, 22, 4), (28, 8, 2)),
+    (3, 1.0 / 16.0, (1051, 125, 13), (53, 13, 3)),
+], ids=["2d", "3d"])
+def test_kernel_pair_and_class_counts(n, spacing, pairs, classes):
+    """The work of one pair sum at 8, 4 and 2 spacings: mirror pairs
+    summed per band point, and weight classes multiplied."""
+    grid = Grid(n=n, spacing=spacing, origin=(0.0,) * n, extents=(8,) * n)
+    got_pairs, got_classes = [], []
+    for mult in (8, 4, 2):
+        weights = MollifierKernel(mult * spacing, grid).weights
+        support = np.argwhere(weights > 0.0)
+        grouped = _weight_classes(weights[tuple(support[:support.shape[0] // 2].T)])
+        got_pairs.append(sum(members.size for _, members in grouped))
+        got_classes.append(len(grouped))
+    assert (tuple(got_pairs), tuple(got_classes)) == (pairs, classes)
 
 
 @pytest.mark.parametrize("extents", [(24, 20), (14, 12, 10)])
