@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic output and float formatting."""
+"""Small shared helpers: atomic output, float formatting and input decoding."""
 
 from __future__ import annotations
 
@@ -13,6 +13,22 @@ from .errors import InputError, InvariantViolation
 def format_float(x: float) -> str:
     """17 significant digits: reproducible and round-trip exact."""
     return format(float(x), ".17g")
+
+
+def read_utf8(path: str, what: str) -> str:
+    """Text of the input file ``path``, which errors call ``what``:
+    ``InputError`` when it cannot be read or is not UTF-8, naming the line
+    of the first bad byte."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{what} {path} line {line}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _json_default(obj):

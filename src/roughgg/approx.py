@@ -1,14 +1,14 @@
 """Interior approximation by sets of uniformly bounded perimeter.
 
 The construction removes a controlled ball cover of the boundary from
-the body: boundary material of exterior density is removed through balls
-certified to hold less than half body volume (greedy disjoint family,
-largest radius first), and the rest of the boundary (reduced facets and
-cracks) is covered by equal balls marched along the facet set, whose
-total sphere area is proportional to the boundary measure.  What remains
-is compactly contained, its perimeter is bounded by a fixed multiple of
-the boundary measure uniformly in the scale, and the removed volume is
-linear in the scale.
+the body: the exterior-density cells (``bd.exterior_part``) are removed
+through balls certified to hold less than half body volume (greedy
+disjoint family, largest radius first), and the rest of the boundary
+(reduced facets and cracks) is covered by equal balls marched along the
+facet set, whose total sphere area is proportional to the boundary
+measure.  What remains is compactly contained, its perimeter is bounded
+by a fixed multiple of the boundary measure uniformly in the scale, and
+the removed volume is linear in the scale.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 
 from .domain import RoughSet, cantor_cross_spec, make_grid, rasterize
 from .errors import InputError, InvariantViolation
-from .gridcore import FacetArrays, Grid, ball_rows, box_any, lattice, nonzero, touching
+from .gridcore import FacetArrays, Grid, ball_count, box_any, lattice, nonzero, touching
 from .measure import (
-    EXTERIOR,
     BoundaryDecomposition,
     Classification,
     boundary_decomposition,
@@ -61,22 +60,15 @@ class ApproxReport:
     kappa: float  # cover sphere area over the boundary measure
 
 
-def _densities(set_: RoughSet, centers: np.ndarray, r: float) -> np.ndarray:
-    """``density`` about each row of ``centers`` (balls inside the grid) at
-    one radius, from one ball count."""
-    grid = set_.grid
-    return density_field(set_, r, (centers - grid.bounds()[0]) / grid.spacing - 0.5)
-
-
-def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
-                        cls: Classification, delta: float) -> list:
-    """Balls of certified density < 1/2 around exterior-density boundary
-    cells: halving radius search, then greedy disjoint selection."""
+def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition, delta: float) -> list:
+    """Balls of certified density < 1/2 around the exterior-density
+    boundary cells ``bd.exterior_part``: halving radius search, then
+    greedy disjoint selection."""
     grid = set_.grid
     dx = grid.spacing
-    idx = np.stack(nonzero(touching(bd.reduced.masks) & (cls.labels == EXTERIOR)), axis=1)
+    idx = np.stack(nonzero(bd.exterior_part), axis=1)
     glo, ghi = grid.bounds()
-    centers = glo + (idx + 0.5) * dx  # as Grid.cell_center
+    centers = glo + (idx + 0.5) * dx
     found = []
     r = delta * 0.999  # keep radii strictly below the scale
     # halving search, one count per radius over the cells still unplaced;
@@ -88,9 +80,9 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition,
         fits = np.all(centers - r >= glo, axis=1) & np.all(centers + r <= ghi, axis=1)
         low = np.zeros_like(fits)
         if fits.any():
-            low[fits] = _densities(set_, centers[fits], r) < 0.5
+            low[fits] = density_field(set_, r, idx[fits]) < 0.5
         found += [(tuple(c), r) for c in centers[low].tolist()]
-        centers = centers[~low]
+        centers, idx = centers[~low], idx[~low]
         r *= 0.5
     found.sort(key=lambda cr: (-cr[1], cr[0]))
     if not found:
@@ -159,22 +151,22 @@ def _facet_cover(grid: Grid, targets: FacetArrays, delta: float) -> list:
 
 
 def _remove_balls(set_: RoughSet, balls) -> np.ndarray:
-    """Cells whose centres lie in a removal ball.  Star balls (radius k dx,
-    k >= 4, on facet centres) mark a cell stencil: a cell at offset o from
-    an axis-a facet lies at d^2 / dx^2 = |o|^2 + o_a + 1/4, never within
-    1/4 of k^2, so neither roundoff nor the slack moves it across."""
+    """Cells whose centres lie in a removal ball: per radius of the
+    half-density balls, a cell whose ball holds a ball's centre cell.  Star
+    balls (radius k dx, k >= 4, on facet centres) mark a cell stencil: a
+    cell at offset o from an axis-a facet lies at d^2 / dx^2 = |o|^2 + o_a
+    + 1/4, never within 1/4 of k^2, so no roundoff or slack moves it across."""
     grid = set_.grid
     # hair of slack: facets marked covered at the marking tolerance
     # must see both incident cells removed
     slack = 1e-9 * grid.spacing
     removed = np.zeros(grid.extents, dtype=bool)
-    for center, r, kind in balls:
-        if kind != STAR_COVER:
-            at = (np.asarray(center) - np.asarray(grid.origin)) / grid.spacing - 0.5
-            rows = ball_rows(((r + slack) / grid.spacing) ** 2, [at])
-            for row, lo, stop in zip(*(a[0].tolist() for a in rows)):
-                if all(0 <= i < m for i, m in zip(row, grid.extents)):
-                    removed[tuple(row)][max(lo, 0):max(stop, 0)] = True
+    half = [(c, r) for c, r, kind in balls if kind != STAR_COVER]
+    for r in {r for _, r in half}:
+        marks = np.zeros(grid.extents, dtype=bool)
+        at = (np.array([c for c, rc in half if rc == r]) - grid.origin) / grid.spacing
+        marks[tuple(np.rint(at - 0.5).astype(int).T)] = True
+        removed |= ball_count(marks, ((r + slack) / grid.spacing) ** 2) > 0
     star = [(c, r) for c, r, kind in balls if kind == STAR_COVER]
     if star:  # one radius, as the cover makes them
         removed |= _hits(grid, star[0][1] + slack, [c for c, _ in star], cells=True)[0]
@@ -189,7 +181,8 @@ def audit_cover(set_: RoughSet, cover: BallCover,
     half = [(c, r) for c, r, kind in cover.balls if kind == EXTERIOR_HALF_DENSITY]
     for r in sorted({r for _, r in half}, reverse=True):  # in the cover's order
         centers = [c for c, rc in half if rc == r]
-        low = _densities(set_, np.array(centers), r) < 0.5
+        at = (np.array(centers) - grid.origin) / grid.spacing - 0.5
+        low = density_field(set_, r, at) < 0.5
         if not low.all():
             raise InvariantViolation(
                 f"cover ball at {centers[np.argmin(low)]} (r={r}) fails the density check"
@@ -229,12 +222,10 @@ def interior_approximation(set_: RoughSet, delta: float,
         raise InputError(f"approximation scale {delta} must be >= 8 spacings")
     if set_.cell_count == 0:
         raise InputError("the body has no volume")
-    if cls is None:
-        cls = classify(set_)
     if bd is None:
-        bd = boundary_decomposition(set_, cls)
+        bd = boundary_decomposition(set_, classify(set_) if cls is None else cls)
     targets = bd.reduced.union(bd.crack_part)
-    balls = _half_density_balls(set_, bd, cls, delta)
+    balls = _half_density_balls(set_, bd, delta)
     balls += _facet_cover(grid, targets, delta)
     totals: dict = {}
     for _c, r, kind in balls:
@@ -277,13 +268,11 @@ def approximation_sweep(set_: RoughSet, deltas,
     deltas = sorted(float(d) for d in deltas)[::-1]
     if len(deltas) < 3:
         raise InputError("sweep needs >= 3 scales")
-    if cls is None:
-        cls = classify(set_)
     if bd is None:
-        bd = boundary_decomposition(set_, cls)
+        bd = boundary_decomposition(set_, classify(set_) if cls is None else cls)
     rows = []
     for d in deltas:
-        rep = interior_approximation(set_, d, cls=cls, bd=bd)
+        rep = interior_approximation(set_, d, bd=bd)
         rows.append(
             {
                 "delta": d,
@@ -309,12 +298,11 @@ def cantor_generation_sweep(ks) -> dict:
         dx = 3.0 ** (-k) / 4.0
         spec = cantor_cross_spec(k)
         set_ = rasterize(spec, make_grid(spec, dx))
-        cls = classify(set_)
-        bd = boundary_decomposition(set_, cls)
+        bd = boundary_decomposition(set_, classify(set_))
         best = math.inf
         sub = []
         for m in (8, 12, 16):
-            rep = interior_approximation(set_, m * dx, cls=cls, bd=bd)
+            rep = interior_approximation(set_, m * dx, bd=bd)
             best = min(best, rep.perimeter_estimate)
             sub.append({"delta": m * dx, "perimeter": rep.perimeter_estimate,
                         "removed": rep.removed_volume, "ratio": rep.ratio})

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from ._util import atomic_write_text, dumps_json, format_float
+from ._util import atomic_write_text, dumps_json, format_float, read_utf8
 from .domain import (
     PRESET_NAMES,
     make_grid,
@@ -29,7 +29,7 @@ from .domain import (
     preset_spec,
     rasterize,
 )
-from .errors import InputError, RoughGGError
+from .errors import DomainSyntaxError, InputError, RoughGGError
 
 GALLERY_REFERENCES = {
     "square": {"area": 4.0, "perimeter": 8.0, "star_measure": 8.0,
@@ -60,12 +60,11 @@ def _load_spec(args):
         return preset_spec(args.preset, k=getattr(args, "k", None))
     if args.domain:
         return parse_domain(args.domain)
+    text = read_utf8(args.domain_file, "domain file")
     try:
-        with open(args.domain_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read domain file: {exc}") from exc
-    return parse_domain(text)
+        return parse_domain(text)
+    except DomainSyntaxError as exc:
+        raise DomainSyntaxError(f"domain file {args.domain_file}: {exc}") from exc
 
 
 def _build_set(args):

@@ -32,7 +32,7 @@ from .errors import CompatibilityError, InputError, InvariantViolation
 from .gridcore import (MINUS, PLUS, FacetArrays, Grid, box_any, faces, lift, nonzero,
                        side_orient, touches_edge, touching)
 from .measure import refinement_order
-from .mollify import MollifierKernel
+from .mollify import MollifierKernel, masked_gradient, smooth_cells_masked
 from .onesided import smooth_facet_values
 
 
@@ -242,12 +242,6 @@ class SignedMeasure:
         for a in range(self.grid.n):
             tv += float(np.abs(self.facet_minus[a] + self.facet_plus[a]).sum())
         return tv
-
-    def total(self) -> float:
-        s = float(self.cell_weights.sum())
-        for a in range(self.grid.n):
-            s += float(self.facet_minus[a].sum() + self.facet_plus[a].sum())
-        return s
 
 
 def divergence_measure(F: FluxField) -> SignedMeasure:
@@ -693,10 +687,7 @@ def _mollified_chi_pairing(F: FluxField, e_cells: np.ndarray,
         e_lo, e_up = lift(e_float, a)
         chi = 0.5 * (e_lo + e_up)
         atoms = F.vminus[a] * chi * (w_up - w_lo) * grid.facet_area
-        # only the mollification layer carries mass
-        atoms[np.abs(w_up - w_lo) == 0.0] = 0.0
-        t_lo, t_up = lift(e_cells, a)
-        out.append(_project_to_targets(atoms, t_lo != t_up, a))
+        out.append(_project_to_targets(atoms, e_lo != e_up, a))
     return out
 
 
@@ -793,8 +784,6 @@ def product_rule_check(F: FluxField, g_cells: np.ndarray) -> dict:
     identity residual over the degree-2 ``default_phi_basis`` at each width
     of the 8/4/2 dx ladder, and the variation bound rows.
     """
-    from .mollify import masked_gradient, smooth_cells_masked
-
     grid = F.grid
     g_cells = np.asarray(g_cells, dtype=float)
     if g_cells.shape != grid.extents:

@@ -263,6 +263,8 @@ def parse_domain(text: str) -> DomainSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise DomainSyntaxError("the document nests too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise DomainSemanticError("top level must be an object")
     if "preset" in doc and "shape" in doc:

@@ -18,16 +18,16 @@ def slit_jump_field(axis: int = 1):
     return f
 
 
-def separated_smooth_field(scale: float = 1.0):
+def separated_smooth_field():
     """(sin x2, cos x1) in 2D: divergence free, and each component is
     constant along its own axis, so discrete cell balances vanish exactly."""
 
     def f(X):
         out = np.zeros(X.shape)
-        out[..., 0] = scale * np.sin(X[..., 1])
-        out[..., 1] = scale * np.cos(X[..., 0])
+        out[..., 0] = np.sin(X[..., 1])
+        out[..., 1] = np.cos(X[..., 0])
         if X.shape[-1] == 3:
-            out[..., 2] = scale * np.sin(X[..., 0])
+            out[..., 2] = np.sin(X[..., 0])
         return out
 
     return f

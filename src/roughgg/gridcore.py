@@ -18,9 +18,9 @@ Conventions used throughout the package:
   along it; ``facet_center_mesh`` and every facet centre handed out read it.
 - A closed ball is counted one way, ``ball_count``: the true slots within
   ``r`` of a point in lattice units, one at distance exactly ``r`` included,
-  read off a prefix sum at the two ends of each of the ball's rows
-  (``ball_rows``).  The facet cover's equal balls, many and small, are
-  marked instead on one stencil of offsets (``lattice``).
+  read off a prefix sum at the two ends of each of the ball's rows; density,
+  the half-density balls and the Ahlfors bound all read it.  The facet
+  cover's equal balls, many and small, mark one stencil (``lattice``).
 - ``box_any`` is the one box filter.  Slots off the array hold False in the
   mask being dilated (``box_any(mask, r)``) or eroded
   (``~box_any(~mask, r, outside=True)``), so an erosion clears the outer layer.
@@ -111,7 +111,7 @@ def touches_edge(cells: np.ndarray) -> bool:
     return any(np.take(cells, [0, -1], axis=a).any() for a in range(cells.ndim))
 
 
-def ball_rows(r2: float, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ball_rows(r2: float, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed balls ``|o - c|^2 <= r2`` about ``points`` c ((N, n)
     lattice coordinates, any reals) as rows along the last axis: per point
     and row its slot across that axis (N, R, n - 1) and its slice
@@ -137,7 +137,7 @@ def ball_count(mask: np.ndarray, r2: float, points=None) -> np.ndarray:
     c|^2 <= r2`` (lattice units) about every slot ``c``, or about each row
     of ``points`` (any reals); slots off the array count as false.  One
     prefix sum along the last axis, read at the two ends of each row of
-    the ball (``ball_rows``), makes every count exact in integers."""
+    the ball (``_ball_rows``), makes every count exact in integers."""
     k = int(math.sqrt(r2)) + 1  # past every half-width
     if points is not None:  # sum only the box the balls reach, False off the array
         points = np.asarray(points, dtype=float)
@@ -156,11 +156,11 @@ def ball_count(mask: np.ndarray, r2: float, points=None) -> np.ndarray:
         cum, counts = cum.reshape(-1, m + 2 * k)[:, k - 1:], []
         step = max(1, 2**16 // (2 * k + 1) ** (mask.ndim - 1))
         for j in range(0, len(points), step):
-            at, lo, stop = ball_rows(r2, points[j:j + step])
+            at, lo, stop = _ball_rows(r2, points[j:j + step])
             flat = np.ravel_multi_index(at.T, mask.shape[:-1]).T
             counts.append((cum[flat, stop] - cum[flat, lo]).sum(axis=-1))
         return np.concatenate(counts)
-    across, lo, stop = (a[0] for a in ball_rows(r2, np.zeros((1, mask.ndim))))
+    across, lo, stop = (a[0] for a in _ball_rows(r2, np.zeros((1, mask.ndim))))
     across, half = across[stop > lo], stop[stop > lo] - 1
     # the ball is symmetric about a slot: its rows, grouped by half-width, add
     # shifted copies of one run sum each, in the narrowest integers that hold a count
@@ -281,9 +281,6 @@ class Grid:
         the one facet-centre formula."""
         return [o + (i + 0.5 * (b != axis)) * self.spacing
                 for b, (o, i) in enumerate(zip(self.origin, idx))]
-
-    def cell_center(self, idx) -> np.ndarray:
-        return np.asarray(self.origin) + (np.asarray(idx) + 0.5) * self.spacing
 
     def facet_center(self, axis: int, fidx) -> np.ndarray:
         return np.array(self.facet_centers(axis, tuple(fidx)))

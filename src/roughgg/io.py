@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._util import atomic_write_bytes, atomic_write_text, format_float
+from ._util import atomic_write_bytes, atomic_write_text, format_float, read_utf8
 from .domain import RoughSet
 from .errors import InputError
 from .gridcore import MINUS, PLUS, Grid
@@ -114,11 +114,8 @@ def read_trace_csv(path: str, set_: RoughSet) -> TraceData:
     grid = set_.grid
     td = TraceData(set_)
     line_of = [np.zeros((2,) + grid.facet_shape(a), dtype=np.int64) for a in range(grid.n)]
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read trace CSV: {exc}") from exc
-    with handle:
+    # line breaks as a text-mode file reads them
+    with io.StringIO(read_utf8(path, "trace CSV"), newline=None) as handle:
         header = handle.readline()
         if not header.startswith("axis,"):
             raise InputError("trace CSV must start with the axis header")

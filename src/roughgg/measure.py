@@ -1,11 +1,11 @@
 """Measure-theoretic classification and size estimation on rough sets.
 
 Cells are labeled interior / exterior / essential-boundary by the volume
-fraction of the body in a reference ball (one fixed radius, default 8
-spacings, thresholds at tau and 1-tau).  The boundary decomposes into
-reduced facets (indicator jumps), the explicit crack part, and
-exterior-density boundary cells.  The boundary measure every bound in
-this package is measured against, H^{n-1} of the boundary minus the
+fraction of the body in a reference ball (radius 8 spacings, thresholds
+at tau and 1-tau).  The boundary decomposes into reduced facets, the
+crack part, and the exterior-density cells on a reduced facet, body cells
+included, which the interior approximation removes.  The boundary measure
+every bound here is measured against, H^{n-1} of the boundary minus the
 measure-theoretic exterior, is ``RoughSet.reduced_measure`` plus
 ``RoughSet.crack_length()``.
 """
@@ -56,7 +56,7 @@ class BoundaryDecomposition:
 
     reduced: FacetArrays
     crack_part: FacetArrays
-    exterior_part: np.ndarray  # bool cells
+    exterior_part: np.ndarray  # bool cells labeled exterior on a reduced facet
     reduced_measure: float
     crack_measure: float
 
@@ -99,26 +99,19 @@ def density_field(set_: RoughSet, r: float, points=None) -> np.ndarray:
     return np.clip(ratio, 0.0, 1.0)
 
 
-def classify(set_: RoughSet, r_star: float | None = None,
-             tau: float = DEFAULT_TAU) -> Classification:
+def classify(set_: RoughSet, tau: float = DEFAULT_TAU) -> Classification:
     """Label every cell interior / exterior / essential-boundary.
 
-    Density at the reference radius decides the label; two exact overrides
-    restore what openness guarantees in the vanishing-radius limit: a true
-    cell whose full 3^n neighborhood is true is interior (and the mirrored
-    rule for false cells), and cells touching a crack facet are interior
-    since cracks live inside the body.
+    Density at the reference radius, 8 spacings, decides the label; two
+    exact overrides restore what openness guarantees in the vanishing-radius
+    limit: a true cell whose full 3^n neighborhood is true is interior (and
+    the mirrored rule for false cells), and cells touching a crack facet
+    are interior since cracks live inside the body.
     """
     grid = set_.grid
-    if r_star is None:
-        r_star = 8.0 * grid.spacing
-    if not math.isfinite(r_star):
-        raise InputError(f"classification radius {r_star} is not finite")
-    if r_star < 4.0 * grid.spacing:
-        raise InputError("classification radius must be >= 4 spacings")
     if not 0.0 < tau < 0.5:
         raise InputError("tau must lie in (0, 1/2)")
-    lattice_reach(np.floor(r_star / grid.spacing + 1e-9), grid.n, f"density radius {r_star}")
+    r_star = 8.0 * grid.spacing
     dens = density_field(set_, r_star)
     labels = np.full(grid.extents, ESSBOUNDARY, dtype=np.int8)
     labels[dens >= 1.0 - tau] = INTERIOR
@@ -133,13 +126,12 @@ def classify(set_: RoughSet, r_star: float | None = None,
 
 def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecomposition:
     """Split the discrete boundary into the reduced part, the crack part,
-    and exterior-density boundary cells, with the combined measure."""
+    and the exterior-labeled cells on a reduced facet, with the measure."""
     reduced = FacetArrays(set_.grid, list(set_.topology.boundary))
-    exterior_part = touching(reduced.masks) & ~set_.cells & (cls.labels == EXTERIOR)
     return BoundaryDecomposition(
         reduced=reduced,
         crack_part=set_.cracks.copy(),
-        exterior_part=exterior_part,
+        exterior_part=touching(reduced.masks) & (cls.labels == EXTERIOR),
         reduced_measure=set_.reduced_measure,
         crack_measure=set_.crack_length(),
     )
@@ -236,10 +228,9 @@ def star_condition_diagnostic(spec, spacings) -> StarDiagnostic:
         if spec.preset == "cantor-cross":
             level_spec = cantor_cross_spec(max(0, int(round(-math.log(dx) / math.log(3.0)))))
         set_ = rasterize(level_spec, make_grid(level_spec, dx))
-        cls = classify(set_)
-        bd = boundary_decomposition(set_, cls)
-        rows.append({"spacing": dx, "star_measure": bd.star_measure,
-                     "reduced": bd.reduced_measure, "crack": bd.crack_measure})
+        reduced, crack = set_.reduced_measure, set_.crack_length()
+        rows.append({"spacing": dx, "star_measure": reduced + crack,
+                     "reduced": reduced, "crack": crack})
     inv = [1.0 / r["spacing"] for r in rows]
     components = ["star_measure", "reduced"]
     if all(r["crack"] > 0.0 for r in rows):

@@ -49,6 +49,13 @@ def cell_centers(set_):
     return np.stack(np.broadcast_arrays(*set_.grid.cell_center_mesh()), axis=-1)
 
 
+def measure_total(m) -> float:
+    """Total mass of a ``SignedMeasure``: its cell atoms plus both sides
+    of every facet atom."""
+    return float(m.cell_weights.sum()) + sum(
+        float(m.facet_minus[a].sum() + m.facet_plus[a].sum()) for a in range(m.grid.n))
+
+
 def constant_field(vec):
     vec = np.asarray(vec, dtype=float)
 

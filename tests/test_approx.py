@@ -109,7 +109,8 @@ def test_interior_approximation_refuses_a_non_finite_scale(delta):
         interior_approximation(set_, delta)
 
 
-def test_half_density_balls_on_whisker():
+def _whisker():
+    """The unit box with a one-cell-thick whisker out of its right side."""
     dx = 1.0 / 32.0
     doc = json.dumps(
         {
@@ -123,15 +124,32 @@ def test_half_density_balls_on_whisker():
         }
     )
     spec = parse_domain(doc)
-    grid = make_grid(spec, dx, margin_cells=16)
-    rs = rasterize(spec, grid)
-    rep = interior_approximation(rs, 8 * dx)
+    return rasterize(spec, make_grid(spec, dx, margin_cells=16))
+
+
+def test_half_density_balls_on_whisker():
+    rs = _whisker()
+    grid = rs.grid
+    rep = interior_approximation(rs, 8 * grid.spacing)
     kinds = [k for _c, _r, k in rep.cover.balls]
     assert EXTERIOR_HALF_DENSITY in kinds
     # the thin whisker is exterior-density material and must be gone
     X = np.stack(np.broadcast_arrays(*grid.cell_center_mesh()), axis=-1)
     whisker = rs.cells & (X[..., 0] > 1.0)
     assert not (rep.e_cells & whisker).any()
+
+
+def test_exterior_part_holds_the_whisker_tip():
+    """The exterior-density boundary cells include body cells: the tip of
+    a one-cell whisker has exterior density, and it is the one set the
+    half-density search reads."""
+    rs = _whisker()
+    bd = boundary_decomposition(rs, classify(rs))
+    tip = bd.exterior_part & rs.cells
+    assert tip.any()
+    X = np.stack(np.broadcast_arrays(*rs.grid.cell_center_mesh()), axis=-1)
+    assert np.all(X[tip][:, 0] > 1.0)
+    assert _half_density_balls(rs, bd, 8 * rs.grid.spacing)
 
 
 def _half_density_loop(set_, bd, cls, delta):
@@ -141,7 +159,7 @@ def _half_density_loop(set_, bd, cls, delta):
     candidates = np.argwhere(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
     found = []
     for idx in candidates:
-        center = grid.cell_center(idx)
+        center = glo + (idx + 0.5) * grid.spacing
         r = delta * 0.999
         while r >= 4.0 * grid.spacing:
             if (np.all(center - r >= glo) and np.all(center + r <= ghi)
@@ -157,19 +175,27 @@ def _half_density_loop(set_, bd, cls, delta):
     return [(c, r, EXTERIOR_HALF_DENSITY) for c, r in accepted]
 
 
-@pytest.mark.parametrize("n, extent, dust", [(2, 96, 0.02), (3, 48, 0.01)])
-def test_half_density_balls_match_a_per_centre_loop(n, extent, dust):
+DUST = {"dust-2d": (2, 96, 0.02), "dust-3d": (3, 48, 0.01)}
+
+
+def _dust(n, extent, dust):
     """A core box in dust: hundreds of exterior-density candidates, many
     of whose balls leave the grid at the larger scales."""
     grid = Grid(n=n, spacing=1.0 / 32.0, origin=(-1.0,) * n, extents=(extent,) * n)
     cells = np.random.default_rng(n).random(grid.extents) < dust
     cells[(slice(extent // 4, 3 * extent // 4),) * n] = True
-    set_ = RoughSet(grid, cells)
+    return RoughSet(grid, cells)
+
+
+@pytest.mark.parametrize("n, extent, dust", list(DUST.values()))
+def test_half_density_balls_match_a_per_centre_loop(n, extent, dust):
+    set_ = _dust(n, extent, dust)
+    grid = set_.grid
     cls = classify(set_)
     bd = boundary_decomposition(set_, cls)
     assert (touching(bd.reduced.masks) & (cls.labels == EXTERIOR)).sum() > 300
     for m in (8, 16, 32):
-        balls = _half_density_balls(set_, bd, cls, m * grid.spacing)
+        balls = _half_density_balls(set_, bd, m * grid.spacing)
         assert balls == _half_density_loop(set_, bd, cls, m * grid.spacing)
         assert balls
         audit_cover(set_, BallCover(balls=balls, totals={}), FacetArrays(grid))
@@ -191,8 +217,11 @@ PRESETS = ["square", "disk", "slit-square", "slit-disk", "l-shape", "cantor-cros
 
 @functools.lru_cache(maxsize=None)
 def _cover_case(name: str):
-    """(grid, target facets) of a preset at 1/128, or the slit cube at 1/16."""
-    if name == "slit-cube":
+    """(set, target facets) of a preset at 1/128, the slit cube at 1/16 or
+    a dust set (``DUST``)."""
+    if name in DUST:
+        set_ = _dust(*DUST[name])
+    elif name == "slit-cube":
         spec = parse_domain(json.dumps({
             "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
             "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
@@ -292,15 +321,15 @@ def _ball_loop_removal(set_, balls):
     return removed
 
 
-@pytest.mark.parametrize("name", PRESETS + ["slit-cube"])
+@pytest.mark.parametrize("name", PRESETS + ["slit-cube", *DUST])
 def test_remove_balls_matches_ball_loop(name):
     set_, targets = _cover_case(name)
-    cls = classify(set_)
-    bd = boundary_decomposition(set_, cls)
+    bd = boundary_decomposition(set_, classify(set_))
     for m in (8, 12, 16):
         delta = m * set_.grid.spacing
-        balls = (_half_density_balls(set_, bd, cls, delta)
-                 + _facet_cover(set_.grid, targets, delta))
+        half = _half_density_balls(set_, bd, delta)
+        assert bool(half) == (name in DUST)
+        balls = half + _facet_cover(set_.grid, targets, delta)
         assert np.array_equal(_remove_balls(set_, balls), _ball_loop_removal(set_, balls))
 
 
@@ -314,7 +343,7 @@ def test_remove_balls_clips_at_the_grid_edge(n):
     rho = 4.0 * grid.spacing
     balls = [(tuple(float(v) for v in grid.facet_center(a, idx)), rho, STAR_COVER)
              for a in range(n) for idx in (np.zeros(n, dtype=int), last + np.eye(n, dtype=int)[a])]
-    half = [(tuple(float(v) for v in grid.cell_center(idx)), 3.0 * grid.spacing,
+    half = [(tuple(float(v) for v in grid.origin + (idx + 0.5) * grid.spacing), 3.0 * grid.spacing,
              EXTERIOR_HALF_DENSITY) for idx in (np.zeros(n, dtype=int), last)]
     for kept in (balls + half, half):
         removed = _remove_balls(set_, kept)

@@ -367,6 +367,37 @@ def test_missing_input_files_exit_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_utf8_trace_csv_exits_2(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"axis,i0,i1,side,g\n\xff,1,2\n")
+    proc = run("solve-div", "--preset", "square", "--grid", "8", "--trace", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"trace CSV {bad} line 2: not UTF-8 text" in proc.stderr
+
+
+def test_non_utf8_domain_file_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"preset":\n "square"\xff}')
+    proc = run("classify", "--domain-file", str(bad), "--grid", "8")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"domain file {bad} line 2: not UTF-8 text" in proc.stderr
+
+
+def test_deeply_nested_domain_file_exits_2(tmp_path):
+    box = '{"op": "box", "min": [-1, -1], "max": [1, 1]}'
+    text = box
+    for _ in range(600):
+        text = '{"op": "union", "args": [' + box + ", " + text + "]}"
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"shape": ' + text + "}")
+    proc = run("classify", "--domain-file", str(deep), "--grid", "8")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"domain file {deep}: the document nests too deeply" in proc.stderr
+
+
 def test_grid_zero_exit_2():
     proc = run("classify", "--preset", "square", "--grid", "0")
     assert proc.returncode == 2, proc.stderr

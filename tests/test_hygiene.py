@@ -341,10 +341,16 @@ def _uses(tree: ast.Module) -> set[str]:
             node.annotation = None
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             node.returns = None
+    return _references(tree) | _dotted_parts(nodes)
+
+
+def _dotted_parts(nodes) -> set[str]:
+    """The parts of the string constants among ``nodes`` that are dotted
+    paths such as ``"Class.method"``."""
     strings = [node.value for node in nodes
                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
-    return _references(tree).union(*(s.split(".") for s in strings
-                                     if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)+", s)))
+    return set().union(*(s.split(".") for s in strings
+                         if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)+", s)))
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +377,26 @@ def test_no_public_definition_only_tests_use():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")
                and not any(node.name in used for p, j, used in refs if (p, j) != (path, i))]
+    assert orphans == []
+
+
+def test_no_public_method_only_tests_use():
+    """A public method or property of a public class must be read as an
+    attribute, or named in a dotted-path string, somewhere in the package,
+    the demos or the benchmark harness: what only the tests reach is
+    deleted."""
+    trees = {p: ast.parse(p.read_text()) for p in USERS}
+    read = set()
+    for tree in trees.values():
+        nodes = list(ast.walk(tree))
+        read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        read |= _dotted_parts(nodes)
+    orphans = [f"{path.name}:{item.lineno} {node.name}.{item.name}"
+               for path in MODULES for node in trees[path].body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+               and item.name not in read]
     assert orphans == []
 
 

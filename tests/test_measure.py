@@ -15,6 +15,7 @@ from roughgg.measure import (
     boundary_decomposition,
     classify,
     density,
+    density_field,
     perimeter,
     refinement_order,
     star_condition_diagnostic,
@@ -107,17 +108,22 @@ def test_density_refuses_a_center_of_the_wrong_shape(square_32, center):
                          ids=["slit-disk", "cantor-k2"])
 @pytest.mark.parametrize("multiple", [5.0, 6.5, 8.0])
 def test_density_at_cell_centres_matches_classify(name, spacing, k, multiple):
-    """``density`` and ``classify`` read one ball rule: at every cell whose
-    ball stays in the grid the two give the same value."""
+    """``density`` and ``density_field``, which ``classify`` reads at 8
+    spacings, use one ball rule: at every cell whose ball stays in the grid
+    the two give the same value."""
     set_ = preset_set(name, spacing, k=k)
     grid = set_.grid
     r = multiple * grid.spacing
-    field = classify(set_, r_star=r).density_at_finest
+    field = density_field(set_, r)
+    if multiple == 8.0:
+        assert np.array_equal(classify(set_).density_at_finest, field)
     lo, hi = grid.bounds()
     idx = np.argwhere(np.ones(grid.extents, dtype=bool))
-    idx = idx[np.all((grid.cell_center(idx) - r >= lo) & (grid.cell_center(idx) + r <= hi), axis=1)]
+    centers = lo + (idx + 0.5) * grid.spacing
+    inside = np.all((centers - r >= lo) & (centers + r <= hi), axis=1)
+    idx, centers = idx[inside], centers[inside]
     assert len(idx) > grid.extents[0]
-    assert [density(set_, grid.cell_center(i), r) for i in idx] == field[tuple(idx.T)].tolist()
+    assert [density(set_, c, r) for c in centers] == field[tuple(idx.T)].tolist()
 
 
 @pytest.mark.parametrize("center, r", [((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf),
@@ -125,12 +131,6 @@ def test_density_at_cell_centres_matches_classify(name, spacing, k, multiple):
 def test_density_refuses_a_non_finite_ball(square_32, center, r):
     with pytest.raises(InputError, match="is not finite$"):
         density(square_32, center, r)
-
-
-@pytest.mark.parametrize("r_star", [math.nan, math.inf])
-def test_classify_refuses_a_non_finite_radius(square_32, r_star):
-    with pytest.raises(InputError, match=f"^classification radius {r_star} is not finite$"):
-        classify(square_32, r_star=r_star)
 
 
 def test_classify_full_box_ring(square_32):
@@ -450,6 +450,6 @@ def test_three_dimensional_classify_and_boundary():
     spec = parse_domain(doc)
     grid = make_grid(spec, 1.0 / 8.0, margin_cells=2)
     rs = rasterize(spec, grid)
-    cls = classify(rs, r_star=4.0 * grid.spacing)
+    cls = classify(rs)
     bd = boundary_decomposition(rs, cls)
     assert bd.star_measure == pytest.approx(6.0 + 0.25)
