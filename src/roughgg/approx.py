@@ -79,8 +79,7 @@ def _half_density_balls(set_: RoughSet, bd: BoundaryDecomposition, delta: float)
     while r >= 4.0 * dx and len(centers):
         fits = np.all(centers - r >= glo, axis=1) & np.all(centers + r <= ghi, axis=1)
         low = np.zeros_like(fits)
-        if fits.any():
-            low[fits] = density_field(set_, r, idx[fits]) < 0.5
+        low[fits] = density_field(set_, r, idx[fits]) < 0.5
         found += [(tuple(c), r) for c in centers[low].tolist()]
         centers, idx = centers[~low], idx[~low]
         r *= 0.5

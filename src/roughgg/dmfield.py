@@ -580,7 +580,7 @@ def gauss_green_residual(F: FluxField, phi: TestFunction, tm: TraceData) -> floa
 
 def mollify_field(F: FluxField, eps: float) -> FluxField:
     """Facet-wise one-sided mollification, one facet axis at a time
-    (``onesided.smooth_facet_values``).
+    (``onesided.smooth_facet_values``), by one kernel built for all axes.
 
     Interior facets are smoothed, and crack and boundary sides keep their
     values.  A facet averages the interior facets of its axis that it sees.
@@ -589,8 +589,9 @@ def mollify_field(F: FluxField, eps: float) -> FluxField:
     The recorded sup bound never grows: outputs are convex averages.
     """
     out = FluxField(F.set, F.sup_bound)
+    kernel = MollifierKernel(eps, F.grid)
     for a in range(F.grid.n):
-        out.vminus[a], out.vplus[a] = smooth_facet_values(F, eps, a)
+        out.vminus[a], out.vplus[a] = smooth_facet_values(F, kernel, a)
     out.check_bound()
     return out
 

@@ -141,6 +141,8 @@ def ball_count(mask: np.ndarray, r2: float, points=None) -> np.ndarray:
     k = int(math.sqrt(r2)) + 1  # past every half-width
     if points is not None:  # sum only the box the balls reach, False off the array
         points = np.asarray(points, dtype=float)
+        if not len(points):
+            return np.zeros(0, dtype=np.int64)
         corner = np.floor(points.min(axis=0)).astype(int) - k
         box = np.zeros(np.floor(points.max(axis=0)).astype(int) + k + 2 - corner, dtype=bool)
         src = tuple(slice(max(c, 0), max(min(c + b, m), c, 0))
@@ -302,9 +304,6 @@ class FacetArrays:
         if masks is None:
             masks = [np.zeros(grid.facet_shape(a), dtype=bool) for a in range(grid.n)]
         self.masks = masks
-
-    def copy(self) -> "FacetArrays":
-        return FacetArrays(self.grid, [m.copy() for m in self.masks])
 
     def count(self) -> int:
         return int(sum(int(m.sum()) for m in self.masks))

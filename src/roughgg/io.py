@@ -113,7 +113,7 @@ def read_trace_csv(path: str, set_: RoughSet) -> TraceData:
 
     grid = set_.grid
     td = TraceData(set_)
-    line_of = [np.zeros((2,) + grid.facet_shape(a), dtype=np.int64) for a in range(grid.n)]
+    line_of: dict[tuple, int] = {}  # (axis, side, idx) -> the line that gave it
     # line breaks as a text-mode file reads them
     with io.StringIO(read_utf8(path, "trace CSV"), newline=None) as handle:
         header = handle.readline()
@@ -149,7 +149,7 @@ def read_trace_csv(path: str, set_: RoughSet) -> TraceData:
                 raise InputError(
                     f"trace CSV line {line_no}: facet index {idx} outside "
                     f"the axis-{axis} facet grid {shape}")
-            seen = line_of[axis][(side, *idx)]
+            seen = line_of.get((axis, side, idx))
             if seen:
                 raise InputError(f"trace CSV line {line_no}: facet side {(axis, idx, side)} "
                                  f"already given on line {seen}")
@@ -157,5 +157,5 @@ def read_trace_csv(path: str, set_: RoughSet) -> TraceData:
                 td.set_side(axis, idx, side, g)
             except InputError as exc:
                 raise InputError(f"trace CSV line {line_no}: {exc}") from exc
-            line_of[axis][(side, *idx)] = line_no
+            line_of[axis, side, idx] = line_no
     return td

@@ -32,10 +32,9 @@ DEFAULT_TAU = 0.05
 
 @dataclass
 class Classification:
-    """Per-cell labels partitioning the grid, plus the raw density field."""
+    """Per-cell labels partitioning the grid, and the radius and threshold."""
 
     labels: np.ndarray  # int8: EXTERIOR / ESSBOUNDARY / INTERIOR
-    density_at_finest: np.ndarray
     r_star: float
     tau: float
 
@@ -121,7 +120,7 @@ def classify(set_: RoughSet, tau: float = DEFAULT_TAU) -> Classification:
     labels[deep_in] = INTERIOR
     labels[deep_out] = EXTERIOR
     labels[touching(set_.cracks.masks)] = INTERIOR
-    return Classification(labels=labels, density_at_finest=dens, r_star=r_star, tau=tau)
+    return Classification(labels=labels, r_star=r_star, tau=tau)
 
 
 def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecomposition:
@@ -130,7 +129,7 @@ def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecom
     reduced = FacetArrays(set_.grid, list(set_.topology.boundary))
     return BoundaryDecomposition(
         reduced=reduced,
-        crack_part=set_.cracks.copy(),
+        crack_part=set_.cracks,  # shared: a RoughSet never writes its masks
         exterior_part=touching(reduced.masks) & (cls.labels == EXTERIOR),
         reduced_measure=set_.reduced_measure,
         crack_measure=set_.crack_length(),

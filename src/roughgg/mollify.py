@@ -3,6 +3,8 @@ one same-mode convolution routine (``convolve_same``)."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InputError
@@ -47,7 +49,12 @@ class MollifierKernel:
     """Radial polynomial bump of width ``eps``, normalized to unit mass.
 
     Profile (1 - u^2)^3 on u = |x|/eps < 1, sampled on the cell lattice and
-    renormalized so the discrete mass is exactly 1.
+    renormalized so the discrete mass is exactly 1.  u^2 is an offset's
+    integer |o|^2 times spacing^2 over eps^2, so the weights depend on |o|
+    alone on every grid.  ``pair_offsets``: one offset per mirror pair (o,
+    -o), the first half of the support in ``np.argwhere`` order (negation
+    reverses it).  ``classes``: (weight, pair indices) per exact weight, in
+    increasing weight; few weights serve many pairs (53 of 1,051 in 3D).
     """
 
     def __init__(self, eps: float, grid: Grid):
@@ -55,17 +62,27 @@ class MollifierKernel:
             raise InputError(f"mollifier width {eps} is not finite")
         if eps < 2.0 * grid.spacing:
             raise InputError(f"mollifier width {eps} must be >= 2 spacings")
-        self.eps = float(eps)
-        self.grid = grid
         radius = lattice_reach(np.floor(eps / grid.spacing + 1e-12), grid.n,
                                f"mollifier width {eps}")
-        axes = [np.arange(-radius, radius + 1) * grid.spacing for _ in range(grid.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        r2 = sum(m**2 for m in mesh)
-        u2 = r2 / (eps * eps)
+        axis = np.arange(-radius, radius + 1)
+        o2 = sum(np.meshgrid(*[axis**2] * grid.n, indexing="ij", sparse=True))
+        u2 = o2 * (grid.spacing * grid.spacing) / (eps * eps)
         profile = np.where(u2 < 1.0, (1.0 - np.minimum(u2, 1.0)) ** 3, 0.0)
         self.weights = profile / profile.sum()
         self.radius_cells = radius
+        self.center_weight = float(self.weights[(radius,) * grid.n])
+
+    @cached_property
+    def pair_offsets(self) -> np.ndarray:
+        support = np.argwhere(self.weights > 0.0)
+        return support[:support.shape[0] // 2] - self.radius_cells
+
+    @cached_property
+    def classes(self) -> list[tuple[float, np.ndarray]]:
+        pair_w = self.weights[tuple((self.pair_offsets + self.radius_cells).T)]
+        order = np.argsort(pair_w, kind="stable")
+        weights, first = np.unique(pair_w[order], return_index=True)
+        return list(zip(weights.tolist(), np.split(order, first[1:])))
 
     def smooth_cells(self, values: np.ndarray) -> np.ndarray:
         """Convolve a cell array with the kernel, zero padded."""

@@ -3,25 +3,27 @@
 Smoothing must not mix the two sides of a crack, or the very jump the
 trace theory is about would be destroyed.  The rule is one line:
 interior facets are smoothed, and crack and boundary sides keep their
-values.  ``smooth_facet_values`` smooths one facet axis: it builds the
-kernel, the crack planes, the plain convolution of the interior values
-and the band once, then fills the interior facets.  The band is the
-interior facets whose kernel window holds a non-sample (a slot off the
-grid counts as one) or that lie near a crack (``_near_crack_band``).
-Outside it a facet takes the plain convolution: its window holds samples
-only, so the kernel's unit mass needs no renormalizing.  Inside it the
-kernel is renormalized over mirror-image pairs about the facet, a pair
-kept only when both members are interior samples visible from the facet
-(segments crossing a crack facet are dropped).  The surviving weight set
-is symmetric, so the average is second-order faithful to smooth data and
-stays a convex combination (the recorded field bound never grows).
+values.  ``smooth_facet_values`` smooths one facet axis by a kernel that
+``dmfield.mollify_field`` builds once for all axes: it builds the crack
+planes, the plain convolution of the interior values and the band once,
+then fills the interior facets.  The band is the interior facets whose
+kernel window holds a non-sample (a slot off the grid counts as one) or
+that lie near a crack (``_near_crack_band``).  Outside it a facet takes
+the plain convolution: its window holds samples only, so the kernel's
+unit mass needs no renormalizing.  Inside it the kernel is renormalized
+over mirror-image pairs about the facet, a pair kept only when both
+members are interior samples visible from the facet (segments crossing a
+crack facet are dropped).  The surviving weight set is symmetric, so the
+average is second-order faithful to smooth data and stays a convex
+combination (the recorded field bound never grows).
 
 The band is summed by one per-element order and arithmetic of the pairs
-(``_pair_average``): the pairs are grouped by exact kernel weight
-(``_weight_classes``), the classes taken in increasing weight and the
-pairs of a class in ``np.argwhere`` order; each class's kept pair sums
-and its kept-pair count take the class weight once, and the centre comes
-last.  The sum runs in at most two regions:
+(``_pair_average``).  The kernel, radial on every grid, owns its mirror
+pairs and their classes by exact weight (``MollifierKernel.classes``):
+the classes are taken in increasing weight and the pairs of a class in
+``np.argwhere`` order; each class's kept pair sums and its kept-pair
+count take the class weight once, and the centre comes last.  The sum
+runs in at most two regions:
 
 - the dense box, on dense shifted slices, testing visibility exactly by
   slabs (``_clear_crossings``) from tables built once per call in batches
@@ -30,9 +32,9 @@ last.  The sum runs in at most two regions:
   the dense box is that whole box and no facet is left to the flat
   gathers; otherwise it is the near box, the bounding box of the band's
   near-crack facets (``_dense_box``);
-- the rest of the band by flat gathers, testing no visibility: a segment
-  no longer than the kernel width cannot reach a crack facet from a start
-  that is not near a crack.
+- the rest of the band by flat gathers, testing no visibility: a kernel
+  pair's segment cannot reach a crack facet from a start that is not
+  near a crack.
 
 Both regions give every facet the same bits, so the choice only moves
 time: the slab test is exact for any start, near a crack or not, and
@@ -159,14 +161,14 @@ def _clear_crossings(ok: np.ndarray, slabs: list[tuple]) -> None:
         ok.transpose(order)[slab] &= clear[sum(idx[1:], idx[0])]
 
 
-def _near_crack_band(grid: Grid, axis: int, planes, eps: float) -> np.ndarray:
+def _near_crack_band(grid: Grid, axis: int, planes, radius: int) -> np.ndarray:
     """Facet slots of the given axis lattice within reach of some crack:
-    within ``eps`` plus a cell of the crack's plane and of the bounding
-    box of its facets.  Only from these can a segment no longer than
-    ``eps`` cross a crack facet."""
+    within ``radius`` cells plus one of the crack's plane and of the
+    bounding box of its facets.  Only from these can a kernel pair's
+    segment (``radius`` cells per axis at most) cross a crack facet."""
     coords = grid.facet_center_mesh(axis)
     band = np.zeros(grid.facet_shape(axis), dtype=bool)
-    reach = eps + grid.spacing
+    reach = radius * grid.spacing + grid.spacing
     for b, coord, _, extent in planes:
         box = np.abs(coords[b] - coord) <= reach
         tr_axes = [a for a in range(grid.n) if a != b]
@@ -178,26 +180,16 @@ def _near_crack_band(grid: Grid, axis: int, planes, eps: float) -> np.ndarray:
     return band
 
 
-def _weight_classes(pair_w: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """The mirror pairs grouped by exact weight: (weight, pair indices) per
-    distinct value of ``pair_w``, in increasing weight, the pairs of a
-    class in their order in ``pair_w``.  The kernel is radial, so few
-    weights serve many pairs (53 for the 1,051 pairs of a 3D kernel 8
-    cells wide on a power-of-two grid)."""
-    order = np.argsort(pair_w, kind="stable")
-    weights, first = np.unique(pair_w[order], return_index=True)
-    return list(zip(weights.tolist(), np.split(order, first[1:])))
-
-
-def _pair_average(pair, classes, center_w: float, centre: np.ndarray) -> np.ndarray:
-    """Kernel average at targets with values ``centre``.  ``pair(i)`` gives
-    mirror pair i's (kept mask, forward values, backward values) and
-    ``classes`` the pairs by weight (``_weight_classes``).  Class by class,
-    in increasing weight, the kept pairs' fwd + bwd are summed and counted
+def _pair_average(pair, kernel: MollifierKernel, centre: np.ndarray) -> np.ndarray:
+    """``kernel``'s average at targets with values ``centre``.  ``pair(i)``
+    gives mirror pair i's (kept mask, forward values, backward values).
+    Class by class (``kernel.classes``), in increasing weight, the kept
+    pairs' fwd + bwd are summed and counted
     in pair order, and the class weight multiplies the sum into the
     numerator and the count into the half-weight total once; the centre,
     always kept, comes last.  One set of scratch buffers serves every
     pair; a dropped pair adds +-0 and the count is exact."""
+    classes, center_w = kernel.classes, kernel.center_weight
     acc_num = np.zeros(centre.shape)
     acc_half = np.zeros(centre.shape)
     total = np.empty(centre.shape)
@@ -219,34 +211,25 @@ def _pair_average(pair, classes, center_w: float, centre: np.ndarray) -> np.ndar
     return (acc_num + center_w * centre) / (2.0 * acc_half + center_w)
 
 
-def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def smooth_facet_values(F, kernel: MollifierKernel,
+                        axis: int) -> tuple[np.ndarray, np.ndarray]:
     """One-sided mollified (vminus, vplus) of ``F`` on the axis-``axis``
-    facets, as new arrays.
+    facets by ``kernel``, as new arrays.
 
     Interior facets take one smoothed value (written to both sides); MINUS,
     PLUS and exterior slots keep their values.  See the module docstring
     for the band rule.
     """
     grid, top = F.grid, F.topology
-    kernel = MollifierKernel(eps, grid)
-    weights, R = kernel.weights, kernel.radius_cells
+    R, pair_off = kernel.radius_cells, kernel.pair_offsets
     sample = top.interior[axis]
     values = np.where(sample, F.vminus[axis], 0.0)
     planes = _crack_planes(grid, top.crack)
-    # a segment no longer than eps crosses a crack only from a near start
-    near = _near_crack_band(grid, axis, planes, eps)
+    # a kernel pair's segment crosses a crack only from a near start
+    near = _near_crack_band(grid, axis, planes, R)
     # off-array slots count as non-samples: a window outside the band holds samples only
     band = sample & (box_any(~sample, R, outside=True) | near)
     smoothed = kernel.smooth_cells(values) if (sample & ~band).any() else np.zeros(values.shape)
-
-    # np.argwhere lists the symmetric support in an order that negation
-    # reverses: its first half holds one offset of each mirror pair, and
-    # the centre comes next.  Pairs are accumulated first, the centre last.
-    support = np.argwhere(weights > 0.0)
-    half = support.shape[0] // 2
-    classes = _weight_classes(weights[tuple(support[:half].T)])
-    center_w = weights[(R,) * grid.n]
-    pair_off = support[:half] - R
     # reads from arrays padded by R: every offset stays in bounds and a
     # padded slot is never a sample
     vpad = np.pad(values, R)
@@ -270,7 +253,7 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
 
         centre = vpad[tuple(slice(s.start + R, s.stop + R) for s in box)]
         inner = band[box]
-        smoothed[box][inner] = _pair_average(dense, classes, center_w, centre)[inner]
+        smoothed[box][inner] = _pair_average(dense, kernel, centre)[inner]
         rest = band.copy()
         rest[box] = False
 
@@ -291,6 +274,6 @@ def smooth_facet_values(F, eps: float, axis: int) -> tuple[np.ndarray, np.ndarra
             fwd, bwd = slice(M + shift, None), slice(M - shift, None)
             return mflat[fwd][at] & mflat[bwd][at], vflat[fwd][at], vflat[bwd][at]
 
-        smoothed[rest] = _pair_average(flat, classes, center_w, vflat[M:][at])
+        smoothed[rest] = _pair_average(flat, kernel, vflat[M:][at])
     return (np.where(sample, smoothed, F.vminus[axis]),
             np.where(sample, smoothed, F.vplus[axis]))

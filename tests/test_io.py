@@ -3,6 +3,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ def test_trace_csv_round_trip(tmp_path, slit_square_32):
     for (_, _, mask, arr), (*_, expected) in zip(back.slots(), tm.slots()):
         assert not arr[~mask].any()
         assert arr == pytest.approx(np.where(mask, expected, 0.0))
+
+
+def test_trace_csv_read_peak_stays_near_the_trace_arrays(tmp_path):
+    """Reading a trace CSV holds little beyond the ``TraceData`` it fills:
+    duplicates are found by the rows read, not by per-facet line arrays."""
+    from roughgg.dmfield import trace_measure
+
+    set_ = preset_set("slit-square", 1.0 / 256.0, margin_cells=4)
+    tm = trace_measure(sample_field(slit_jump_field(), set_, 1.0))
+    path = os.path.join(tmp_path, "tr.csv")
+    write_trace_csv(path, tm.side_weights, set_.grid)
+    tracemalloc.start()
+    try:
+        read_trace_csv(path, set_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * np.prod(set_.grid.extents)
 
 
 def test_trace_csv_malformed(tmp_path, square_32):

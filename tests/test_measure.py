@@ -70,6 +70,19 @@ def test_ball_count_matches_brute_force(shape, r2):
         assert np.array_equal(ball_count(mask, r2, points), _brute_ball_count(mask, r2, points))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_count_about_no_points_is_empty(n):
+    """No centres give no counts, in ``ball_count`` and ``density_field``
+    alike, rather than numpy's zero-size reduction error."""
+    from roughgg.gridcore import Grid, ball_count
+
+    grid = Grid(n=n, spacing=0.25, origin=(-2.0,) * n, extents=(16,) * n)
+    cells = np.ones(grid.extents, dtype=bool)
+    got = ball_count(cells, 4.0, np.zeros((0, n)))
+    assert got.shape == (0,) and got.dtype == ball_count(cells, 4.0, np.zeros((1, n))).dtype
+    assert density_field(RoughSet(grid, cells), 0.5, np.zeros((0, n))).shape == (0,)
+
+
 def test_density_deep_interior(square_32):
     d = density(square_32, (0.1, -0.2), 8 * square_32.grid.spacing)
     assert d == pytest.approx(1.0, abs=0.01)  # lattice-count wobble only
@@ -116,7 +129,11 @@ def test_density_at_cell_centres_matches_classify(name, spacing, k, multiple):
     r = multiple * grid.spacing
     field = density_field(set_, r)
     if multiple == 8.0:
-        assert np.array_equal(classify(set_).density_at_finest, field)
+        # the overrides set only interior and exterior labels
+        cls = classify(set_)
+        ess = cls.labels == ESSBOUNDARY
+        assert cls.r_star == r and ess.any()
+        assert np.all((field[ess] > cls.tau) & (field[ess] < 1.0 - cls.tau))
     lo, hi = grid.bounds()
     idx = np.argwhere(np.ones(grid.extents, dtype=bool))
     centers = lo + (idx + 0.5) * grid.spacing
@@ -194,7 +211,7 @@ def test_classify_quarter_plane_corner():
     idx = np.argwhere(set_.cells)
     corner = tuple(idx.min(axis=0))
     assert cls.labels[corner] == ESSBOUNDARY
-    assert abs(cls.density_at_finest[corner] - 0.25) < 0.1
+    assert abs(density_field(set_, 8.0 * set_.grid.spacing)[corner] - 0.25) < 0.1
 
 
 def test_classify_slit_adjacent_interior(slit_square_64):
@@ -233,7 +250,7 @@ def test_classify_thin_strip_override():
     middle_row = rs.cells & _erode(rs.cells, 1)
     assert middle_row.any()
     assert np.all(cls.labels[middle_row] == INTERIOR)
-    assert np.all(cls.density_at_finest[middle_row] < 0.9)
+    assert np.all(density_field(rs, 8.0 * grid.spacing)[middle_row] < 0.9)
 
 
 def test_duality_exterior_is_complement_interior(square_32):

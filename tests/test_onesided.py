@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from roughgg import mollify, onesided
+from roughgg import dmfield, mollify, onesided
 from roughgg.dmfield import mollify_field, sample_field
 from roughgg.domain import (PRESET_NAMES, RoughSet, make_grid, parse_domain, preset_set,
                             rasterize)
@@ -18,7 +18,7 @@ from roughgg.gridcore import Grid, box_any
 from roughgg.mollify import MollifierKernel, convolve_same, smooth_cells_masked
 from roughgg.onesided import (_bounding_box, _clear_crossings, _crack_planes,
                               _crossing_tables, _dense_box, _near_crack_band,
-                              _weight_classes, smooth_facet_values)
+                              smooth_facet_values)
 
 from conftest import cracked_domains, random_facet_noise
 
@@ -54,7 +54,7 @@ def _reference_smooth(F, eps, axis):
     smoothed = convolve_same(values, weights)
     planes = _crack_planes(grid, top.crack)
     band = sample & (box_any(~sample, R, outside=True)
-                     | _near_crack_band(grid, axis, planes, eps))
+                     | _near_crack_band(grid, axis, planes, R))
     support = np.argwhere(weights > 0.0)
     half = support.shape[0] // 2
     pair_off = support[:half] - R
@@ -153,12 +153,13 @@ def test_mollify_matches_reference_on_random_cracked_domains(set_, seed):
         assert Fe.sup_bound <= F.sup_bound
 
 
-def _per_pair_average(pair, classes, center_w, centre):
+def _per_pair_average(pair, kernel, centre):
     """The pair sum before weight classes: pairs in np.argwhere order,
     each weighted by its own w * ok, the half weights summed per pair."""
     acc_num = np.zeros(centre.shape)
     acc_half = np.zeros(centre.shape)
-    for i, w in sorted((int(i), w) for w, members in classes for i in members):
+    center_w = kernel.center_weight
+    for i, w in sorted((int(i), w) for w, members in kernel.classes for i in members):
         ok, fwd, bwd = pair(i)
         okw = ok * w
         acc_num += (fwd + bwd) * okw
@@ -186,22 +187,56 @@ def test_class_sums_drift_by_rounding_only(domain, mults, slit_square_64):
         assert drift <= 1e-14 * F.sup_bound
 
 
-@pytest.mark.parametrize("n, spacing, pairs, classes", [
-    (2, 1.0 / 64.0, (96, 22, 4), (28, 8, 2)),
-    (3, 1.0 / 16.0, (1051, 125, 13), (53, 13, 3)),
-], ids=["2d", "3d"])
-def test_kernel_pair_and_class_counts(n, spacing, pairs, classes):
+_COUNTS = {2: ((96, 22, 4), (28, 8, 2)), 3: ((1051, 125, 13), (53, 13, 3))}
+
+
+@pytest.mark.parametrize("n, denom", [(2, 64), (2, 36), (2, 96), (3, 16), (3, 24), (3, 36)],
+                         ids=["2d", "2d-36", "2d-96", "3d", "3d-24", "3d-36"])
+def test_kernel_pair_and_class_counts(n, denom):
     """The work of one pair sum at 8, 4 and 2 spacings: mirror pairs
-    summed per band point, and weight classes multiplied."""
+    summed per band point, and weight classes multiplied.  The kernel is
+    radial on every grid, so the counts do not follow the spacing."""
+    spacing = 1.0 / denom
     grid = Grid(n=n, spacing=spacing, origin=(0.0,) * n, extents=(8,) * n)
     got_pairs, got_classes = [], []
     for mult in (8, 4, 2):
-        weights = MollifierKernel(mult * spacing, grid).weights
-        support = np.argwhere(weights > 0.0)
-        grouped = _weight_classes(weights[tuple(support[:support.shape[0] // 2].T)])
-        got_pairs.append(sum(members.size for _, members in grouped))
-        got_classes.append(len(grouped))
-    assert (tuple(got_pairs), tuple(got_classes)) == (pairs, classes)
+        kernel = MollifierKernel(mult * spacing, grid)
+        got_pairs.append(sum(members.size for _, members in kernel.classes))
+        got_classes.append(len(kernel.classes))
+        assert got_pairs[-1] == len(kernel.pair_offsets)
+    assert (tuple(got_pairs), tuple(got_classes)) == _COUNTS[n]
+
+
+@pytest.mark.parametrize("n, denom", [(2, 36), (3, 24)])
+def test_kernel_weight_depends_on_the_offset_length_alone(n, denom):
+    """Every offset of one integer |o|^2 has exactly one weight, also on a
+    spacing whose square is not exact; each class's pairs share it."""
+    grid = Grid(n=n, spacing=1.0 / denom, origin=(0.0,) * n, extents=(8,) * n)
+    kernel = MollifierKernel(8.0 * grid.spacing, grid)
+    R = kernel.radius_cells
+    o2 = ((np.indices(kernel.weights.shape) - R) ** 2).sum(axis=0)
+    for length2 in np.unique(o2):
+        assert np.unique(kernel.weights[o2 == length2]).size == 1
+    for w, members in kernel.classes:
+        pair_w = kernel.weights[tuple((kernel.pair_offsets[members] + R).T)]
+        assert np.all(pair_w == w)
+
+
+def test_mollify_field_builds_one_kernel_for_every_axis():
+    """One ``MollifierKernel`` per ``mollify_field`` call serves every axis."""
+    F = sample_field(seeded_trig_field(1), _slit_cube(True), 1.0)
+    built = []
+
+    class Counting(MollifierKernel):
+        def __init__(self, eps, grid):
+            built.append(eps)
+            super().__init__(eps, grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dmfield, "MollifierKernel", Counting)
+        for mult in (4, 2):
+            mollify_field(F, mult * F.grid.spacing)
+    assert built == [4 * F.grid.spacing, 2 * F.grid.spacing]
 
 
 @pytest.mark.parametrize("extents", [(24, 20), (14, 12, 10)])
@@ -228,11 +263,10 @@ def test_dense_box_is_the_band_box_only_when_the_band_fills_it(domain, mult, who
                                                                slit_square_32):
     set_ = slit_square_32 if domain == "slit-square-32" else _slit_cube(True)
     grid, top = set_.grid, set_.topology
-    eps = mult * grid.spacing
-    R = MollifierKernel(eps, grid).radius_cells
+    R = MollifierKernel(mult * grid.spacing, grid).radius_cells
     planes = _crack_planes(grid, top.crack)
     for a in range(grid.n):
-        near = _near_crack_band(grid, a, planes, eps)
+        near = _near_crack_band(grid, a, planes, R)
         band = top.interior[a] & (box_any(~top.interior[a], R, outside=True) | near)
         band_box, near_box = _bounding_box(band), _bounding_box(band & near)
         # the two candidates differ, so the choice is seen
@@ -286,17 +320,14 @@ def test_crossing_tables_match_the_per_start_reference(domain, mult):
     set_ = (preset_set("cantor-cross", 1.0 / 36.0, k=2, margin_cells=4)
             if domain == "cantor-cross-36" else _two_rect_box())
     grid, top = set_.grid, set_.topology
-    eps = mult * grid.spacing
-    kernel = MollifierKernel(eps, grid)
-    weights, R = kernel.weights, kernel.radius_cells
+    kernel = MollifierKernel(mult * grid.spacing, grid)
+    R, pair_off = kernel.radius_cells, kernel.pair_offsets
     planes = _crack_planes(grid, top.crack)
     normals = {b for b, *_ in planes}
     assert normals == ({0, 1} if grid.n == 2 else {0, 2})
     assert len(planes) == (16 if grid.n == 2 else 2)
-    support = np.argwhere(weights > 0.0)
-    pair_off = support[:support.shape[0] // 2] - R
     for axis in range(grid.n):
-        near = _near_crack_band(grid, axis, planes, eps)
+        near = _near_crack_band(grid, axis, planes, R)
         band = top.interior[axis] & (box_any(~top.interior[axis], R, outside=True) | near)
         box = _dense_box(band, near)
         coords = [c.ravel()[s] for c, s in zip(grid.facet_center_mesh(axis), box)]
@@ -325,13 +356,12 @@ def _drift_within_rounding(F):
     grid, plain_count = F.grid, 0
     planes = _crack_planes(grid, F.topology.crack)
     for mult in (8, 4, 2):
-        eps = mult * grid.spacing
-        kernel = MollifierKernel(eps, grid)
+        kernel = MollifierKernel(mult * grid.spacing, grid)
         for a in range(grid.n):
             sample = F.topology.interior[a]
             values = np.where(sample, F.vminus[a], 0.0)
             plain = (sample & ~box_any(~sample, kernel.radius_cells, outside=True)
-                     & ~_near_crack_band(grid, a, planes, eps))
+                     & ~_near_crack_band(grid, a, planes, kernel.radius_cells))
             plain_count += int(plain.sum())
             drift = kernel.smooth_cells(values) - smooth_cells_masked(kernel, values, sample)
             assert np.abs(drift[plain]).max(initial=0.0) <= 1e-14 * F.sup_bound
@@ -374,8 +404,9 @@ def test_one_convolved_array_per_call(domain, mult, plain, slit_square_32):
         convolved.append(len(values) if isinstance(values, list) else 1)
         return convolve_same(values, weights)
 
+    kernel = MollifierKernel(mult * set_.grid.spacing, set_.grid)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mollify, "convolve_same", counting)
         for a in range(set_.grid.n):
-            smooth_facet_values(F, mult * set_.grid.spacing, a)
+            smooth_facet_values(F, kernel, a)
     assert convolved == ([1] * set_.grid.n if plain else [])
