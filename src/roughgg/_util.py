@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 from .errors import InputError, InvariantViolation
 
@@ -88,11 +87,13 @@ def dumps_json(obj) -> str:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a temp file + rename so interrupted runs leave no output.
-    A path that cannot be written (missing directory, a directory) raises
-    InputError."""
+    The temp file is created with mode 0666 less the umask, as ``open``
+    would create ``path``, and the rename keeps that mode.  A path that
+    cannot be written (missing directory, a directory) raises InputError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = os.path.join(directory, f".tmp-roughgg-{os.getpid()}-{os.urandom(6).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-roughgg-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)

@@ -1,14 +1,15 @@
 """Interior approximation by sets of uniformly bounded perimeter.
 
 The construction removes a controlled ball cover of the boundary from
-the body: the exterior-density cells (``bd.exterior_part``) are removed
-through balls certified to hold less than half body volume (greedy
-disjoint family, largest radius first), and the rest of the boundary
-(reduced facets and cracks) is covered by equal balls marched along the
+the body: the exterior-density cells, which the boundary decomposition
+adds (``bd.exterior_part``), are removed through balls certified to hold
+less than half body volume (greedy disjoint family, largest radius
+first), and the rest of the boundary, the set's own reduced and crack
+facets (``set_.topology``), is covered by equal balls marched along the
 facet set, whose total sphere area is proportional to the boundary
-measure.  What remains is compactly contained, its perimeter is bounded
-by a fixed multiple of the boundary measure uniformly in the scale, and
-the removed volume is linear in the scale.
+measure ``RoughSet.star_measure``.  What remains is compactly contained,
+its perimeter is bounded by a fixed multiple of the boundary measure
+uniformly in the scale, and the removed volume is linear in the scale.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def interior_approximation(set_: RoughSet, delta: float,
         raise InputError("the body has no volume")
     if bd is None:
         bd = boundary_decomposition(set_, classify(set_) if cls is None else cls)
-    targets = bd.reduced.union(bd.crack_part)
+    top = set_.topology
+    targets = FacetArrays(grid, [c | b for c, b in zip(top.crack, top.boundary)])
     balls = _half_density_balls(set_, bd, delta)
     balls += _facet_cover(grid, targets, delta)
     totals: dict = {}

@@ -131,22 +131,28 @@ def _domain_args(p):
     p.add_argument("--margin", type=int, default=4, help="margin cells around the box")
 
 
+def _refuse_3d_png(args, set_) -> None:
+    """Refuse ``--png`` on a 3D set before any work or output."""
+    if args.png and set_.grid.n != 2:
+        raise InputError("--png needs a 2D domain: PGM export needs a 2D array")
+
+
 def cmd_classify(args) -> int:
     from .io import write_pgm
-    from .measure import boundary_decomposition, classify
+    from .measure import classify
 
     _, set_ = _build_set(args)
+    _refuse_3d_png(args, set_)
     cls = classify(set_, tau=args.tau)
-    bd = boundary_decomposition(set_, cls)
     report = {
         "spacing": set_.grid.spacing,
         "cells": set_.cell_count,
         "volume": set_.volume,
         "labels": {"interior": cls.count(2), "essboundary": cls.count(1),
                    "exterior": cls.count(0)},
-        "reduced_measure": bd.reduced_measure,
-        "crack_measure": bd.crack_measure,
-        "star_measure": bd.star_measure,
+        "reduced_measure": set_.reduced_measure,
+        "crack_measure": set_.crack_length(),
+        "star_measure": set_.star_measure,
         "tau": cls.tau,
         "r_star": cls.r_star,
     }
@@ -155,7 +161,7 @@ def cmd_classify(args) -> int:
     if args.png:
         write_pgm(args.png, cls.to_pgm_levels())
     print(f"classify: {set_.cell_count} cells, star measure "
-          f"{bd.star_measure:.6g}")
+          f"{set_.star_measure:.6g}")
     return 0
 
 
@@ -182,6 +188,7 @@ def cmd_approx(args) -> int:
     from .io import write_pgm
 
     _, set_ = _build_set(args)
+    _refuse_3d_png(args, set_)
     if args.sweep:
         table = approximation_sweep(set_, args.sweep)
         lines = ["delta,spacing,perimeter,removed,ratio,verdict"]

@@ -478,19 +478,13 @@ def trace_linfinity_check(tm: TraceData, F: FluxField) -> dict:
     ginf = tm.g_infinity
     sup = F.sup_bound
     ratio = ginf / sup if sup > 0.0 else 0.0
-    worst = None
-    if ginf > 0.0:
-        nets = [np.abs(tm.net(a)) for a in range(tm.grid.n)]
-        a = max(range(tm.grid.n), key=lambda b: nets[b].max())
-        worst = (a, tuple(int(v) for v in np.unravel_index(np.argmax(nets[a]),
-                                                             nets[a].shape)))
     ok = ginf <= c_check * sup * (1.0 + 1e-12) + 1e-300
     if not ok:
         raise InvariantViolation(
             f"trace density {ginf} exceeds {c_check} x field bound {sup}"
         )
     return {"g_infinity": ginf, "sup_bound": sup, "ratio": ratio,
-            "c_check": c_check, "worst_facet": worst, "ok": ok}
+            "c_check": c_check, "ok": ok}
 
 
 @dataclass
@@ -847,7 +841,7 @@ def extension_bound_check(F: FluxField) -> dict:
     c_ext = 2.0
     lhs = divergence_measure(extend_by_zero(F)).total_variation
     tv_inner = divergence_measure(F).total_variation
-    star = F.set.reduced_measure + F.set.crack_length()
+    star = F.set.star_measure
     rhs = tv_inner + F.sup_bound * star
     ok = lhs <= c_ext * rhs * (1.0 + 1e-12) + 1e-300
     report = {"extended_tv": lhs, "interior_tv": tv_inner,

@@ -345,7 +345,7 @@ class RoughSet:
         top = FacetTopology([], [], [], [], [], [])
         for a in range(self.grid.n):
             lower, upper = lift(self.cells, a)
-            crack = self.cracks.masks[a].copy()
+            crack = self.cracks.masks[a]  # shared: written only before the set exists
             boundary = lower != upper
             inside_lower = boundary & lower
             top.interior.append(lower & upper & ~crack)
@@ -367,10 +367,15 @@ class RoughSet:
     @property
     def reduced_measure(self) -> float:
         """(n-1)-measure of the reduced boundary: reduced facets times
-        facet area.  With ``crack_length()`` it is H^{n-1}(boundary minus
-        the measure-theoretic exterior)."""
+        facet area."""
         count = sum(int(m.sum()) for m in self.topology.boundary)
         return count * self.grid.facet_area
+
+    @property
+    def star_measure(self) -> float:
+        """H^{n-1}(boundary minus the measure-theoretic exterior), the
+        measure of condition (*): the reduced boundary plus the cracks."""
+        return self.reduced_measure + self.crack_length()
 
     def crack_length(self) -> float:
         """Total crack size with the polyline correction applied."""

@@ -312,8 +312,3 @@ class FacetArrays:
         """(N, n) facet-center coordinates in lexicographic order."""
         return np.concatenate([np.stack(self.grid.facet_centers(a, nonzero(m)), axis=-1)
                                for a, m in enumerate(self.masks)])
-
-    def union(self, other: "FacetArrays") -> "FacetArrays":
-        return FacetArrays(
-            self.grid, [a | b for a, b in zip(self.masks, other.masks)]
-        )

@@ -2,12 +2,12 @@
 
 Cells are labeled interior / exterior / essential-boundary by the volume
 fraction of the body in a reference ball (radius 8 spacings, thresholds
-at tau and 1-tau).  The boundary decomposes into reduced facets, the
-crack part, and the exterior-density cells on a reduced facet, body cells
-included, which the interior approximation removes.  The boundary measure
-every bound here is measured against, H^{n-1} of the boundary minus the
-measure-theoretic exterior, is ``RoughSet.reduced_measure`` plus
-``RoughSet.crack_length()``.
+at tau and 1-tau).  The boundary measure every bound here is measured
+against, H^{n-1} of the boundary minus the measure-theoretic exterior, is
+``RoughSet.star_measure``: the reduced facets and cracks are the set's
+own.  The boundary decomposition adds only what classification decides,
+the exterior-density cells on a reduced facet, body cells included, which
+the interior approximation removes.
 """
 
 from __future__ import annotations
@@ -50,18 +50,11 @@ class Classification:
 
 @dataclass
 class BoundaryDecomposition:
-    """Reduced facets, crack facets, exterior boundary cells, and the
-    measure of the boundary minus the measure-theoretic exterior."""
+    """What classification adds to a set's boundary: the exterior-density
+    cells on a reduced facet, beside the set's ``star_measure``."""
 
-    reduced: FacetArrays
-    crack_part: FacetArrays
     exterior_part: np.ndarray  # bool cells labeled exterior on a reduced facet
-    reduced_measure: float
-    crack_measure: float
-
-    @property
-    def star_measure(self) -> float:
-        return self.reduced_measure + self.crack_measure
+    star_measure: float  # RoughSet.star_measure of the set
 
 
 @dataclass
@@ -124,15 +117,11 @@ def classify(set_: RoughSet, tau: float = DEFAULT_TAU) -> Classification:
 
 
 def boundary_decomposition(set_: RoughSet, cls: Classification) -> BoundaryDecomposition:
-    """Split the discrete boundary into the reduced part, the crack part,
-    and the exterior-labeled cells on a reduced facet, with the measure."""
-    reduced = FacetArrays(set_.grid, list(set_.topology.boundary))
+    """The exterior-labeled cells on a reduced facet, with the set's
+    boundary measure."""
     return BoundaryDecomposition(
-        reduced=reduced,
-        crack_part=set_.cracks,  # shared: a RoughSet never writes its masks
-        exterior_part=touching(reduced.masks) & (cls.labels == EXTERIOR),
-        reduced_measure=set_.reduced_measure,
-        crack_measure=set_.crack_length(),
+        exterior_part=touching(set_.topology.boundary) & (cls.labels == EXTERIOR),
+        star_measure=set_.star_measure,
     )
 
 
@@ -227,9 +216,8 @@ def star_condition_diagnostic(spec, spacings) -> StarDiagnostic:
         if spec.preset == "cantor-cross":
             level_spec = cantor_cross_spec(max(0, int(round(-math.log(dx) / math.log(3.0)))))
         set_ = rasterize(level_spec, make_grid(level_spec, dx))
-        reduced, crack = set_.reduced_measure, set_.crack_length()
-        rows.append({"spacing": dx, "star_measure": reduced + crack,
-                     "reduced": reduced, "crack": crack})
+        rows.append({"spacing": dx, "star_measure": set_.star_measure,
+                     "reduced": set_.reduced_measure, "crack": set_.crack_length()})
     inv = [1.0 / r["spacing"] for r in rows]
     components = ["star_measure", "reduced"]
     if all(r["crack"] > 0.0 for r in rows):

@@ -30,6 +30,12 @@ def slit_256():
     return preset_set("slit-square", 1.0 / 256.0, margin_cells=4)
 
 
+def _targets(set_):
+    """The facets the star cover must cover: the set's cracks and reduced facets."""
+    top = set_.topology
+    return FacetArrays(set_.grid, [c | b for c, b in zip(top.crack, top.boundary)])
+
+
 def test_interior_approximation_square():
     set_ = preset_set("square", 1.0 / 128.0, margin_cells=4)
     rep = interior_approximation(set_, 1.0 / 8.0)
@@ -60,7 +66,7 @@ def test_cover_coverage_and_validity(slit_256):
     bd = boundary_decomposition(slit_256, cls)
     rep = interior_approximation(slit_256, 1.0 / 8.0, cls=cls, bd=bd)
     # re-audit independently (raises on failure)
-    audit_cover(slit_256, rep.cover, bd.reduced.union(bd.crack_part))
+    audit_cover(slit_256, rep.cover, _targets(slit_256))
     for center, r, kind in rep.cover.balls:
         assert r < 1.0 / 8.0
         if kind == EXTERIOR_HALF_DENSITY:
@@ -152,11 +158,11 @@ def test_exterior_part_holds_the_whisker_tip():
     assert _half_density_balls(rs, bd, 8 * rs.grid.spacing)
 
 
-def _half_density_loop(set_, bd, cls, delta):
+def _half_density_loop(set_, cls, delta):
     """The halving search one centre and one ``density`` call at a time."""
     grid = set_.grid
     glo, ghi = grid.bounds()
-    candidates = np.argwhere(touching(bd.reduced.masks) & (cls.labels == EXTERIOR))
+    candidates = np.argwhere(touching(set_.topology.boundary) & (cls.labels == EXTERIOR))
     found = []
     for idx in candidates:
         center = glo + (idx + 0.5) * grid.spacing
@@ -193,10 +199,10 @@ def test_half_density_balls_match_a_per_centre_loop(n, extent, dust):
     grid = set_.grid
     cls = classify(set_)
     bd = boundary_decomposition(set_, cls)
-    assert (touching(bd.reduced.masks) & (cls.labels == EXTERIOR)).sum() > 300
+    assert (touching(set_.topology.boundary) & (cls.labels == EXTERIOR)).sum() > 300
     for m in (8, 16, 32):
         balls = _half_density_balls(set_, bd, m * grid.spacing)
-        assert balls == _half_density_loop(set_, bd, cls, m * grid.spacing)
+        assert balls == _half_density_loop(set_, cls, m * grid.spacing)
         assert balls
         audit_cover(set_, BallCover(balls=balls, totals={}), FacetArrays(grid))
 
@@ -229,8 +235,7 @@ def _cover_case(name: str):
         set_ = rasterize(spec, make_grid(spec, 1.0 / 16.0, margin_cells=4))
     else:
         set_ = preset_set(name, 1.0 / 128.0)
-    bd = boundary_decomposition(set_, classify(set_))
-    return set_, bd.reduced.union(bd.crack_part)
+    return set_, _targets(set_)
 
 
 def _kdtree_cover(grid, targets, delta):

@@ -473,3 +473,31 @@ def test_scale_too_large_for_the_grid_exit_2(args, scale, capsys):
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert scale in err and f"over the cap of {2**23}" in err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "perimeter.json"
+    for args in (["gallery", "--out-dir", str(tmp_path / "gallery")],
+                 ["perimeter", "--preset", "square", "--grid", "16", "--out", str(out)]):
+        proc = subprocess.run(CLI + args, capture_output=True, text=True, umask=umask)
+        assert proc.returncode == 0, proc.stderr
+    written = [out, *(tmp_path / "gallery").iterdir()]
+    assert len(written) == 8  # six presets, the manifest and the perimeter report
+    assert {oct(p.stat().st_mode & 0o777) for p in written} == {oct(mode)}
+    assert not [p for p in tmp_path.rglob(".tmp-roughgg*")]
+
+
+CUBE_DOC = '{"shape":{"op":"box","min":[-1,-1,-1],"max":[1,1,1]}}'
+
+
+@pytest.mark.parametrize("command", ["classify", "approx"])
+def test_png_on_a_3d_set_exit_2_before_any_output(tmp_path, command):
+    out, png = tmp_path / "x.json", tmp_path / "y.pgm"
+    proc = run(command, "--domain", CUBE_DOC, "--grid", "8", "--out", str(out),
+               "--png", str(png))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--png needs a 2D domain" in proc.stderr
+    assert not out.exists() and not png.exists()

@@ -287,6 +287,36 @@ def test_reduced_measure_oracle(name, n_per_unit):
     assert rs.reduced_measure == 8.0
 
 
+SLIT_CUBE_DOC = json.dumps({
+    "shape": {"op": "box", "min": [-1, -1, -1], "max": [1, 1, 1]},
+    "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
+})
+STAR_CASES = ["square", "disk", "slit-square", "slit-disk", "l-shape", "cantor-cross",
+              "slit-cube"]
+
+
+def _star_case(key):
+    """A preset at 1/64 (cantor-cross k=2 at 1/36) or the slit cube at 1/16."""
+    if key == "slit-cube":
+        spec = parse_domain(SLIT_CUBE_DOC)
+        return rasterize(spec, make_grid(spec, 1.0 / 16.0))
+    if key == "cantor-cross":
+        return preset_set(key, 1.0 / 36.0, k=2)
+    return preset_set(key, 1.0 / 64.0)
+
+
+@pytest.mark.parametrize("key", STAR_CASES)
+def test_star_measure_is_reduced_plus_crack(key):
+    rs = _star_case(key)
+    assert rs.star_measure == rs.reduced_measure + rs.crack_length()
+
+
+@pytest.mark.parametrize("key", ["slit-square", "slit-cube"])
+def test_topology_shares_the_crack_masks(key):
+    rs = _star_case(key)
+    assert all(rs.topology.crack[a] is rs.cracks.masks[a] for a in range(rs.grid.n))
+
+
 def test_reduced_measure_oracle_3d_box():
     spec = parse_domain('{"shape":{"op":"box","min":[-1,-1,-1],"max":[1,1,1]}}')
     rs = rasterize(spec, make_grid(spec, 1.0 / 8.0))

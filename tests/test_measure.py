@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,7 @@ from roughgg.measure import (
     ESSBOUNDARY,
     EXTERIOR,
     INTERIOR,
+    BoundaryDecomposition,
     ahlfors_constant,
     boundary_decomposition,
     classify,
@@ -269,15 +271,22 @@ def test_duality_exterior_is_complement_interior(square_32):
 def test_boundary_decomposition_slit(slit_square_64):
     bd = boundary_decomposition(slit_square_64, classify(slit_square_64))
     assert abs(bd.star_measure - 10.0) <= 0.03 * 10.0
-    assert bd.crack_measure == 2.0
-    assert not any((r & c).any() for r, c in zip(bd.reduced.masks, bd.crack_part.masks))
+    assert slit_square_64.crack_length() == 2.0
+    top = slit_square_64.topology
+    assert not any((r & c).any() for r, c in zip(top.boundary, top.crack))
     assert not bd.exterior_part.any()
 
 
 def test_boundary_decomposition_box_no_crack(square_32):
     bd = boundary_decomposition(square_32, classify(square_32))
-    assert bd.crack_part.count() == 0
-    assert abs(bd.reduced_measure - 8.0) < 1e-9
+    assert square_32.cracks.count() == 0
+    assert abs(square_32.reduced_measure - 8.0) < 1e-9
+    assert bd.star_measure == square_32.reduced_measure
+
+
+def test_boundary_decomposition_keeps_only_what_classification_decides():
+    assert [f.name for f in dataclasses.fields(BoundaryDecomposition)] == [
+        "exterior_part", "star_measure"]
 
 
 def test_perimeter_square():
@@ -354,9 +363,9 @@ def test_ahlfors_square_boundary_brute_force():
 def test_ahlfors_monotone_in_facets():
     set_ = preset_set("slit-square", 1.0 / 32.0)
     dx = set_.grid.spacing
-    red = FacetArrays(set_.grid, set_.topology.boundary)
+    top = set_.topology
     small = set_.cracks
-    big = small.union(red)
+    big = FacetArrays(set_.grid, [c | b for c, b in zip(top.crack, top.boundary)])
     radii = [8 * dx, 16 * dx]
     c_small = ahlfors_constant(set_.grid, small, radii=radii).constant
     c_big = ahlfors_constant(set_.grid, big, radii=radii).constant
