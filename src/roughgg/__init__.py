@@ -30,7 +30,7 @@ _EXPORTS = {
                "DomainSyntaxError", "GridTooCoarseError", "InputError",
                "InvariantViolation", "RoughGGError"),
     "gridcore": ("MINUS", "PLUS", "FacetArrays", "Grid"),
-    "measure": ("AhlforsReport", "BoundaryDecomposition", "Classification",
+    "measure": ("BoundaryDecomposition", "Classification",
                 "ahlfors_constant", "boundary_decomposition", "classify", "density",
                 "perimeter", "star_condition_diagnostic"),
     "mollify": ("MollifierKernel",),

@@ -1,16 +1,19 @@
-"""Small shared helpers: atomic output, float formatting and input decoding."""
+"""Small shared helpers: atomic output, float formatting and input decoding.
+
+JSON artifacts spell floats the shortest way that reads back exactly;
+CSVs and stdout use ``format_float`` (17 significant digits)."""
 
 from __future__ import annotations
 
 import json
-import math
 import os
 
 from .errors import InputError, InvariantViolation
 
 
 def format_float(x: float) -> str:
-    """17 significant digits: reproducible and round-trip exact."""
+    """17 significant digits, the CSV and stdout spelling: reproducible and
+    round-trip exact."""
     return format(float(x), ".17g")
 
 
@@ -42,47 +45,15 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def _render(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _render(val, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad + "  ")
-            _render(val, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise InvariantViolation(f"non-finite value {obj} in a JSON artifact")
-        out.append(format_float(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    else:
-        out.append(json.dumps(obj))
-
-
 def dumps_json(obj) -> str:
-    """JSON with every float printed at 17 significant digits; a NaN or
-    infinity raises InvariantViolation (JSON has no spelling for them)."""
-    normalized = json.loads(json.dumps(obj, default=_json_default))
-    out: list = []
-    _render(normalized, 0, out)
-    return "".join(out) + "\n"
+    """JSON with 2-space indent and a final newline; floats take Python's
+    shortest round-trip spelling, so they read back as the same floats.  A
+    NaN or infinity raises InvariantViolation (JSON has no spelling for
+    them)."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_json_default) + "\n"
+    except ValueError as exc:
+        raise InvariantViolation(f"JSON artifact: {exc}") from exc
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -1,9 +1,10 @@
 """Command-line surface: reproducible experiments over the gallery.
 
-One binary with subcommands; outputs are written atomically and floats
-are printed with 17 significant digits, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 invariant violation,
-2 bad input, 3 incompatible trace data.
+One binary with subcommands; outputs are written atomically, JSON floats
+take the shortest spelling that reads back exactly and CSV floats 17
+significant digits, so identical invocations produce byte-identical
+files.  Exit codes: 0 success, 1 invariant violation, 2 bad input,
+3 incompatible trace data.
 
 Each subcommand imports the modules it runs, so a process loads only
 what its subcommand needs: classify, perimeter, approx and gallery load
@@ -367,10 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_finite_positive, default=None,
                    help="approximation scale (default: 0.125 or 8 spacings, "
                         "whichever is larger)")
-    p.add_argument("--sweep", type=_scale_list,
-                   help="comma-separated scales: emit CSV instead")
     p.add_argument("--out")
-    p.add_argument("--png")
+    # a sweep writes one CSV and no picture
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--sweep", type=_scale_list,
+                      help="comma-separated scales: emit CSV instead")
+    only.add_argument("--png")
     p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("trace", help="normal-trace measure of a field")

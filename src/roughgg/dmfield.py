@@ -692,7 +692,6 @@ class InteriorTraceReport:
     compactly contained set, with its interior Gauss-Green audit."""
 
     weights: list[np.ndarray]   # per axis: finest-width measure on reduced facets of E
-    eps_list: list[float]
     gate_passed: bool
     gate_details: list[dict]
     gg_residual: float          # interior Gauss-Green against -2x the measure
@@ -755,7 +754,6 @@ def interior_normal_trace(F: FluxField, e_cells: np.ndarray) -> InteriorTraceRep
         gg_residual = max(gg_residual, abs(lhs - rhs))
     return InteriorTraceReport(
         weights=ladder[-1],
-        eps_list=eps_list,
         gate_passed=gate_passed,
         gate_details=gate_details,
         gg_residual=gg_residual,

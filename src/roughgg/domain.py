@@ -541,6 +541,10 @@ def cantor_cross_spec(k: int) -> DomainSpec:
 
 
 def preset_spec(name: str, k: int | None = None) -> DomainSpec:
+    """The named preset; a generation ``k`` is refused on any preset but
+    cantor-cross, which alone has one."""
+    if k is not None and name != "cantor-cross" and name in PRESET_NAMES:
+        raise DomainSemanticError(f"k: preset {name!r} has no generation, got k={k!r}")
     if name == "square":
         return DomainSpec(Box((-1.0, -1.0), (1.0, 1.0)), preset=name)
     if name == "disk":

@@ -57,12 +57,6 @@ class BoundaryDecomposition:
     star_measure: float  # RoughSet.star_measure of the set
 
 
-@dataclass
-class AhlforsReport:
-    constant: float
-    witnesses: list[tuple[tuple[float, ...], float, float]]
-
-
 def density(set_: RoughSet, center, r: float) -> float:
     """Volume fraction of the body in the closed ball B_r(center), counted
     as ``classify`` counts it about a cell (``density_field``)."""
@@ -146,7 +140,7 @@ def perimeter(grid: Grid, cells: np.ndarray, eps: float) -> float:
     return float(mag.sum() * grid.cell_volume)
 
 
-def ahlfors_constant(grid: Grid, facets: FacetArrays, radii) -> AhlforsReport:
+def ahlfors_constant(grid: Grid, facets: FacetArrays, radii) -> float:
     """Best constant C with measure(set within B_r) <= C r^(n-1) over every
     facet center of the set and the given radii.  Each centre counts the
     facets of the set in its closed ball by ``gridcore.ball_count`` on one
@@ -165,15 +159,12 @@ def ahlfors_constant(grid: Grid, facets: FacetArrays, radii) -> AhlforsReport:
                              for a, mask in enumerate(facets.masks)])
     occupied = np.zeros(tuple(2 * m + 1 for m in grid.extents), dtype=bool)
     occupied[tuple(points.T)] = True
-    centers = facets.centers()
-    witnesses = []
+    constant = 0.0
     for r in radii:
         lattice_reach(np.ceil(r / grid.spacing) + 1, grid.n, f"Ahlfors radius {r}")
         counts = ball_count(occupied, (2.0 * r / grid.spacing) ** 2, points)
-        ratios = counts * grid.facet_area / r ** (grid.n - 1)
-        j = int(np.argmax(ratios))
-        witnesses.append((tuple(float(v) for v in centers[j]), r, float(ratios[j])))
-    return AhlforsReport(constant=max(w[2] for w in witnesses), witnesses=witnesses)
+        constant = max(constant, float(counts.max()) * grid.facet_area / r ** (grid.n - 1))
+    return constant
 
 
 def refinement_order(scales, gaps) -> float | None:

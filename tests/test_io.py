@@ -25,10 +25,13 @@ def test_float_formatting_17_digits():
 
 
 def test_dumps_json_round_trip():
-    obj = {"a": 1.0 / 3.0, "b": [1, True, None, "x"], "c": {"d": -0.0}}
-    text = dumps_json(obj)
-    back = json.loads(text)
-    assert back["a"] == 1.0 / 3.0
+    floats = [1.0 / 3.0, 1.0, -0.0, 1e16, 0.05]
+    obj = {"a": floats, "b": [1, True, None, "x"], "c": {"d": -0.0}}
+    back = json.loads(dumps_json(obj))
+    # every float reads back as a float with the same bits, sign included
+    assert [struct.pack("<d", v) for v in back["a"]] == [struct.pack("<d", v) for v in floats]
+    assert all(type(v) is float for v in back["a"]) and type(back["c"]["d"]) is float
+    assert math.copysign(1.0, back["c"]["d"]) == -1.0
     assert back["b"] == [1, True, None, "x"]
 
 
