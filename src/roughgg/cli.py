@@ -57,8 +57,11 @@ def _load_spec(args):
                args.domain_file is not None]
     if sum(sources) != 1:
         raise InputError("exactly one of --preset / --domain / --domain-file")
+    k = getattr(args, "k", None)
     if args.preset:
-        return preset_spec(args.preset, k=getattr(args, "k", None))
+        return preset_spec(args.preset, k=k)
+    if k is not None:
+        raise InputError('--k needs --preset: a domain document gives its generation as "k"')
     if args.domain:
         return parse_domain(args.domain)
     text = read_utf8(args.domain_file, "domain file")
@@ -188,6 +191,8 @@ def cmd_approx(args) -> int:
     from .approx import approximation_sweep, interior_approximation
     from .io import write_pgm
 
+    if args.sweep and args.delta is not None:
+        raise InputError("--delta does not apply with --sweep: the sweep's scales are its own")
     _, set_ = _build_set(args)
     _refuse_3d_png(args, set_)
     if args.sweep:

@@ -22,12 +22,17 @@ Every graph-Laplacian solve, of any size and dimension, takes one path:
 conjugate gradients preconditioned by a plain-aggregation multigrid
 V-cycle.  An aggregate is the part of a 2^n block of nodes that the
 block's own graph edges connect, so no aggregate reaches across a crack
-facet or joins two components.  Coarsening stops at ``COARSE_SIZE``
-nodes, where the coarsest level is factorized; a system already that
-small is solved exactly and CG stops after one iteration.  CG is a short
-loop (``_pcg``) in the recurrence of ``scipy.sparse.linalg.cg`` whose
-inner products are numpy's fixed-order reductions, not BLAS calls, so a
-solve's bits do not follow the BLAS thread count.
+facet or joins two components.  Every edge joins two face neighbours,
+so the graph is bipartite by the parity of a cell's coordinate sum: the
+finest level is numbered red (even) then black and smoothed by one
+red-black Gauss-Seidel sweep before the coarse correction and the
+reverse sweep after it, two half matvecs per sweep; the coarser levels
+use damped Jacobi.  Coarsening stops at ``COARSE_SIZE`` nodes, where the
+coarsest level is factorized; a system already that small is solved
+exactly and CG stops after one iteration.  CG is a short loop (``_pcg``)
+in the recurrence of ``scipy.sparse.linalg.cg`` whose inner products are
+numpy's fixed-order reductions, not BLAS calls, so a solve's bits do not
+follow the BLAS thread count.
 
 The policy is one for every caller and takes no argument: CG stops at
 the relative residual ``_CG_RTOL``, both audits (``_audit`` inside each
@@ -39,13 +44,16 @@ net flux over the whole set (``CompatibilityError``).  Those checks need
 no scipy and live in ``dmfield``, so the command line runs them before
 this module loads.
 
-The matrix is assembled straight from the grid as a sorted int32 CSR:
+The matrix is assembled straight from the grid in red|black node order,
+as a diagonal vector and a sorted int32 CSR of the off-diagonal part:
 each node's row is read off a per-node table of its neighbours in
 increasing id order, masked by the edge masks, with no COO edge lists.
-Each Galerkin product is a sparse ``P^T A P`` of integer entries, so it
-is exact.  The audits read the cell balance (the cell atoms of the
-divergence measure) and, per trace slot, the field's one-sided values
-on the legal sides only; they build no whole measure.
+The red rows of that CSR are A_RB and the black rows A_BR, so the
+smoother reads both blocks in place.  Each Galerkin product is a sparse
+``P^T A P`` of integer entries, so it is exact.  The audits read the
+cell balance (the cell atoms of the divergence measure) and, per trace
+slot, the field's one-sided values on the legal sides only; they build
+no whole measure.
 """
 
 from __future__ import annotations
@@ -65,8 +73,9 @@ __all__ = ["SolveReport", "TraceData", "solve_decomposed", "solve_direct", "veri
 
 # Fixed multigrid constants (not tuning knobs): coarsening stops at
 # COARSE_SIZE nodes or when a level keeps more than _STALL of its nodes;
-# _SWEEPS damped-Jacobi sweeps of weight _OMEGA smooth before and after a
-# coarse correction scaled by _COARSE_SCALE, the usual over-correction
+# on every level below the finest (which is smoothed red-black), _SWEEPS
+# damped-Jacobi sweeps of weight _OMEGA smooth before and after; every
+# coarse correction is scaled by _COARSE_SCALE, the usual over-correction
 # for unsmoothed aggregation (below 2, so the cycle stays SPD).
 COARSE_SIZE = 2_000
 _STALL = 0.8
@@ -111,38 +120,114 @@ def _aggregate(A: sp.csr_matrix, coords: np.ndarray):
     return agg, coarse
 
 
-def _galerkin(A: sp.csr_matrix, agg: np.ndarray, n_agg: int) -> sp.csr_matrix:
-    """P^T A P for the aggregation P (one unit entry per row, in column
-    ``agg``), with sorted column indices.  Every entry of A is an integer,
+def _galerkin(A: sp.csr_matrix, agg: np.ndarray, n_agg: int, diag=None) -> sp.csr_matrix:
+    """P^T (A + diag(``diag``)) P for the aggregation P (one unit entry per
+    row, in column ``agg``), with sorted column indices; the diagonal, when
+    given apart from A, adds up by ``bincount``.  Every entry is an integer,
     so every coarse entry is an exact sum whatever order it is formed in."""
     n = agg.size
     P = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)), shape=(n, n_agg))
     coarse = P.T.tocsr() @ (A @ P)
+    if diag is not None:
+        coarse = (coarse + sp.diags(np.bincount(agg, weights=diag, minlength=n_agg))).tocsr()
     coarse.sort_indices()
     return coarse
 
 
+def _coarsen(graph: sp.csr_matrix, coords: np.ndarray):
+    """The aggregates of a level above ``COARSE_SIZE`` nodes and their
+    block coordinates, or None where coarsening stops."""
+    if graph.shape[0] <= COARSE_SIZE:
+        return None
+    agg, coarse_coords = _aggregate(graph, coords)
+    if coarse_coords.shape[0] > _STALL * graph.shape[0]:
+        return None
+    return agg, coarse_coords
+
+
+_RED, _BLACK = 0, 1
+
+
+class _Laplacian:
+    """A grounded graph Laplacian ``D + O`` in red|black node order: the
+    diagonal ``diag`` and the off-diagonal part ``off``, one sorted CSR.
+    Every edge joins a red node (ids below ``n_red``) and a black one, so
+    the red rows of ``off`` are A_RB and the black rows A_BR; ``rows``
+    holds the two as CSR views of ``off``."""
+
+    def __init__(self, off: sp.csr_matrix, diag: np.ndarray, n_red: int):
+        self.off, self.diag, self.n_red = off, diag, n_red
+        self.halves = (slice(None, n_red), slice(n_red, None))
+        cut = off.indptr[n_red]
+        self.rows = (
+            sp.csr_matrix((off.data[:cut], off.indices[:cut], off.indptr[:n_red + 1]),
+                          shape=(n_red, off.shape[1])),
+            sp.csr_matrix((off.data[cut:], off.indices[cut:], off.indptr[n_red:] - cut),
+                          shape=(off.shape[0] - n_red, off.shape[1])))
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        q = self.off @ p
+        q += self.diag * p
+        return q
+
+    def relax(self, colour: int, x: np.ndarray, r: np.ndarray) -> None:
+        """Gauss-Seidel on one colour (``_RED`` or ``_BLACK``) in place:
+        its nodes see only the other colour, so x_c = D_c^-1 (r_c - O_c x)
+        at once."""
+        half = self.halves[colour]
+        np.subtract(r[half], self.rows[colour] @ x, out=x[half])
+        x[half] /= self.diag[half]
+
+    def tocsr(self) -> sp.csr_matrix:
+        """D + O as one CSR, for a system factorized whole."""
+        return (self.off + sp.diags(self.diag)).tocsr()
+
+
 class _AggregationVCycle:
     """Symmetric V-cycle over a plain-aggregation hierarchy of the SPD
-    matrix ``A`` whose nodes sit at integer ``coords``.  Prolongation is
-    stored as the aggregate index array alone: restriction is a
-    ``bincount`` and prolongation a gather."""
+    Laplacian ``lap`` whose nodes sit at integer ``coords``.  The fine
+    level is smoothed by one red-black Gauss-Seidel sweep before the
+    coarse correction and its reverse after it; each coarser level
+    ``(A, wdinv, agg, n_agg)`` in ``levels`` by damped Jacobi.
+    Prolongation is stored as the aggregate index array alone:
+    restriction is a ``bincount`` and prolongation a gather.  ``fine`` is
+    the fine level's ``(agg, n_agg)``, or None where ``lap`` is
+    factorized whole."""
 
-    def __init__(self, A: sp.csr_matrix, coords: np.ndarray):
+    def __init__(self, lap: _Laplacian, coords: np.ndarray):
+        self.lap = lap
+        self.fine = None
         self.levels = []
-        while A.shape[0] > COARSE_SIZE:
-            agg, coarse_coords = _aggregate(A, coords)
-            n_agg = coarse_coords.shape[0]
-            if n_agg > _STALL * A.shape[0]:
-                break
-            self.levels.append((A, _OMEGA / A.diagonal(), agg, n_agg))
-            A = _galerkin(A, agg, n_agg)
-            coords = coarse_coords
+        step = _coarsen(lap.off, coords)
+        if step is None:
+            A = lap.tocsr()
+        else:
+            agg, coords = step
+            self.fine = agg, coords.shape[0]
+            A = _galerkin(lap.off, agg, coords.shape[0], lap.diag)
+        while (step := _coarsen(A, coords)) is not None:
+            agg, coords = step
+            self.levels.append((A, _OMEGA / A.diagonal(), agg, coords.shape[0]))
+            A = _galerkin(A, agg, coords.shape[0])
         self.coarse = spla.splu(A.tocsc())
-        self.depth = len(self.levels) + 1
+        self.depth = len(self.levels) + 1 + (self.fine is not None)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._cycle(0, r)
+        if self.fine is None:
+            return self.coarse.solve(r)
+        lap, (agg, n_agg) = self.lap, self.fine
+        red = lap.halves[_RED]
+        x = np.empty(r.shape)
+        # forward sweep from x = 0, red then black
+        np.divide(r[red], lap.diag[red], out=x[red])
+        lap.relax(_BLACK, x, r)
+        # the black residual is now zero and the red one is -A_RB x_B
+        rc = np.bincount(agg[red], weights=lap.rows[_RED] @ x, minlength=n_agg)
+        x -= _COARSE_SCALE * self._cycle(0, rc)[agg]
+        # backward sweep, black then red
+        lap.relax(_BLACK, x, r)
+        lap.relax(_RED, x, r)
+        return x
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.levels):
@@ -160,23 +245,30 @@ class _AggregationVCycle:
 
 def _laplacian(cells: np.ndarray, edge_masks):
     """Unit-weight graph Laplacian of the body cells joined by the edges
-    in the facet masks, grounded at one node per component, as CSR.
+    in the facet masks, grounded at one node per component.
 
-    Nodes are the body cells in C order (int32 ids).  Row i lists its
-    lower neighbours along axes 0..n-1, itself, then its upper neighbours
-    along axes n-1..0: increasing ids, so the column indices come out
-    sorted.  Returns the matrix, the component count, the component of
-    every node (numbered by smallest node) and the integer coordinates
-    of every node."""
+    Nodes are numbered red|black (int32 ids): the red body cells (even
+    coordinate sum) in C order, then the black ones.  Every edge joins a
+    red and a black cell.  Row i of the off-diagonal CSR lists its lower
+    neighbours along axes 0..n-1, then its upper neighbours along axes
+    n-1..0: increasing ids, so the column indices come out sorted.
+    Returns the ``_Laplacian``, the red and the black body cells (two
+    masks), the component count, the component of every node (numbered
+    by smallest node) and the integer coordinates of every node."""
     n = cells.ndim
-    flat = np.flatnonzero(cells)
-    n_nodes = flat.size
+    black = np.zeros(cells.shape, dtype=bool)
+    for a, m in enumerate(cells.shape):
+        black ^= (np.arange(m) % 2 == 1).reshape([-1 if b == a else 1 for b in range(n)])
+    black &= cells
+    red = cells ^ black
+    order = np.concatenate([np.flatnonzero(red), np.flatnonzero(black)])
+    n_nodes = order.size
     if n_nodes == 0:
         raise InputError("empty body: nothing to solve on")
+    n_red = n_nodes - int(np.count_nonzero(black))
     node_id = np.full(cells.shape, -1, dtype=np.int32)
-    node_id.flat[flat] = np.arange(n_nodes, dtype=np.int32)
-    table = np.empty((n_nodes, 2 * n + 1), dtype=np.int32)
-    table[:, n] = np.arange(n_nodes, dtype=np.int32)
+    node_id.flat[order] = np.arange(n_nodes, dtype=np.int32)
+    table = np.empty((n_nodes, 2 * n), dtype=np.int32)
     for a in range(n):
         lo_ids, up_ids = lift(node_id, a, -1)
         cut = ~(edge_masks[a] & (lo_ids >= 0) & (up_ids >= 0))
@@ -184,27 +276,26 @@ def _laplacian(cells: np.ndarray, edge_masks):
         up_ids[cut] = -1
         # a cell's lower face is the facet at its own index, its upper
         # face the next one
-        table[:, a] = faces(lo_ids, a)[0][cells]
-        table[:, 2 * n - a] = faces(up_ids, a)[1][cells]
+        for column, ids in ((a, faces(lo_ids, a)[0]), (2 * n - 1 - a, faces(up_ids, a)[1])):
+            table[:n_red, column] = ids[red]
+            table[n_red:, column] = ids[black]
     del node_id, lo_ids, up_ids, cut
     keep = table >= 0
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    diag_at = indptr[:-1] + keep[:, :n].sum(axis=1, dtype=np.int32)
     indices = table[keep]
     del table, keep
-    data = np.full(indices.size, -1.0)
-    data[diag_at] = np.diff(indptr) - 1
-    lap = sp.csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
-    n_comp, comp = sp.csgraph.connected_components(lap, directed=False)
+    off = sp.csr_matrix((np.full(indices.size, -1.0), indices, indptr), shape=(n_nodes, n_nodes))
+    diag = np.diff(indptr).astype(float)
+    n_comp, comp = sp.csgraph.connected_components(off, directed=False)
     # ground each component's first node: shifts the component's
     # potential by a constant, which the flux (a pure gradient) never sees
     _, first = np.unique(comp, return_index=True)
-    lap.data[diag_at[first]] += 1.0
+    diag[first] += 1.0
     coords = np.empty((n_nodes, n), dtype=np.int32)
-    for a, c in enumerate(np.unravel_index(flat, cells.shape)):
+    for a, c in enumerate(np.unravel_index(order, cells.shape)):
         coords[:, a] = c
-    return lap, n_comp, comp, coords
+    return _Laplacian(off, diag, n_red), (red, black), n_comp, comp, coords
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -213,7 +304,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
+def _pcg(A: _Laplacian, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients from x = 0, in the recurrence of
     ``scipy.sparse.linalg.cg``: stop when ||r|| < ``_CG_RTOL`` ||b||,
     checked before each iteration, and count the iterations run (none for
@@ -249,24 +340,32 @@ def _laplacian_solve(cells: np.ndarray, edge_masks, b: np.ndarray):
 
     Returns the potential on the cells, the CG iteration count and the
     depth of the multigrid hierarchy."""
-    lap, n_comp, comp, coords = _laplacian(cells, edge_masks)
-    bn = b[cells]
+    lap, colours, n_comp, comp, coords = _laplacian(cells, edge_masks)
+    bn = np.concatenate([b[colour] for colour in colours])
     scale = float(np.abs(bn).sum()) + 1.0
     net = np.bincount(comp, weights=bn, minlength=n_comp)
     bad = np.flatnonzero(np.abs(net) > 1e-10 * scale)
     if bad.size:
-        c = int(bad[0])
+        # a component's number is its rank by first cell in C order
+        comp_cells = np.empty(cells.shape, dtype=comp.dtype)
+        for colour, half in zip(colours, lap.halves):
+            comp_cells[colour] = comp[half]
+        _, first = np.unique(comp_cells[cells], return_index=True)
+        number = np.argsort(np.argsort(first))
+        c = int(bad[np.argmin(number[bad])])
         raise CompatibilityError(
-            f"prescribed trace is incompatible on component {c}: net flux {float(net[c])}"
+            f"prescribed trace is incompatible on component {int(number[c])}: "
+            f"net flux {float(net[c])}"
         )
     # remove the roundoff-level mean so the singular system is consistent
-    bn = bn - (net / np.bincount(comp, minlength=n_comp))[comp]
+    bn -= (net / np.bincount(comp, minlength=n_comp))[comp]
     del comp
     vcycle = _AggregationVCycle(lap, coords)
     del coords
     u, iterations = _pcg(lap, bn, vcycle)
     u_cells = np.zeros(cells.shape)
-    u_cells[cells] = u
+    for colour, half in zip(colours, lap.halves):
+        u_cells[colour] = u[half]
     return u_cells, iterations, vcycle.depth
 
 

@@ -114,6 +114,28 @@ def test_generation_on_a_preset_without_one_exit_2(source, capsys):
     assert "preset 'square' has no generation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [
+    ["--domain", '{"preset": "square"}'],
+    ["--domain", '{"preset": "cantor-cross", "k": 1}'],
+    ["--domain-file", "domain.json"],
+], ids=["inline", "inline-with-k", "file"])
+def test_generation_flag_with_a_domain_document_exit_2(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "domain.json").write_text('{"preset": "square"}')
+    assert main_code("classify", *source, "--k", "2", "--grid", "16",
+                     "--out", "c.json") == 2
+    assert "--k needs --preset" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_approx_sweep_with_delta_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    assert main_code("approx", "--preset", "square", "--grid", "16", "--sweep", "1,0.75,0.5",
+                     "--delta", "0.3", "--out", str(out)) == 2
+    assert "--delta does not apply with --sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_approx_default_scale_on_a_coarse_grid(tmp_path):
     out = tmp_path / "a.json"
     proc = run("approx", "--preset", "cantor-cross", "--grid", "36", "--out", str(out))

@@ -240,21 +240,34 @@ def test_solver_stats_reported(square_32):
     assert all(lv >= 2 for lv in rep.levels)
 
 
-@pytest.mark.parametrize("m,direct,decomposed", [
-    (32, ((13,), (2,)), ((13, 13), (2, 2))),
-    (64, ((14,), (3,)), ((14, 14), (3, 3))),
-    (128, ((16,), (4,)), ((15, 16), (4, 4))),
-], ids=["1/32", "1/64", "1/128"])
-def test_solver_work_counts(m, direct, decomposed):
-    """CG iterations and hierarchy depth per solve on slit-square with the
-    slit field's trace, pinned exactly: a weaker smoother or coarsening
-    moves them.  A change that moves a count updates this table."""
-    set_ = preset_set("slit-square", 1.0 / m, margin_cells=4)
-    td = trace_measure(sample_field(slit_jump_field(), set_, 1.0))
+@pytest.mark.parametrize("build,direct,decomposed", [
+    (lambda: slit_square_jump(32), ((13,), (2,)), ((13, 13), (2, 2))),
+    (lambda: slit_square_jump(64), ((14,), (3,)), ((14, 14), (3, 3))),
+    (lambda: slit_square_jump(128), ((15,), (4,)), ((16, 15), (4, 4))),
+    (lambda: slit_cube_smooth(8), ((17,), (2,)), ((18, 17), (2, 2))),
+    (lambda: slit_cube_smooth(16), ((21,), (3,)), ((21, 21), (3, 3))),
+], ids=["1/32", "1/64", "1/128", "cube-1/8", "cube-1/16"])
+def test_solver_work_counts(build, direct, decomposed):
+    """CG iterations and hierarchy depth per solve, pinned exactly: a
+    weaker smoother or coarsening moves them.  A change that moves a
+    count updates this table."""
+    set_, td = build()
     rep = solve_direct(set_, td)
     assert (rep.cg_iterations, rep.levels) == direct
     rep = solve_decomposed(set_, td)
     assert (rep.cg_iterations, rep.levels) == decomposed
+
+
+def slit_square_jump(m):
+    """Slit-square at 1/m with the slit field's trace."""
+    set_ = preset_set("slit-square", 1.0 / m, margin_cells=4)
+    return set_, trace_measure(sample_field(slit_jump_field(), set_, 1.0))
+
+
+def slit_cube_smooth(m):
+    """The slit cube at 1/m with ``separated_smooth_field``'s trace."""
+    set_ = slit_cube(m)
+    return set_, trace_measure(sample_field(separated_smooth_field(), set_, 1.0))
 
 
 def test_aggregates_never_span_a_crack_facet(slit_square_32, monkeypatch):
@@ -263,8 +276,8 @@ def test_aggregates_never_span_a_crack_facet(slit_square_32, monkeypatch):
     built = []
 
     class Recording(ds._AggregationVCycle):
-        def __init__(self, A, coords):
-            super().__init__(A, coords)
+        def __init__(self, lap, coords):
+            super().__init__(lap, coords)
             built.append(self)
 
     monkeypatch.setattr(ds, "_AggregationVCycle", Recording)
@@ -274,7 +287,7 @@ def test_aggregates_never_span_a_crack_facet(slit_square_32, monkeypatch):
     (vcycle,) = built
     cells = slit_square_32.cells
     node_id = -np.ones(cells.shape, dtype=np.int64)
-    idx = np.argwhere(cells)
+    idx = red_black_order(np.argwhere(cells))
     node_id[tuple(idx.T)] = np.arange(idx.shape[0])
     # node pairs across the crack facets: facet i lies between cells
     # i - e_a and i along axis a
@@ -288,10 +301,11 @@ def test_aggregates_never_span_a_crack_facet(slit_square_32, monkeypatch):
     lower = np.concatenate(lower)
     upper = np.concatenate(upper)
     assert lower.size and (lower >= 0).all() and (upper >= 0).all()
-    assert len(vcycle.levels) >= 3
+    assert len(vcycle.levels) >= 2
     to_agg = np.arange(idx.shape[0])
     shared_block = False
-    for level, (_, _, agg, _) in enumerate(vcycle.levels):
+    aggs = [vcycle.fine[0]] + [agg for _, _, agg, _ in vcycle.levels]
+    for level, agg in enumerate(aggs):
         to_agg = agg[to_agg]
         assert not np.any(to_agg[lower] == to_agg[upper]), level
         block = idx // 2 ** (level + 1)
@@ -329,7 +343,8 @@ def test_multi_component_solves(build):
         assert np.allclose(rep.F.vminus[0][interior], -1.0, atol=1e-8)
 
 
-def slit_cube_8():
+def slit_cube(m):
+    """The box (-1, 1)^3 cut by the crack [-1/2, 1/2]^2 x {0}, at 1/m."""
     import json
 
     from roughgg.domain import make_grid, parse_domain, rasterize
@@ -339,13 +354,13 @@ def slit_cube_8():
         "cracks": [{"rect": [[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]}],
     })
     spec = parse_domain(doc)
-    return rasterize(spec, make_grid(spec, 1.0 / 8.0, margin_cells=4))
+    return rasterize(spec, make_grid(spec, 1.0 / m, margin_cells=4))
 
 
 def test_slit_cube_solve():
     # unit outward density on both crack sides, balanced by a constant
     # inflow through the outer boundary: the flux jumps across the crack
-    cube = slit_cube_8()
+    cube = slit_cube(8)
     td = TraceData(cube)
     topo = td.topology
     n_crack = sum(2 * int(m.sum()) for m in topo.crack)
@@ -442,7 +457,7 @@ AFFINE = {
 
 @pytest.mark.parametrize("build", [
     lambda: preset_set("slit-disk", 1.0 / 64.0, margin_cells=4),
-    slit_cube_8,
+    lambda: slit_cube(8),
 ], ids=["slit-disk-64", "slit-cube-8"])
 def test_continuous_field_keeps_both_crack_sides(build):
     set_ = build()
@@ -467,7 +482,7 @@ def test_continuous_field_keeps_both_crack_sides(build):
 
 @pytest.mark.parametrize("build", [
     lambda: preset_set("slit-square", 1.0 / 32.0, margin_cells=4),
-    slit_cube_8,
+    lambda: slit_cube(8),
 ], ids=["slit-square-32", "slit-cube-8"])
 def test_side_weights_are_extended_divergence_where_sides_differ(build):
     # the jump construction of the trace: where a facet's two values
@@ -518,10 +533,17 @@ def test_decomposed_solve_where_cracks_enclose_regions(field):
 # solver must reproduce each of them array for array.
 
 
+def red_black_order(idx):
+    """Cell coordinates reordered red (even coordinate sum) then black,
+    each kept in its given order."""
+    return idx[np.argsort(idx.sum(axis=1) % 2, kind="stable")]
+
+
 def ref_laplacian(cells, edge_masks):
-    """Grounded Laplacian, component labels and node coordinates."""
+    """Off-diagonal part and diagonal of the grounded Laplacian in
+    red|black node order, component labels and node coordinates."""
     node_id = -np.ones(cells.shape, dtype=np.int64)
-    idx = np.argwhere(cells)
+    idx = red_black_order(np.argwhere(cells))
     node_id[tuple(idx.T)] = np.arange(idx.shape[0])
     n_nodes = idx.shape[0]
     rows, cols = [], []
@@ -537,12 +559,20 @@ def ref_laplacian(cells, edge_masks):
     deg = np.bincount(rows, minlength=n_nodes) + np.bincount(cols, minlength=n_nodes)
     _, first = np.unique(comp, return_index=True)
     deg[first] += 1
-    diag = np.arange(n_nodes)
-    lap = sp.csr_matrix(
-        (np.concatenate([-ones, -ones, deg]),
-         (np.concatenate([rows, cols, diag]), np.concatenate([cols, rows, diag]))),
+    off = sp.csr_matrix(
+        (np.concatenate([-ones, -ones]),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
         shape=(n_nodes, n_nodes))
-    return lap, comp, idx
+    return off, deg.astype(float), comp, idx
+
+
+def ref_full(off, diag):
+    """off + diag(diag) as a COO summed by ``tocsr``."""
+    coo = off.tocoo()
+    at = np.arange(diag.size)
+    return sp.csr_matrix(
+        (np.concatenate([coo.data, diag]),
+         (np.concatenate([coo.row, at]), np.concatenate([coo.col, at]))), shape=off.shape)
 
 
 def ref_aggregate(A, coords):
@@ -582,19 +612,34 @@ def assert_same_csr(got, want):
 
 
 def assert_same_hierarchy(cells, edge_masks, coarse_size=16):
-    lap, n_comp, comp, coords = ds._laplacian(cells, edge_masks)
-    want, want_comp, want_coords = ref_laplacian(cells, edge_masks)
-    assert_same_csr(lap, want)
-    assert lap.indices.dtype == np.int32 and lap.indptr.dtype == np.int32
+    lap, colours, n_comp, comp, coords = ds._laplacian(cells, edge_masks)
+    want_off, want_diag, want_comp, want_coords = ref_laplacian(cells, edge_masks)
+    assert_same_csr(lap.off, want_off)
+    assert lap.off.indices.dtype == np.int32 and lap.off.indptr.dtype == np.int32
+    assert np.array_equal(lap.diag, want_diag)
     assert np.array_equal(comp, want_comp) and n_comp == want_comp.max() + 1
     assert np.array_equal(coords, want_coords)
+    red = (want_coords.sum(axis=1) % 2 == 0)
+    assert lap.n_red == red.sum() and red[:lap.n_red].all()
+    assert np.array_equal(colours[0], cells & (np.indices(cells.shape).sum(axis=0) % 2 == 0))
+    assert np.array_equal(colours[1], cells & ~colours[0])
     with patch.object(ds, "COARSE_SIZE", coarse_size):
         vcycle = ds._AggregationVCycle(lap, coords)
+    want = ref_full(want_off, want_diag)
     want_levels, want_coarse = ref_hierarchy(want, want_coords, coarse_size)
+    if vcycle.fine is None:
+        assert want_levels == []
+        assert_same_csr(lap.tocsr(), want)
+        return
+    # the red-black level is the Laplacian itself; then the Jacobi levels
+    (_, ref_agg, ref_n), *want_levels = want_levels
+    agg, n_agg = vcycle.fine
+    assert np.array_equal(agg, ref_agg) and n_agg == ref_n
+    coarse = ds._galerkin(lap.off, agg, n_agg, lap.diag)
     assert len(vcycle.levels) == len(want_levels)
-    coarse = lap
     for (A, wdinv, agg, n_agg), (ref_A, ref_agg, ref_n) in zip(vcycle.levels, want_levels):
         assert_same_csr(A, ref_A)
+        assert_same_csr(A, coarse)
         assert np.array_equal(wdinv, ds._OMEGA / ref_A.diagonal())
         assert np.array_equal(agg, ref_agg) and n_agg == ref_n
         coarse = ds._galerkin(A, agg, n_agg)
@@ -625,6 +670,55 @@ def test_hierarchy_matches_coo_reference_on_random_cracked_domains(n, data):
     set_ = data.draw(cracked_domains(dims=(n,)), label="set_")
     assert_same_hierarchy(set_.cells, set_.topology.interior)
     assert_same_hierarchy(*box_cut_masks(set_))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_red_black_preconditioner_is_symmetric_positive(n, data):
+    """Every edge joins a red and a black node, and the V-cycle is a
+    symmetric positive operator: CG needs both."""
+    set_ = data.draw(cracked_domains(dims=(n,)), label="set_")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for cells, edge_masks in ((set_.cells, set_.topology.interior), box_cut_masks(set_)):
+        lap, _, _, _, coords = ds._laplacian(cells, edge_masks)
+        coo = lap.off.tocoo()
+        parity = coords.sum(axis=1) % 2
+        assert coo.nnz and (parity[coo.row] != parity[coo.col]).all()
+        assert np.array_equal(parity == 0, np.arange(parity.size) < lap.n_red)
+        with patch.object(ds, "COARSE_SIZE", 16):
+            vcycle = ds._AggregationVCycle(lap, coords)
+        assert vcycle.fine is not None and vcycle.levels
+        u, v = rng.standard_normal((2, lap.diag.size))
+        Mu, Mv = vcycle(u), vcycle(v)
+        assert abs(Mu @ v - u @ Mv) <= 1e-12 * np.linalg.norm(Mu) * np.linalg.norm(v)
+        assert Mu @ u > 0.0 and Mv @ v > 0.0
+
+
+def test_incompatible_component_numbered_in_cell_order():
+    """Component numbers follow each component's first cell in C order,
+    not the solver's red|black node order: a lone black cell first in C
+    order is component 0, though the red nodes of both blocks come before
+    it, and it is named before the later block that is unbalanced too."""
+    grid = preset_set("square", 1.0 / 8.0, margin_cells=4).grid
+    cells = np.zeros(grid.extents, dtype=bool)
+    cells[5, 6] = True          # black, component 0, outward density 1
+    cells[8:12, 5:10] = True    # component 1, balanced
+    cells[14:17, 5:8] = True    # component 2, outward density -1/3
+    set_ = RoughSet(grid, cells)
+    td = TraceData(set_)
+    for a, side, mask, arr in td.slots():
+        for f in np.argwhere(mask):
+            cell = f.copy()
+            if side == MINUS:
+                cell[a] -= 1
+            if tuple(cell) == (5, 6):
+                arr[tuple(f)] = 1.0
+            elif cell[0] >= 14:
+                arr[tuple(f)] = -1.0 / 3.0
+    assert is_compatible(td)
+    with pytest.raises(CompatibilityError, match="incompatible on component 0: net flux -"):
+        solve_direct(set_, td)
 
 
 def ref_audit(F, td):
